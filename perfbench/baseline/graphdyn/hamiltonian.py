@@ -1,0 +1,137 @@
+"""Energy functionals built from homomorphism densities plus entropy.
+
+H(w) = sum_k c_k t(F_k, w) + gamma * mean of h(w_ij), with
+h(p) = p log p + (1-p) log(1-p).  The gradient is taken in the normalized
+inner product <u, v> = mean(u * v), so that evaluate(w + s u) has derivative
+<grad, u> at s = 0.
+"""
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+import numpy as np
+from scipy.special import xlogy
+
+from .stepkernel import (
+    SimpleGraph,
+    StepKernel,
+    edge_graph,
+    hom_density,
+    hom_density_pinned,
+    kernel_from_values,
+    path_graph,
+    triangle_graph,
+    cycle_graph,
+)
+
+# gradient of the entropy term blows up at 0 and 1; entries are clipped here
+ENTROPY_CLIP = 1e-9
+
+MAX_TERM_VERTICES = 4
+
+
+@dataclass(frozen=True)
+class Hamiltonian:
+    """Weighted density terms on connected graphs with at most 4 vertices."""
+
+    terms: tuple[tuple[float, SimpleGraph], ...]
+    entropy_weight: float = 0.0
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "terms", tuple((float(c), g) for c, g in self.terms))
+        for _, g in self.terms:
+            if g.m > MAX_TERM_VERTICES:
+                raise ValueError(f"term graph has {g.m} > {MAX_TERM_VERTICES} vertices")
+            if not _connected(g):
+                raise ValueError("term graphs must be connected")
+        if self.entropy_weight < 0:
+            raise ValueError("entropy weight must be nonnegative")
+
+    def evaluate(self, w: StepKernel) -> float:
+        val = sum(c * hom_density(g, w) for c, g in self.terms)
+        if self.entropy_weight:
+            p = w.values
+            ent = xlogy(p, p) + xlogy(1.0 - p, 1.0 - p)
+            val += self.entropy_weight * float(ent.mean())
+        return float(val)
+
+    def frechet_derivative(self, w: StepKernel) -> StepKernel:
+        """Gradient kernel: sum over terms of edge-pinned densities, symmetrized."""
+        g_total = np.zeros((w.r, w.r))
+        for c, graph in self.terms:
+            for e in range(graph.edge_count):
+                g_total += c * hom_density_pinned(graph, w, e)
+        g_total = (g_total + g_total.T) / 2
+        if self.entropy_weight:
+            p = np.clip(w.values, ENTROPY_CLIP, 1.0 - ENTROPY_CLIP)
+            g_total += self.entropy_weight * np.log(p / (1.0 - p))
+        return kernel_from_values(g_total)
+
+    @property
+    def semiconvexity_lower(self) -> float:
+        """Lower sandwich constant: the quadratic remainder of evaluate along
+        segments is bounded below by (this / 2) * ||u - v||_2^2.  Linear terms
+        contribute no curvature; the entropy term only helps and is excluded."""
+        return -self._curvature_bound()
+
+    @property
+    def smoothness_upper(self) -> float:
+        return self._curvature_bound()
+
+    def _curvature_bound(self) -> float:
+        return sum(
+            abs(c) * g.edge_count * g.m * (g.m - 1)
+            for c, g in self.terms
+            if g.edge_count >= 2
+        ) / 2.0
+
+    @property
+    def cut_lipschitz(self) -> float:
+        """Lipschitz constant of the density part w.r.t. the cut norm."""
+        return sum(abs(c) * g.edge_count * (g.edge_count - 1) for c, g in self.terms)
+
+
+_NAMED_GRAPHS = {
+    "edge": edge_graph,
+    "path2": lambda: path_graph(2),
+    "path3": lambda: path_graph(3),
+    "triangle": triangle_graph,
+    "cycle4": lambda: cycle_graph(4),
+    "star3": lambda: SimpleGraph(4, [(0, 1), (0, 2), (0, 3)]),
+}
+
+
+def named_term_graph(name: str) -> SimpleGraph:
+    try:
+        return _NAMED_GRAPHS[name]()
+    except KeyError:
+        raise ValueError(
+            f"unknown term graph {name!r}; known: {sorted(_NAMED_GRAPHS)}"
+        ) from None
+
+
+def triangle_edge_hamiltonian(
+    triangle_coeff: float = 1.0,
+    edge_coeff: float = -0.25,
+    entropy_weight: float = 0.0,
+) -> Hamiltonian:
+    return Hamiltonian(
+        ((triangle_coeff, triangle_graph()), (edge_coeff, edge_graph())),
+        entropy_weight,
+    )
+
+
+def _connected(g: SimpleGraph) -> bool:
+    if g.m == 1:
+        return True
+    seen = {0}
+    frontier = [0]
+    adj = {v: set() for v in range(g.m)}
+    for u, v in g.edges:
+        adj[u].add(v)
+        adj[v].add(u)
+    while frontier:
+        nxt = adj[frontier.pop()] - seen
+        seen |= nxt
+        frontier.extend(nxt)
+    return len(seen) == g.m

@@ -1,0 +1,602 @@
+"""Measure-valued step kernels and their cut-type distances.
+
+Cells carry finitely supported probability measures on [-1, 1] instead of
+numbers.  Distances test cells against a finite family of piecewise-linear
+functions with slopes in {-1, 0, 1} (a cover of the 1-Lipschitz, sup-bounded
+test class), which turns each test function into an ordinary step kernel via
+the pairing gamma(psi, W)(i, j) = integral of psi against the cell measure.
+"""
+from __future__ import annotations
+
+import itertools
+import math
+from dataclasses import dataclass
+
+import numpy as np
+
+from .stepkernel import (
+    StepKernel,
+    SimpleGraph,
+    _hom_density_matrices,
+    cut_norm,
+    kernel_from_values,
+    minimize_over_permutations,
+)
+
+NET_ENUMERATION_CAP = 10**6
+NET_MAX_SEGMENTS = 12
+
+
+@dataclass(frozen=True)
+class DiscreteMeasure:
+    """Finitely supported probability measure on [-1, 1], atoms ascending."""
+
+    atoms: np.ndarray
+    weights: np.ndarray
+
+    def __post_init__(self) -> None:
+        a = np.array(self.atoms, dtype=float).ravel()
+        w = np.array(self.weights, dtype=float).ravel()
+        if a.shape != w.shape or a.size == 0:
+            raise ValueError("atoms and weights must be matching nonempty vectors")
+        if a.min() < -1.0 - 1e-12 or a.max() > 1.0 + 1e-12:
+            raise ValueError("atoms must lie in [-1, 1]")
+        if w.min() < -1e-12:
+            raise ValueError("weights must be nonnegative")
+        if abs(w.sum() - 1.0) > 1e-9:
+            raise ValueError("weights must sum to 1")
+        order = np.argsort(a, kind="stable")
+        a, w = a[order], w[order]
+        # merge duplicate atoms and drop zero-weight ones: canonical form
+        keep_a, keep_w = [], []
+        for ak, wk in zip(a, w):
+            if keep_a and ak == keep_a[-1]:
+                keep_w[-1] += wk
+            elif wk > 0.0:
+                keep_a.append(ak)
+                keep_w.append(wk)
+        a = np.array(keep_a)
+        w = np.array(keep_w)
+        w = w / w.sum()
+        a.setflags(write=False)
+        w.setflags(write=False)
+        object.__setattr__(self, "atoms", a)
+        object.__setattr__(self, "weights", w)
+
+    @classmethod
+    def dirac(cls, a: float) -> "DiscreteMeasure":
+        return cls(np.array([a]), np.array([1.0]))
+
+    @classmethod
+    def bernoulli(cls, p: float) -> "DiscreteMeasure":
+        if not 0.0 <= p <= 1.0:
+            raise ValueError("p must be in [0, 1]")
+        return cls(np.array([0.0, 1.0]), np.array([1.0 - p, p]))
+
+    @classmethod
+    def three_point(cls, minus: float, plus: float) -> "DiscreteMeasure":
+        """Measure on {-1, 0, +1} with the given tail masses."""
+        if minus < 0 or plus < 0 or minus + plus > 1.0 + 1e-12:
+            raise ValueError("tail masses must be nonnegative and sum to at most 1")
+        return cls(np.array([-1.0, 0.0, 1.0]), np.array([minus, 1.0 - minus - plus, plus]))
+
+    def mean(self) -> float:
+        return float(self.atoms @ self.weights)
+
+    def integrate(self, f) -> float:
+        return float(f(self.atoms) @ self.weights)
+
+
+@dataclass(frozen=True)
+class MvgKernel:
+    """r x r symmetric array of cell measures (upper triangle is canonical)."""
+
+    cells: tuple
+
+    def __post_init__(self) -> None:
+        cells = self.cells
+        r = len(cells)
+        for i in range(r):
+            if len(cells[i]) != r:
+                raise ValueError("cells must form a square grid")
+            for j in range(r):
+                if cells[i][j] is not cells[j][i]:
+                    raise ValueError("cells must be symmetric (shared objects)")
+        object.__setattr__(self, "cells", tuple(tuple(row) for row in cells))
+
+    @property
+    def r(self) -> int:
+        return len(self.cells)
+
+    @classmethod
+    def from_upper(cls, r: int, upper) -> "MvgKernel":
+        """Build from a dict {(i, j): measure} covering i <= j."""
+        grid = [[None] * r for _ in range(r)]
+        for i in range(r):
+            for j in range(i, r):
+                mu = upper[(i, j)]
+                grid[i][j] = mu
+                grid[j][i] = mu
+        return cls(tuple(tuple(row) for row in grid))
+
+    @classmethod
+    def constant(cls, r: int, mu: DiscreteMeasure) -> "MvgKernel":
+        return cls.from_upper(r, {(i, j): mu for i in range(r) for j in range(i, r)})
+
+    @classmethod
+    def dirac_embedding(cls, w: StepKernel) -> "MvgKernel":
+        """Point masses at the kernel values: the measure-valued copy of w."""
+        return cls.from_upper(
+            w.r,
+            {
+                (i, j): DiscreteMeasure.dirac(w.values[i, j])
+                for i in range(w.r)
+                for j in range(i, w.r)
+            },
+        )
+
+    @classmethod
+    def bernoulli_embedding(cls, w: StepKernel) -> "MvgKernel":
+        """Bernoulli cells with success probabilities given by w (range [0,1])."""
+        return cls.from_upper(
+            w.r,
+            {
+                (i, j): DiscreteMeasure.bernoulli(w.values[i, j])
+                for i in range(w.r)
+                for j in range(i, w.r)
+            },
+        )
+
+    def permute(self, perm: np.ndarray) -> "MvgKernel":
+        perm = np.asarray(perm)
+        grid = [[self.cells[perm[i]][perm[j]] for j in range(self.r)] for i in range(self.r)]
+        return MvgKernel(tuple(tuple(row) for row in grid))
+
+    def project(self) -> StepKernel:
+        """Replace every cell by its mean value."""
+        vals = np.array([[mu.mean() for mu in row] for row in self.cells])
+        return kernel_from_values((vals + vals.T) / 2)
+
+    def max_atoms(self) -> int:
+        return max(len(self.cells[i][j].atoms) for i in range(self.r) for j in range(i, self.r))
+
+
+@dataclass(frozen=True)
+class _SignedCell:
+    """Atom list with signed weights; arises only from differences."""
+
+    atoms: np.ndarray
+    weights: np.ndarray
+
+    def integrate(self, f) -> float:
+        return float(f(self.atoms) @ self.weights)
+
+    def mean(self) -> float:
+        return float(self.atoms @ self.weights)
+
+
+@dataclass(frozen=True)
+class MvgDiff:
+    """Difference of two measure-valued kernels as signed atom lists per cell.
+
+    Pairing with a test function is linear, so gamma of the difference equals
+    the difference of gammas; that is the only algebra this object needs.
+    """
+
+    cells: tuple
+
+    @property
+    def r(self) -> int:
+        return len(self.cells)
+
+    def project(self) -> StepKernel:
+        vals = np.array([[cell.mean() for cell in row] for row in self.cells])
+        return kernel_from_values((vals + vals.T) / 2)
+
+
+def mvg_diff(w1: MvgKernel, w2: MvgKernel) -> MvgDiff:
+    if w1.r != w2.r:
+        raise ValueError("kernels must share a block count")
+    grid = [[None] * w1.r for _ in range(w1.r)]
+    for i in range(w1.r):
+        for j in range(i, w1.r):
+            a, b = w1.cells[i][j], w2.cells[i][j]
+            cell = _SignedCell(
+                np.concatenate([a.atoms, b.atoms]),
+                np.concatenate([a.weights, -b.weights]),
+            )
+            grid[i][j] = grid[j][i] = cell
+    return MvgDiff(tuple(tuple(row) for row in grid))
+
+
+@dataclass(frozen=True)
+class PLFunction:
+    """Continuous piecewise-linear function on [-1, 1] stored at breakpoints."""
+
+    breakpoints: np.ndarray
+    values: np.ndarray
+
+    def __post_init__(self) -> None:
+        b = np.array(self.breakpoints, dtype=float).ravel()
+        v = np.array(self.values, dtype=float).ravel()
+        if b.size < 2 or b.shape != v.shape:
+            raise ValueError("need matching breakpoints and values, at least two")
+        if b[0] != -1.0 or b[-1] != 1.0 or np.any(np.diff(b) <= 0):
+            raise ValueError("breakpoints must increase from -1 to 1")
+        b.setflags(write=False)
+        v.setflags(write=False)
+        object.__setattr__(self, "breakpoints", b)
+        object.__setattr__(self, "values", v)
+
+    def __call__(self, x) -> np.ndarray:
+        return np.interp(x, self.breakpoints, self.values)
+
+    @property
+    def sup_norm(self) -> float:
+        return float(np.abs(self.values).max())
+
+    @property
+    def lipschitz(self) -> float:
+        return float(np.abs(np.diff(self.values) / np.diff(self.breakpoints)).max())
+
+    @classmethod
+    def identity(cls) -> "PLFunction":
+        return cls(np.array([-1.0, 1.0]), np.array([-1.0, 1.0]))
+
+    @classmethod
+    def constant(cls, c: float) -> "PLFunction":
+        return cls(np.array([-1.0, 1.0]), np.array([c, c]))
+
+
+@dataclass(frozen=True)
+class TestNet:
+    """Finite family of PL test functions covering the 1-Lipschitz unit ball.
+
+    Every psi with |psi| <= 1 and Lip(psi) <= 1 is within cover_radius of some
+    member in the sup norm on [-1, 1].
+    """
+
+    functions: tuple
+    requested_radius: float
+    cover_radius: float
+    segments: int
+
+    def __len__(self) -> int:
+        return len(self.functions)
+
+
+def build_net(
+    epsilon: float,
+    segments: int | None = None,
+    offset_step: float | None = None,
+    cap: int = NET_ENUMERATION_CAP,
+) -> TestNet:
+    """Enumerate PL test functions with slopes in {-1, 0, 1} on equal segments.
+
+    Every candidate is pinned to the value 0 at the origin, the normalisation
+    under which a Dirac mass at 0 pairs to zero; on signed differences the
+    pinning is free because constants cancel there, and shifting any
+    1-Lipschitz function by its value at 0 keeps it inside the unit sup ball.
+    The segment count is forced even so the origin is a grid node.  The
+    enumeration guard multiplies slope words by the nominal offset grid
+    (steps of `offset_step` across [-1, 1]) and raises when the product
+    exceeds `cap`.
+
+    Cover radius is one segment width `w`: tracking a target function
+    greedily from the origin keeps every node within w/2, and between nodes
+    a chord comparison adds at most another w/2.
+    """
+    if epsilon <= 0:
+        raise ValueError("epsilon must be positive")
+    if segments is None:
+        segments = min(2 * math.ceil(4.0 / epsilon), NET_MAX_SEGMENTS)
+    if segments % 2 != 0:
+        raise ValueError("segments must be even so 0 falls on a node")
+    if offset_step is None:
+        offset_step = epsilon / 4.0
+    n_offsets = math.floor(2.0 / offset_step) + 1
+    count = 3**segments * n_offsets
+    if count > cap:
+        raise ValueError(
+            f"net enumeration needs {count} candidates (> cap {cap}); "
+            "raise epsilon or lower `segments`"
+        )
+    width = 2.0 / segments
+    cover = width
+    if cover > epsilon + 1e-12:
+        raise ValueError(
+            f"segments={segments} only covers to {cover}, "
+            f"which misses epsilon={epsilon}"
+        )
+    slopes = np.array(list(itertools.product((-1.0, 0.0, 1.0), repeat=segments)))
+    paths = np.concatenate(
+        [np.zeros((len(slopes), 1)), np.cumsum(slopes * width, axis=1)], axis=1
+    )
+    # pin the node at the origin to 0; |values| <= |zeta| <= 1 follows
+    vals = paths - paths[:, segments // 2 : segments // 2 + 1]
+    breaks = np.linspace(-1.0, 1.0, segments + 1)
+    breaks[0], breaks[-1] = -1.0, 1.0
+    funcs = tuple(PLFunction(breaks, v) for v in vals)
+    return TestNet(funcs, float(epsilon), float(cover), segments)
+
+
+def gamma_kernel(psi, w: MvgKernel) -> StepKernel:
+    """Pair a test function with every cell measure: an ordinary step kernel."""
+    vals = np.zeros((w.r, w.r))
+    for i in range(w.r):
+        for j in range(i, w.r):
+            vals[i, j] = vals[j, i] = w.cells[i][j].integrate(psi)
+    return kernel_from_values(vals)
+
+
+def _cell_arrays(w: MvgKernel):
+    """Concatenated atoms/weights with a cell index map, for batched pairing."""
+    atoms, weights, idx = [], [], []
+    for i in range(w.r):
+        for j in range(w.r):
+            mu = w.cells[i][j]
+            atoms.append(mu.atoms)
+            weights.append(mu.weights)
+            idx.append(np.full(len(mu.atoms), i * w.r + j))
+    return np.concatenate(atoms), np.concatenate(weights), np.concatenate(idx)
+
+
+def _gamma_stack(net: TestNet, w: MvgKernel) -> np.ndarray:
+    """gamma(psi, w) for every net member at once: (len(net), r, r)."""
+    atoms, weights, idx = _cell_arrays(w)
+    psi_vals = np.stack([f(atoms) for f in net.functions])
+    out = np.zeros((len(net.functions), w.r * w.r))
+    np.add.at(out.T, idx, (psi_vals * weights[None, :]).T)
+    return out.reshape(len(net.functions), w.r, w.r)
+
+
+def _subset_matrix(r: int) -> np.ndarray:
+    bits = 1 << np.arange(r, dtype=np.int64)
+    idx = np.arange(1 << r, dtype=np.int64)
+    return ((idx[:, None] & bits[None, :]) > 0).astype(float)
+
+
+def _cut_norm_batch(g: np.ndarray) -> np.ndarray:
+    """Exhaustive cut norm of a stack of small matrices: (n,) values."""
+    n, r, _ = g.shape
+    s = _subset_matrix(r)
+    v = np.einsum("si,nij->nsj", s, g, optimize=True)
+    pos = np.maximum(v, 0.0).sum(axis=2)
+    neg = np.maximum(-v, 0.0).sum(axis=2)
+    return np.maximum(pos, neg).max(axis=1) / r**2
+
+
+def gen_cut_norm(
+    w1: MvgKernel | MvgDiff,
+    w2: MvgKernel | None,
+    net: TestNet,
+) -> tuple[float, float]:
+    """Largest cut norm of gamma(psi, W1 - W2) over the net, with its slack.
+
+    The first argument may be a ready-made difference (then pass w2=None).
+    Returns (lower, eps): the supremum over the full 1-Lipschitz unit ball
+    lies in [lower, lower + eps], where eps is the net cover radius.
+    """
+    if w2 is not None and w1.r != w2.r:
+        raise ValueError("kernels must share a block count")
+    g = _gamma_stack(net, w1)
+    if w2 is not None:
+        g = g - _gamma_stack(net, w2)
+    return float(_cut_norm_batch(g).max()), net.cover_radius
+
+
+def delta_black(
+    w1: MvgKernel,
+    w2: MvgKernel,
+    net: TestNet,
+    seed: int = 0,
+    anneal_evals: int = 2000,
+) -> tuple[float, float]:
+    """Alignment distance: min over relabelings of gen_cut_norm.
+
+    Returns (lower, eps) with the same bracket semantics as gen_cut_norm;
+    the relabeling minimum is exhaustive for r <= 8, annealed beyond.
+    """
+    if w1.r != w2.r:
+        raise ValueError("kernels must share a block count")
+    g1 = _gamma_stack(net, w1)
+    g2 = _gamma_stack(net, w2)
+
+    def objective(p: np.ndarray) -> float:
+        diff = g1 - g2[:, p][:, :, p]
+        return float(_cut_norm_batch(diff).max())
+
+    best, _ = minimize_over_permutations(objective, w1.r, seed, anneal_evals)
+    return best, net.cover_radius
+
+
+def wass_cut(
+    w1: MvgKernel,
+    w2: MvgKernel,
+    net: TestNet,
+    seed: int = 0,
+    anneal_evals: int = 2000,
+) -> tuple[float, float]:
+    """Box-aggregated transport distance.
+
+    For each pair of vertex subsets the signed cell measures are aggregated
+    over the box; the aggregate is tested in dual form against the net (a
+    Wasserstein-1 surrogate), the worst box is taken and the relabeling
+    minimum applied.  Computed with the opposite sup ordering to delta_black;
+    with a shared exhaustive net the two agree up to the net slack.
+    """
+    if w1.r != w2.r:
+        raise ValueError("kernels must share a block count")
+    g1 = _gamma_stack(net, w1)
+    g2 = _gamma_stack(net, w2)
+    s = _subset_matrix(w1.r)
+    r = w1.r
+
+    def objective(p: np.ndarray) -> float:
+        diff = g1 - g2[:, p][:, :, p]
+        # aggregate over s x t first, then dualize over psi per box
+        box = np.einsum("si,nij,tj->nst", s, diff, s, optimize=True)
+        per_box = np.abs(box).max(axis=0)
+        return float(per_box.max()) / r**2
+
+    best, _ = minimize_over_permutations(objective, w1.r, seed, anneal_evals)
+    return best, net.cover_radius
+
+
+def wasserstein1(mu: DiscreteMeasure, nu: DiscreteMeasure) -> float:
+    """Exact W1 between finite measures on the line (area between CDFs)."""
+    grid = np.union1d(mu.atoms, nu.atoms)
+    if len(grid) == 1:
+        return 0.0
+    cdf_mu = _step_cdf(mu, grid)
+    cdf_nu = _step_cdf(nu, grid)
+    return float(np.sum(np.abs(cdf_mu - cdf_nu)[:-1] * np.diff(grid)))
+
+
+def _step_cdf(mu: DiscreteMeasure, grid: np.ndarray) -> np.ndarray:
+    idx = np.searchsorted(mu.atoms, grid, side="right")
+    cum = np.concatenate([[0.0], np.cumsum(mu.weights)])
+    return cum[idx]
+
+
+def wasserstein2(mu: DiscreteMeasure, nu: DiscreteMeasure) -> float:
+    """Exact W2 on the line via the quantile coupling."""
+    cum_mu = np.cumsum(mu.weights)
+    cum_nu = np.cumsum(nu.weights)
+    levels = np.union1d(cum_mu, cum_nu)
+    levels = levels[levels > 1e-15]
+    prev = 0.0
+    total = 0.0
+    for lv in levels:
+        width = lv - prev
+        if width <= 1e-15:
+            continue
+        mid = prev + width / 2
+        q_mu = mu.atoms[min(np.searchsorted(cum_mu, mid), len(mu.atoms) - 1)]
+        q_nu = nu.atoms[min(np.searchsorted(cum_nu, mid), len(nu.atoms) - 1)]
+        total += width * (q_mu - q_nu) ** 2
+        prev = lv
+    return math.sqrt(total)
+
+
+def d2_distance(w1: MvgKernel, w2: MvgKernel) -> float:
+    """Root mean square of cell-wise W2 over the whole grid."""
+    if w1.r != w2.r:
+        raise ValueError("kernels must share a block count")
+    total = 0.0
+    for i in range(w1.r):
+        for j in range(w1.r):
+            total += wasserstein2(w1.cells[i][j], w2.cells[i][j]) ** 2
+    return math.sqrt(total / w1.r**2)
+
+
+def delta2_mvg_upper(
+    w1: MvgKernel,
+    w2: MvgKernel,
+    seed: int = 0,
+    anneal_evals: int = 2000,
+) -> float:
+    """Relabeling-minimized d2; exhaustive for r <= 8, annealed beyond."""
+
+    def objective(p: np.ndarray) -> float:
+        return d2_distance(w1, w2.permute(p))
+
+    best, _ = minimize_over_permutations(objective, w1.r, seed, anneal_evals)
+    return best
+
+
+def decorated_density(graph: SimpleGraph, decorations, w: MvgKernel) -> float:
+    """Density where each edge integrates its own test function on its cell.
+
+    Cells act independently, so each edge contributes gamma(f_e, W) and the
+    density is the multi-matrix assignment average.
+    """
+    if len(decorations) != graph.edge_count:
+        raise ValueError("need one decoration per edge")
+    mats = [gamma_kernel(f, w).values for f in decorations]
+    return _hom_density_matrices(graph, mats)
+
+
+def sample_block_sizes(r: int, n: int) -> np.ndarray:
+    """Community of each of n vertices under the equal r-partition of [0, 1]."""
+    return np.minimum((np.arange(n) * r) // n, r - 1)
+
+
+def _locate_blocks(r: int, n: int, rng: np.random.Generator) -> np.ndarray:
+    """Blocks of n independent uniform positions under the equal r-partition."""
+    return np.minimum((rng.random(n) * r).astype(int), r - 1)
+
+
+def sample_mvg(w: MvgKernel, n: int, rng: np.random.Generator) -> MvgKernel:
+    """The n-cell subsample: uniforms locate blocks, cells are copied."""
+    block = _locate_blocks(w.r, n, rng)
+    return MvgKernel.from_upper(
+        n,
+        {(i, j): w.cells[block[i]][block[j]] for i in range(n) for j in range(i, n)},
+    )
+
+
+def sample_weighted_graph(w: MvgKernel, n: int, rng: np.random.Generator) -> StepKernel:
+    """n x n symmetric array of independent cell draws (one atom per pair).
+
+    Vertex positions are independent uniforms; entry (i, j) is a draw from the
+    cell at the located block pair, mirrored.  Diagonal entries draw from the
+    diagonal cells.
+    """
+    block = _locate_blocks(w.r, n, rng)
+    vals = np.zeros((n, n))
+    for i in range(n):
+        for j in range(i, n):
+            mu = w.cells[block[i]][block[j]]
+            k = rng.choice(len(mu.weights), p=mu.weights)
+            vals[i, j] = vals[j, i] = mu.atoms[k]
+    return kernel_from_values(vals)
+
+
+def save_mvg_text(w: MvgKernel, path) -> None:
+    """Header 'r k_max', then one line per upper cell: 'i j a1 w1 a2 w2 ...'."""
+    with open(path, "w") as fh:
+        fh.write(f"{w.r} {w.max_atoms()}\n")
+        for i in range(w.r):
+            for j in range(i, w.r):
+                mu = w.cells[i][j]
+                pairs = " ".join(
+                    f"{float(a)!r} {float(p)!r}" for a, p in zip(mu.atoms, mu.weights)
+                )
+                fh.write(f"{i} {j} {pairs}\n")
+
+
+def load_mvg_text(path) -> MvgKernel:
+    with open(path) as fh:
+        head = fh.readline().split()
+        if len(head) != 2:
+            raise ValueError(f"{path}: bad header, expected 'r k_max'")
+        r = int(head[0])
+        upper = {}
+        for line in fh:
+            parts = line.split()
+            if not parts:
+                continue
+            i, j = int(parts[0]), int(parts[1])
+            nums = [float(x) for x in parts[2:]]
+            if len(nums) % 2:
+                raise ValueError(f"{path}: cell ({i}, {j}) has unpaired atom data")
+            upper[(i, j)] = DiscreteMeasure(np.array(nums[0::2]), np.array(nums[1::2]))
+    missing = [(i, j) for i in range(r) for j in range(i, r) if (i, j) not in upper]
+    if missing:
+        raise ValueError(f"{path}: missing cells {missing[:4]}")
+    return MvgKernel.from_upper(r, upper)
+
+
+def save_net_text(net: TestNet, path) -> None:
+    """One function per line as 'breakpoint:value' pairs."""
+    with open(path, "w") as fh:
+        fh.write(f"# cover_radius {net.cover_radius!r} segments {net.segments}\n")
+        for f in net.functions:
+            fh.write(
+                " ".join(
+                    f"{float(b)!r}:{float(v)!r}"
+                    for b, v in zip(f.breakpoints, f.values)
+                )
+                + "\n"
+            )

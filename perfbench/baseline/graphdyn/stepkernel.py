@@ -1,0 +1,394 @@
+"""Symmetric step kernels on the unit square and cut-type distances.
+
+A step kernel is an r x r symmetric matrix read as a piecewise-constant
+function on [0,1]^2 with equal blocks.  Homomorphism densities, the cut norm,
+and permutation-minimized distances between kernels all live here.
+"""
+from __future__ import annotations
+
+import itertools
+import math
+from dataclasses import dataclass
+
+import numpy as np
+
+UNIT = (0.0, 1.0)
+SIGNED = (-1.0, 1.0)
+
+# exhaustive cut-norm enumeration walks 2^r subsets; past this it is refused
+CUT_NORM_EXHAUSTIVE_LIMIT = 24
+# permutation search switches from enumeration to annealing past this size
+PERM_EXHAUSTIVE_LIMIT = 8
+
+
+@dataclass(frozen=True)
+class SimpleGraph:
+    """Loop-free undirected graph on vertices 0..m-1, held as sorted edges."""
+
+    m: int
+    edges: tuple[tuple[int, int], ...]
+
+    def __init__(self, m: int, edges) -> None:
+        if m < 1:
+            raise ValueError("graph needs at least one vertex")
+        canon = set()
+        for u, v in edges:
+            if u == v:
+                raise ValueError(f"loop at vertex {u}")
+            if not (0 <= u < m and 0 <= v < m):
+                raise ValueError(f"edge ({u}, {v}) outside 0..{m - 1}")
+            canon.add((min(u, v), max(u, v)))
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "edges", tuple(sorted(canon)))
+
+    @property
+    def edge_count(self) -> int:
+        return len(self.edges)
+
+    def degree_sequence(self) -> tuple[int, ...]:
+        deg = [0] * self.m
+        for u, v in self.edges:
+            deg[u] += 1
+            deg[v] += 1
+        return tuple(sorted(deg))
+
+
+def edge_graph() -> SimpleGraph:
+    return SimpleGraph(2, [(0, 1)])
+
+
+def path_graph(edges: int) -> SimpleGraph:
+    return SimpleGraph(edges + 1, [(i, i + 1) for i in range(edges)])
+
+
+def triangle_graph() -> SimpleGraph:
+    return SimpleGraph(3, [(0, 1), (1, 2), (2, 0)])
+
+
+def cycle_graph(m: int) -> SimpleGraph:
+    return SimpleGraph(m, [(i, (i + 1) % m) for i in range(m)])
+
+
+@dataclass(frozen=True)
+class StepKernel:
+    """r x r symmetric block-constant kernel with a declared value range."""
+
+    values: np.ndarray
+    range: tuple[float, float] = UNIT
+
+    def __post_init__(self) -> None:
+        v = np.array(self.values, dtype=float)
+        if v.ndim != 2 or v.shape[0] != v.shape[1]:
+            raise ValueError("values must be a square matrix")
+        if not np.array_equal(v, v.T):
+            raise ValueError("values must be exactly symmetric")
+        lo, hi = self.range
+        if v.size and (v.min() < lo - 1e-12 or v.max() > hi + 1e-12):
+            raise ValueError(f"entries escape declared range [{lo}, {hi}]")
+        v.setflags(write=False)
+        object.__setattr__(self, "values", v)
+
+    @property
+    def r(self) -> int:
+        return self.values.shape[0]
+
+    @classmethod
+    def constant(cls, r: int, value: float, range: tuple[float, float] = UNIT) -> "StepKernel":
+        return cls(np.full((r, r), float(value)), range)
+
+    def permute(self, perm: np.ndarray) -> "StepKernel":
+        perm = np.asarray(perm)
+        return StepKernel(self.values[np.ix_(perm, perm)], self.range)
+
+    def refine(self, factor: int) -> "StepKernel":
+        """Split every block into factor^2 equal sub-blocks (same function)."""
+        if factor < 1:
+            raise ValueError("factor must be positive")
+        return StepKernel(np.kron(self.values, np.ones((factor, factor))), self.range)
+
+
+def _bounds_range(values: np.ndarray) -> tuple[float, float]:
+    """Smallest canonical range containing the entries, else tight bounds."""
+    lo, hi = float(values.min(initial=0.0)), float(values.max(initial=0.0))
+    if 0.0 <= lo and hi <= 1.0:
+        return UNIT
+    if -1.0 <= lo and hi <= 1.0:
+        return SIGNED
+    return (min(lo, 0.0), max(hi, 0.0))
+
+
+def kernel_from_values(values: np.ndarray) -> StepKernel:
+    """Wrap a symmetric matrix, inferring the tightest admissible range."""
+    values = np.asarray(values, dtype=float)
+    return StepKernel(values, _bounds_range(values))
+
+
+def hom_density(graph: SimpleGraph, w: StepKernel) -> float:
+    """Homomorphism density t(F, w), averaging edge products over assignments.
+
+    Single edges, 2-paths, triangles, and 4-cycles run through closed matrix
+    forms; everything else goes through one einsum over vertex assignments.
+    """
+    return _hom_density_matrices(graph, [w.values] * graph.edge_count)
+
+
+def _hom_density_matrices(graph: SimpleGraph, mats: list[np.ndarray]) -> float:
+    m, edges = graph.m, graph.edges
+    r = mats[0].shape[0] if mats else 1
+    if not edges:
+        return 1.0
+    same = all(mat is mats[0] for mat in mats)
+    a = mats[0]
+    if same and len(edges) == 1:
+        return float(a.mean())
+    if same and m == 3 and len(edges) == 2:
+        return float((a @ a).sum() / r**3)
+    if same and m == 3 and len(edges) == 3:
+        return float(np.trace(a @ a @ a) / r**3)
+    if same and m == 4 and len(edges) == 4 and graph.degree_sequence() == (2, 2, 2, 2):
+        a2 = a @ a
+        return float(np.trace(a2 @ a2) / r**4)
+    letters = "abcdefgh"[:m]
+    subs = ",".join(letters[u] + letters[v] for u, v in edges)
+    return float(np.einsum(subs + "->", *mats, optimize=True) / r**m)
+
+
+def hom_density_pinned(graph: SimpleGraph, w: StepKernel, pin_edge: int) -> np.ndarray:
+    """Density with one edge removed and its endpoints pinned to blocks (i, j).
+
+    Returns the r x r matrix of pinned densities, normalized by r^(m-2).
+    """
+    m, edges = graph.m, graph.edges
+    a = w.values
+    r = w.r
+    u0, v0 = edges[pin_edge]
+    rest = [e for k, e in enumerate(edges) if k != pin_edge]
+    letters = "abcdefgh"[:m]
+    subs = ",".join(letters[u] + letters[v] for u, v in rest)
+    if not subs:
+        return np.ones((r, r)) / r ** (m - 2)
+    # a pinned endpoint may lose all its edges; einsum only over present letters
+    present = set(subs) - {","}
+    out_letters = letters[u0] + letters[v0]
+    eff = "".join(ch for ch in out_letters if ch in present)
+    res = np.einsum(subs + "->" + eff, *([a] * len(rest)), optimize=True)
+    if eff == out_letters:
+        out = res
+    elif not eff:
+        out = np.full((r, r), float(res))
+    elif eff == out_letters[0]:
+        out = np.broadcast_to(res[:, None], (r, r)).copy()
+    else:
+        out = np.broadcast_to(res[None, :], (r, r)).copy()
+    return out / r ** (m - 2)
+
+
+def _cut_norm_exhaustive(a: np.ndarray) -> float:
+    r = a.shape[0]
+    if r > CUT_NORM_EXHAUSTIVE_LIMIT:
+        raise ValueError(
+            f"exhaustive cut norm enumerates 2^{r} subsets; past r = "
+            f"{CUT_NORM_EXHAUSTIVE_LIMIT} use method='heuristic'"
+        )
+    best = 0.0
+    chunk = 1 << min(r, 14)
+    bits = (1 << np.arange(r, dtype=np.int64))[None, :]
+    for start in range(0, 1 << r, chunk):
+        idx = np.arange(start, min(start + chunk, 1 << r), dtype=np.int64)
+        s = ((idx[:, None] & bits) > 0).astype(float)
+        v = s @ a
+        # best t for fixed s picks the positive (or negative) part of s^T A
+        pos = np.maximum(v, 0.0).sum(axis=1)
+        neg = np.maximum(-v, 0.0).sum(axis=1)
+        best = max(best, float(pos.max(initial=0.0)), float(neg.max(initial=0.0)))
+    return best / r**2
+
+
+def _cut_norm_heuristic(a: np.ndarray, restarts: int, seed: int) -> float:
+    r = a.shape[0]
+    rng = np.random.default_rng(seed)
+    best = 0.0
+    for k in range(restarts):
+        for sign in (1.0, -1.0):
+            s = (rng.random(r) < 0.5).astype(float) if k else np.ones(r)
+            val = -1.0
+            for _ in range(200):
+                t = (sign * (s @ a) > 0).astype(float)
+                s = (sign * (a @ t) > 0).astype(float)
+                new = sign * (s @ a @ t)
+                if new <= val:
+                    break
+                val = new
+            best = max(best, val)
+    return best / r**2
+
+
+def cut_norm(
+    w: StepKernel | np.ndarray,
+    method: str = "auto",
+    restarts: int = 64,
+    seed: int = 0,
+) -> float:
+    """Cut norm: the largest |sum of entries over a sub-box| / r^2.
+
+    'exhaustive' enumerates subset pairs exactly.  'heuristic' is alternating
+    sign ascent from seeded restarts and never exceeds the exhaustive value.
+    'auto' picks exhaustive while feasible.
+    """
+    a = w.values if isinstance(w, StepKernel) else np.asarray(w, dtype=float)
+    if method == "auto":
+        method = "exhaustive" if a.shape[0] <= CUT_NORM_EXHAUSTIVE_LIMIT else "heuristic"
+    if method == "exhaustive":
+        return _cut_norm_exhaustive(a)
+    if method == "heuristic":
+        return _cut_norm_heuristic(a, restarts, seed)
+    raise ValueError(f"unknown method {method!r}")
+
+
+def l2_norm(w: StepKernel | np.ndarray) -> float:
+    a = w.values if isinstance(w, StepKernel) else np.asarray(w)
+    return math.sqrt(float((a * a).mean())) if a.size else 0.0
+
+
+def l2_distance(w1: StepKernel, w2: StepKernel) -> float:
+    w1, w2 = _to_common_r(w1, w2)
+    return l2_norm(w1.values - w2.values)
+
+
+def _to_common_r(w1: StepKernel, w2: StepKernel) -> tuple[StepKernel, StepKernel]:
+    if w1.r == w2.r:
+        return w1, w2
+    common = math.lcm(w1.r, w2.r)
+    return w1.refine(common // w1.r), w2.refine(common // w2.r)
+
+
+def minimize_over_permutations(
+    objective,
+    r: int,
+    seed: int = 0,
+    anneal_evals: int = 4000,
+) -> tuple[float, np.ndarray]:
+    """Minimize a function of a block relabeling.
+
+    Exhaustive up to PERM_EXHAUSTIVE_LIMIT blocks, then seeded simulated
+    annealing over transpositions.  Beyond the exhaustive regime the result
+    is an upper bound for the true minimum.
+    """
+    if r <= PERM_EXHAUSTIVE_LIMIT:
+        best, best_p = math.inf, None
+        for p in itertools.permutations(range(r)):
+            p = np.array(p)
+            val = objective(p)
+            if val < best:
+                best, best_p = val, p
+        return best, best_p
+    rng = np.random.default_rng(seed)
+    cur = np.arange(r)
+    cur_val = objective(cur)
+    best, best_p = cur_val, cur.copy()
+    temp = max(cur_val, 1e-3)
+    decay = 0.01 ** (1.0 / max(anneal_evals, 1))
+    for _ in range(anneal_evals):
+        i, j = rng.integers(0, r, size=2)
+        if i == j:
+            continue
+        cand = cur.copy()
+        cand[i], cand[j] = cand[j], cand[i]
+        val = objective(cand)
+        if val < cur_val or rng.random() < math.exp(-(val - cur_val) / max(temp, 1e-12)):
+            cur, cur_val = cand, val
+            if val < best:
+                best, best_p = val, cand.copy()
+        temp *= decay
+    return best, best_p
+
+
+def cut_metric_upper(
+    w1: StepKernel,
+    w2: StepKernel,
+    seed: int = 0,
+    anneal_evals: int = 4000,
+    method: str = "auto",
+) -> float:
+    """Upper bound of the cut metric: min over block relabelings of the
+    cut norm of the difference, after refining to a common block count."""
+    w1, w2 = _to_common_r(w1, w2)
+    a, b = w1.values, w2.values
+
+    def objective(p: np.ndarray) -> float:
+        return cut_norm(a - b[np.ix_(p, p)], method=method, seed=seed)
+
+    best, _ = minimize_over_permutations(objective, w1.r, seed, anneal_evals)
+    return best
+
+
+def delta2_upper(
+    w1: StepKernel,
+    w2: StepKernel,
+    seed: int = 0,
+    anneal_evals: int = 4000,
+) -> float:
+    """Upper bound of the L2 block distance, minimized over relabelings."""
+    w1, w2 = _to_common_r(w1, w2)
+    a, b = w1.values, w2.values
+
+    def objective(p: np.ndarray) -> float:
+        return l2_norm(a - b[np.ix_(p, p)])
+
+    best, _ = minimize_over_permutations(objective, w1.r, seed, anneal_evals)
+    return best
+
+
+def save_kernel_text(w: StepKernel, path) -> None:
+    """Plain text: header 'r lo hi', then r whitespace-separated rows."""
+    with open(path, "w") as fh:
+        fh.write(f"{w.r} {w.range[0]!r} {w.range[1]!r}\n")
+        for row in w.values:
+            fh.write(" ".join(repr(float(x)) for x in row) + "\n")
+
+
+def load_kernel_text(path) -> StepKernel:
+    with open(path) as fh:
+        head = fh.readline().split()
+        if len(head) != 3:
+            raise ValueError(f"{path}: bad header, expected 'r lo hi'")
+        r = int(head[0])
+        rng = (float(head[1]), float(head[2]))
+        rows = [[float(x) for x in fh.readline().split()] for _ in range(r)]
+    values = np.array(rows)
+    if values.shape != (r, r):
+        raise ValueError(f"{path}: expected {r} rows of {r} entries")
+    return StepKernel(values, rng)
+
+
+def save_kernel_csv(w: StepKernel, path) -> None:
+    """CSV: header row 'r,lo,hi', then the matrix rows."""
+    with open(path, "w") as fh:
+        fh.write(f"r,lo,hi\n{w.r},{w.range[0]!r},{w.range[1]!r}\n")
+        for row in w.values:
+            fh.write(",".join(repr(float(x)) for x in row) + "\n")
+
+
+def load_kernel_csv(path) -> StepKernel:
+    with open(path) as fh:
+        if fh.readline().strip() != "r,lo,hi":
+            raise ValueError(f"{path}: missing 'r,lo,hi' header")
+        meta = fh.readline().split(",")
+        r = int(meta[0])
+        rng = (float(meta[1]), float(meta[2]))
+        rows = [[float(x) for x in fh.readline().split(",")] for _ in range(r)]
+    values = np.array(rows)
+    if values.shape != (r, r):
+        raise ValueError(f"{path}: expected {r} rows of {r} entries")
+    return StepKernel(values, rng)
+
+
+def save_kernel_pgm(w: StepKernel, path) -> None:
+    """ASCII PGM heatmap; values are scaled linearly from range to 0..255."""
+    lo, hi = w.range
+    span = hi - lo if hi > lo else 1.0
+    gray = np.rint(255 * (w.values - lo) / span).astype(int)
+    with open(path, "w") as fh:
+        fh.write(f"P2\n{w.r} {w.r}\n255\n")
+        for row in gray:
+            fh.write(" ".join(str(int(g)) for g in row) + "\n")
