@@ -29,9 +29,6 @@ class ChainConfig:
     h: Hamiltonian
     seed: int = 0
     iterations: int = 0
-    # profiling shortcut: proposals jump by a batched sign sum with a single
-    # clamp, which is only exact away from the boundary; never used in tests
-    fast_proposal: bool = False
 
     def __post_init__(self) -> None:
         if self.n < 2 or self.r < 1:
@@ -183,11 +180,6 @@ class _CountWalk:
             np.add(vec, row, out=vec)
             np.clip(vec, 0, self.caps, out=vec)
 
-    def steps_fast(self, vec: np.ndarray, signs: np.ndarray) -> None:
-        """Profiling shortcut: sum all rows, clamp once (inexact at borders)."""
-        np.add(vec, signs.sum(axis=0), out=vec)
-        np.clip(vec, 0, self.caps, out=vec)
-
 
 def _draw_signs(rng: np.random.Generator, k: int, m: int) -> np.ndarray:
     """k rows of fair +-1 for m coordinates, drawn in one call.
@@ -224,10 +216,7 @@ def metropolis_step(state: ChainState, cfg: ChainConfig, walk: _CountWalk | None
         energy = cfg.h.evaluate(state.density(cfg))
     before = vec.copy()
     signs = _draw_signs(state.rng, cfg.s_n, walk.m)
-    if cfg.fast_proposal:
-        walk.steps_fast(vec, signs)
-    else:
-        walk.steps(vec, signs)
+    walk.steps(vec, signs)
     _write_symmetric(state.counts, iu, vec)
     prop_energy = cfg.h.evaluate(state.density(cfg))
     delta = prop_energy - energy

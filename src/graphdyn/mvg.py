@@ -2,12 +2,17 @@
 
 Cells carry finitely supported probability measures on [-1, 1] instead of
 numbers.  Distances test cells against a finite family of piecewise-linear
-functions with slopes in {-1, 0, 1} (a cover of the 1-Lipschitz, sup-bounded
-test class), which turns each test function into an ordinary step kernel via
-the pairing gamma(psi, W)(i, j) = integral of psi against the cell measure.
+functions with slopes in {-1, 0, 1} on K equal segments (a cover of the
+1-Lipschitz, sup-bounded test class), which turns each test function into an
+ordinary step kernel via the pairing gamma(psi, W)(i, j) = integral of psi
+against the cell measure.  The family has 3^K members, but the pairing is
+linear in the slopes and the cut norm is convex and even, so its supremum is
+the largest cut norm over the 2^(K-1) +-1 slope words of the K segment ramps;
+the metrics evaluate only those.  `wass_cut` is an alias of `delta_black`.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -17,8 +22,8 @@ import numpy as np
 from .stepkernel import (
     StepKernel,
     SimpleGraph,
+    _cut_norm_exhaustive,
     _hom_density_matrices,
-    cut_norm,
     kernel_from_values,
     minimize_over_permutations,
 )
@@ -250,19 +255,32 @@ class PLFunction:
 
 @dataclass(frozen=True)
 class TestNet:
-    """Finite family of PL test functions covering the 1-Lipschitz unit ball.
+    """PL test functions with slopes in {-1, 0, 1} on `segments` equal pieces.
 
     Every psi with |psi| <= 1 and Lip(psi) <= 1 is within cover_radius of some
-    member in the sup norm on [-1, 1].
+    member in the sup norm on [-1, 1].  The metrics never enumerate the
+    3^segments members; `functions` builds them on first read.
     """
 
-    functions: tuple
     requested_radius: float
     cover_radius: float
     segments: int
 
     def __len__(self) -> int:
-        return len(self.functions)
+        return 3**self.segments
+
+    @functools.cached_property
+    def functions(self) -> tuple:
+        k = self.segments
+        slopes = np.array(list(itertools.product((-1.0, 0.0, 1.0), repeat=k)))
+        paths = np.concatenate(
+            [np.zeros((len(slopes), 1)), np.cumsum(slopes * (2.0 / k), axis=1)], axis=1
+        )
+        # pin the node at the origin to 0; |values| <= |zeta| <= 1 follows
+        vals = paths - paths[:, k // 2 : k // 2 + 1]
+        breaks = np.linspace(-1.0, 1.0, k + 1)
+        breaks[0], breaks[-1] = -1.0, 1.0
+        return tuple(PLFunction(breaks, v) for v in vals)
 
 
 def build_net(
@@ -271,7 +289,7 @@ def build_net(
     offset_step: float | None = None,
     cap: int = NET_ENUMERATION_CAP,
 ) -> TestNet:
-    """Enumerate PL test functions with slopes in {-1, 0, 1} on equal segments.
+    """PL test functions with slopes in {-1, 0, 1} on equal segments.
 
     Every candidate is pinned to the value 0 at the origin, the normalisation
     under which a Dirac mass at 0 pairs to zero; on signed differences the
@@ -286,12 +304,12 @@ def build_net(
     greedily from the origin keeps every node within w/2, and between nodes
     a chord comparison adds at most another w/2.
     """
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
+    if not (math.isfinite(epsilon) and epsilon > 0):
+        raise ValueError(f"epsilon must be positive and finite, got {epsilon!r}")
     if segments is None:
         segments = min(2 * math.ceil(4.0 / epsilon), NET_MAX_SEGMENTS)
-    if segments % 2 != 0:
-        raise ValueError("segments must be even so 0 falls on a node")
+    if segments < 2 or segments % 2 != 0:
+        raise ValueError(f"segments must be even and at least 2 so 0 is a node, got {segments}")
     if offset_step is None:
         offset_step = epsilon / 4.0
     n_offsets = math.floor(2.0 / offset_step) + 1
@@ -301,23 +319,13 @@ def build_net(
             f"net enumeration needs {count} candidates (> cap {cap}); "
             "raise epsilon or lower `segments`"
         )
-    width = 2.0 / segments
-    cover = width
+    cover = 2.0 / segments
     if cover > epsilon + 1e-12:
         raise ValueError(
             f"segments={segments} only covers to {cover}, "
             f"which misses epsilon={epsilon}"
         )
-    slopes = np.array(list(itertools.product((-1.0, 0.0, 1.0), repeat=segments)))
-    paths = np.concatenate(
-        [np.zeros((len(slopes), 1)), np.cumsum(slopes * width, axis=1)], axis=1
-    )
-    # pin the node at the origin to 0; |values| <= |zeta| <= 1 follows
-    vals = paths - paths[:, segments // 2 : segments // 2 + 1]
-    breaks = np.linspace(-1.0, 1.0, segments + 1)
-    breaks[0], breaks[-1] = -1.0, 1.0
-    funcs = tuple(PLFunction(breaks, v) for v in vals)
-    return TestNet(funcs, float(epsilon), float(cover), segments)
+    return TestNet(float(epsilon), float(cover), segments)
 
 
 def gamma_kernel(psi, w: MvgKernel) -> StepKernel:
@@ -341,29 +349,23 @@ def _cell_arrays(w: MvgKernel):
     return np.concatenate(atoms), np.concatenate(weights), np.concatenate(idx)
 
 
-def _gamma_stack(net: TestNet, w: MvgKernel) -> np.ndarray:
-    """gamma(psi, w) for every net member at once: (len(net), r, r)."""
+def _word_stack(net: TestNet, w: MvgKernel) -> np.ndarray:
+    """gamma(psi, w) for every +-1 slope word psi with first slope +1.
+
+    psi = sum_k slope_k phi_k, where phi_k is the unit-slope ramp of segment
+    k pinned to 0 at the origin, so gamma(psi, w) = sum_k slope_k C_k with
+    C_k = gamma(phi_k, w).  Returns (2^(K-1), r, r).
+    """
+    k = net.segments
     atoms, weights, idx = _cell_arrays(w)
-    psi_vals = np.stack([f(atoms) for f in net.functions])
-    out = np.zeros((len(net.functions), w.r * w.r))
-    np.add.at(out.T, idx, (psi_vals * weights[None, :]).T)
-    return out.reshape(len(net.functions), w.r, w.r)
-
-
-def _subset_matrix(r: int) -> np.ndarray:
-    bits = 1 << np.arange(r, dtype=np.int64)
-    idx = np.arange(1 << r, dtype=np.int64)
-    return ((idx[:, None] & bits[None, :]) > 0).astype(float)
-
-
-def _cut_norm_batch(g: np.ndarray) -> np.ndarray:
-    """Exhaustive cut norm of a stack of small matrices: (n,) values."""
-    n, r, _ = g.shape
-    s = _subset_matrix(r)
-    v = np.einsum("si,nij->nsj", s, g, optimize=True)
-    pos = np.maximum(v, 0.0).sum(axis=2)
-    neg = np.maximum(-v, 0.0).sum(axis=2)
-    return np.maximum(pos, neg).max(axis=1) / r**2
+    breaks = np.linspace(-1.0, 1.0, k + 1)
+    lo, hi = breaks[:-1, None], breaks[1:, None]
+    ramps = np.clip(atoms, lo, hi) - np.clip(0.0, lo, hi)
+    pairings = np.zeros((k, w.r * w.r))
+    np.add.at(pairings.T, idx, (ramps * weights).T)
+    bits = (np.arange(1 << (k - 1))[:, None] >> np.arange(k - 1)) & 1
+    words = np.concatenate([np.ones((len(bits), 1)), 1.0 - 2.0 * bits], axis=1)
+    return (words @ pairings).reshape(-1, w.r, w.r)
 
 
 def gen_cut_norm(
@@ -373,16 +375,19 @@ def gen_cut_norm(
 ) -> tuple[float, float]:
     """Largest cut norm of gamma(psi, W1 - W2) over the net, with its slack.
 
+    The pairing is linear in the slopes and the cut norm is convex and even,
+    so the largest value over all 3^K slope words is reached at a +-1 word
+    with first slope +1; only those 2^(K-1) words are evaluated.
     The first argument may be a ready-made difference (then pass w2=None).
     Returns (lower, eps): the supremum over the full 1-Lipschitz unit ball
     lies in [lower, lower + eps], where eps is the net cover radius.
     """
     if w2 is not None and w1.r != w2.r:
         raise ValueError("kernels must share a block count")
-    g = _gamma_stack(net, w1)
+    g = _word_stack(net, w1)
     if w2 is not None:
-        g = g - _gamma_stack(net, w2)
-    return float(_cut_norm_batch(g).max()), net.cover_radius
+        g = g - _word_stack(net, w2)
+    return float(_cut_norm_exhaustive(g).max()), net.cover_radius
 
 
 def delta_black(
@@ -399,48 +404,21 @@ def delta_black(
     """
     if w1.r != w2.r:
         raise ValueError("kernels must share a block count")
-    g1 = _gamma_stack(net, w1)
-    g2 = _gamma_stack(net, w2)
+    g1 = _word_stack(net, w1)
+    g2 = _word_stack(net, w2)
 
     def objective(p: np.ndarray) -> float:
-        diff = g1 - g2[:, p][:, :, p]
-        return float(_cut_norm_batch(diff).max())
+        return float(_cut_norm_exhaustive(g1 - g2[:, p][:, :, p]).max())
 
     best, _ = minimize_over_permutations(objective, w1.r, seed, anneal_evals)
     return best, net.cover_radius
 
 
-def wass_cut(
-    w1: MvgKernel,
-    w2: MvgKernel,
-    net: TestNet,
-    seed: int = 0,
-    anneal_evals: int = 2000,
-) -> tuple[float, float]:
-    """Box-aggregated transport distance.
-
-    For each pair of vertex subsets the signed cell measures are aggregated
-    over the box; the aggregate is tested in dual form against the net (a
-    Wasserstein-1 surrogate), the worst box is taken and the relabeling
-    minimum applied.  Computed with the opposite sup ordering to delta_black;
-    with a shared exhaustive net the two agree up to the net slack.
-    """
-    if w1.r != w2.r:
-        raise ValueError("kernels must share a block count")
-    g1 = _gamma_stack(net, w1)
-    g2 = _gamma_stack(net, w2)
-    s = _subset_matrix(w1.r)
-    r = w1.r
-
-    def objective(p: np.ndarray) -> float:
-        diff = g1 - g2[:, p][:, :, p]
-        # aggregate over s x t first, then dualize over psi per box
-        box = np.einsum("si,nij,tj->nst", s, diff, s, optimize=True)
-        per_box = np.abs(box).max(axis=0)
-        return float(per_box.max()) / r**2
-
-    best, _ = minimize_over_permutations(objective, w1.r, seed, anneal_evals)
-    return best, net.cover_radius
+# Box-aggregated transport distance: the worst box (s, t) of the aggregated
+# signed cell measures, tested in dual form against the net, then minimized
+# over relabelings.  The sup over boxes and the sup over test functions
+# commute, so this is delta_black exactly.
+wass_cut = delta_black
 
 
 def wasserstein1(mu: DiscreteMeasure, nu: DiscreteMeasure) -> float:
@@ -496,10 +474,22 @@ def delta2_mvg_upper(
     seed: int = 0,
     anneal_evals: int = 2000,
 ) -> float:
-    """Relabeling-minimized d2; exhaustive for r <= 8, annealed beyond."""
+    """Relabeling-minimized d2; exhaustive for r <= 8, annealed beyond.
+
+    The cell-pair table D[i, j, k, l] = W2(w1[i][j], w2[k][l])^2 is built
+    once, so each relabeling p costs one gather of D[i, j, p_i, p_j].
+    """
+    if w1.r != w2.r:
+        raise ValueError("kernels must share a block count")
+    r = w1.r
+    cells2 = [nu for row in w2.cells for nu in row]
+    table = np.array(
+        [[wasserstein2(mu, nu) ** 2 for nu in cells2] for row in w1.cells for mu in row]
+    ).reshape(r, r, r, r)
+    i, j = np.indices((r, r))
 
     def objective(p: np.ndarray) -> float:
-        return d2_distance(w1, w2.permute(p))
+        return math.sqrt(table[i, j, p[i], p[j]].sum() / r**2)
 
     best, _ = minimize_over_permutations(objective, w1.r, seed, anneal_evals)
     return best

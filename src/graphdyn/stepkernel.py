@@ -183,14 +183,15 @@ def hom_density_pinned(graph: SimpleGraph, w: StepKernel, pin_edge: int) -> np.n
     return out / r ** (m - 2)
 
 
-def _cut_norm_exhaustive(a: np.ndarray) -> float:
-    r = a.shape[0]
+def _cut_norm_exhaustive(a: np.ndarray) -> np.ndarray:
+    """Exact cut norm of an r x r matrix, or of every matrix in a (..., r, r) stack."""
+    r = a.shape[-1]
     if r > CUT_NORM_EXHAUSTIVE_LIMIT:
         raise ValueError(
             f"exhaustive cut norm enumerates 2^{r} subsets; past r = "
             f"{CUT_NORM_EXHAUSTIVE_LIMIT} use method='heuristic'"
         )
-    best = 0.0
+    best = np.zeros(a.shape[:-2])
     chunk = 1 << min(r, 14)
     bits = (1 << np.arange(r, dtype=np.int64))[None, :]
     for start in range(0, 1 << r, chunk):
@@ -198,9 +199,9 @@ def _cut_norm_exhaustive(a: np.ndarray) -> float:
         s = ((idx[:, None] & bits) > 0).astype(float)
         v = s @ a
         # best t for fixed s picks the positive (or negative) part of s^T A
-        pos = np.maximum(v, 0.0).sum(axis=1)
-        neg = np.maximum(-v, 0.0).sum(axis=1)
-        best = max(best, float(pos.max(initial=0.0)), float(neg.max(initial=0.0)))
+        pos = np.maximum(v, 0.0).sum(axis=-1)
+        neg = np.maximum(-v, 0.0).sum(axis=-1)
+        best = np.maximum(best, np.maximum(pos, neg).max(axis=-1, initial=0.0))
     return best / r**2
 
 
@@ -239,7 +240,7 @@ def cut_norm(
     if method == "auto":
         method = "exhaustive" if a.shape[0] <= CUT_NORM_EXHAUSTIVE_LIMIT else "heuristic"
     if method == "exhaustive":
-        return _cut_norm_exhaustive(a)
+        return float(_cut_norm_exhaustive(a))
     if method == "heuristic":
         return _cut_norm_heuristic(a, restarts, seed)
     raise ValueError(f"unknown method {method!r}")

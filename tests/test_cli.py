@@ -122,6 +122,9 @@ def test_bad_config_exits_with_the_config_code(tmp_path, capsys):
     path.write_text("[flow]\nr = 2\nbeta = 1.0\nwarp = 9\n")
     assert main(["flow", "--config", str(path)]) == 1
     assert "config error: [flow] warp: unknown key" in capsys.readouterr().err
+    path.write_text("[metropolis]\nn = 4\nr = 2\nbeta = 1.0\ngamma_n = 0.5\nfast_proposal = true\n")
+    assert main(["metropolis", "--config", str(path)]) == 1
+    assert "config error: [metropolis] fast_proposal: unknown key" in capsys.readouterr().err
 
 
 def test_uniform_init_is_chain_only(tmp_path, capsys):
@@ -244,9 +247,21 @@ def test_metrics_mode_handles_measure_valued_inputs(tmp_path):
     assert main(["metrics", "--config", str(path), "--out", str(tmp_path / "o")]) == 0
     doc = json.loads((tmp_path / "o" / "metrics.json").read_text())
     assert doc["delta_black_lower"] == 0.0 and doc["wass_cut_lower"] == 0.0
+    assert doc["wass_cut_eps"] == doc["delta_black_eps"]
     assert doc["delta_black_eps"] == 0.5  # net cover radius for epsilon = 2
     assert doc["delta2_upper"] == 0.0
     assert doc["net_size"] == 81
+
+
+def test_metrics_mode_rejects_an_infinite_net_resolution(tmp_path, capsys):
+    text = "1 1\n0 0 0.5 1.0\n"
+    (tmp_path / "a.txt").write_text(text)
+    path = tmp_path / "m.ini"
+    path.write_text(
+        f"[metrics]\nkind = mvg\nepsilon = inf\na = {tmp_path/'a.txt'}\nb = {tmp_path/'a.txt'}\n"
+    )
+    assert main(["metrics", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
+    assert "config error: epsilon must be positive and finite" in capsys.readouterr().err
 
 
 def test_sample_mode_writes_the_edge_list_and_realized_density(tmp_path, capsys):

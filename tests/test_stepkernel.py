@@ -26,6 +26,8 @@ from graphdyn import (
     triangle_graph,
 )
 
+from graphdyn.stepkernel import _cut_norm_exhaustive
+
 from oracles import cut_norm_brute, cut_norm_fractional, hom_density_brute, min_over_perms_brute
 
 
@@ -151,6 +153,17 @@ def test_cut_norm_exhaustive_matches_double_subset_loop():
         assert cut_norm(w, method="exhaustive") == pytest.approx(
             cut_norm_brute(w.values), abs=1e-12
         )
+
+
+def test_cut_norm_exhaustive_on_a_stack_matches_each_matrix():
+    rng = np.random.default_rng(21)
+    stack = np.stack([random_kernel(rng, 5, -1.0, 1.0).values for _ in range(6)])
+    batched = _cut_norm_exhaustive(stack.reshape(2, 3, 5, 5))
+    assert batched.shape == (2, 3)
+    single = [cut_norm(a, method="exhaustive") for a in stack]
+    assert np.allclose(batched.ravel(), single, rtol=0.0, atol=1e-15)
+    with pytest.raises(ValueError):
+        _cut_norm_exhaustive(np.zeros((2, 25, 25)))
 
 
 def test_cut_norm_heuristic_never_exceeds_exhaustive():
