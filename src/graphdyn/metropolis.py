@@ -18,6 +18,9 @@ import numpy as np
 from .hamiltonian import Hamiltonian
 from .stepkernel import StepKernel
 
+# a walk segment draws rows x r(r+1)/2 signs in one piece; past this it is refused
+SIGN_DRAW_LIMIT = 1 << 27
+
 
 @dataclass
 class ChainConfig:
@@ -33,10 +36,21 @@ class ChainConfig:
     def __post_init__(self) -> None:
         if self.n < 2 or self.r < 1:
             raise ValueError("need n >= 2 members and r >= 1 communities")
+        for name in ("beta", "sigma", "gamma_n"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.gamma_n <= 0:
             raise ValueError("gamma_n must be positive")
         if self.sigma < 0:
             raise ValueError("sigma must be nonnegative")
+        try:
+            rows = max(self.s_n, self.l_nr)
+        except OverflowError:
+            raise ValueError("gamma_n or sigma is too large: the step count overflows") from None
+        # sampler configs never walk and carry gamma_n only as a placeholder;
+        # every other walk is checked again when its signs are drawn
+        if self.iterations > 0:
+            _check_draws(rows, self.r * (self.r + 1) // 2)
 
     @property
     def beta_nr(self) -> float:
@@ -112,7 +126,8 @@ class ChainState:
         return cls(counts, 0, rng)
 
     def density(self, cfg: ChainConfig) -> StepKernel:
-        return StepKernel(self.counts / cfg.capacities())
+        """Counts over capacities; the chain keeps counts symmetric and in range."""
+        return StepKernel._trusted(self.counts / cfg.capacities())
 
 
 def quantize_density(cfg: ChainConfig, q) -> np.ndarray:
@@ -122,7 +137,7 @@ def quantize_density(cfg: ChainConfig, q) -> np.ndarray:
         raise ValueError(f"density must be {cfg.r} x {cfg.r}")
     caps = cfg.capacities()
     counts = np.rint(vals * caps).astype(np.int64)
-    counts = np.clip(counts, 0, caps)
+    counts = np.minimum(np.maximum(counts, 0), caps)
     if not np.array_equal(counts, counts.T):
         raise ValueError("density must be symmetric")
     return counts
@@ -162,23 +177,45 @@ def esbm_sample(cfg: ChainConfig, q, rng: np.random.Generator):
 
 
 class _CountWalk:
-    """Flattened upper-triangle view of the counts with its reflection rule."""
+    """Flattened upper-triangle view of the counts with its reflection rule.
+
+    The one walk of the package: metropolis_step moves a single count
+    vector through it, empirical_drift a (trials, m) stack of them.
+    """
 
     def __init__(self, cfg: ChainConfig) -> None:
         self.iu = _upper_indices(cfg.r)
-        self.caps = cfg.capacities()[self.iu]
+        self.cap_matrix = cfg.capacities()
+        self.caps = self.cap_matrix[self.iu]
         self.m = len(self.caps)
 
     def steps(self, vec: np.ndarray, signs: np.ndarray) -> None:
-        """Walk every coordinate through the sign rows, reflecting lazily.
+        """Walk every coordinate through the sign rows in place, reflecting lazily.
 
-        A drawn move that would exit [0, capacity] is a stay, which is
-        exactly clamping the one-step update.  Iteration is direct, one row
-        at a time, so boundary behavior is exact.
+        vec is (m,) with (rows, m) signs, or (k, m) with (rows, k, m) signs;
+        signs may be any integer dtype.  A drawn move that would exit
+        [0, capacity] is a stay, which is exactly clamping the one-step
+        update.  Rows go one at a time, so boundary behavior is exact; the
+        clamp is two in-place ufuncs, which give a clip's integers without
+        its per-call Python overhead.
         """
+        caps = self.caps
         for row in signs:
             np.add(vec, row, out=vec)
-            np.clip(vec, 0, self.caps, out=vec)
+            np.maximum(vec, 0, out=vec)
+            np.minimum(vec, caps, out=vec)
+
+    def density(self, counts: np.ndarray) -> StepKernel:
+        """Density kernel of symmetric in-range counts, without re-validation."""
+        return StepKernel._trusted(counts / self.cap_matrix)
+
+
+def _check_draws(rows: int, m: int) -> None:
+    if rows * m > SIGN_DRAW_LIMIT:
+        raise ValueError(
+            f"a walk segment would draw {rows} x {m} signs, past the limit of "
+            f"{SIGN_DRAW_LIMIT}; lower n, gamma_n or sigma"
+        )
 
 
 def _draw_signs(rng: np.random.Generator, k: int, m: int) -> np.ndarray:
@@ -188,6 +225,7 @@ def _draw_signs(rng: np.random.Generator, k: int, m: int) -> np.ndarray:
     contract: proposal signs, then one acceptance uniform, then relaxation
     signs, in that order.
     """
+    _check_draws(k, m)
     return rng.integers(0, 2, size=(k, m), dtype=np.int64) * 2 - 1
 
 
@@ -213,12 +251,11 @@ def metropolis_step(state: ChainState, cfg: ChainConfig, walk: _CountWalk | None
     iu = walk.iu
     vec = state.counts[iu]
     if energy is None:
-        energy = cfg.h.evaluate(state.density(cfg))
+        energy = cfg.h.evaluate(walk.density(state.counts))
     before = vec.copy()
-    signs = _draw_signs(state.rng, cfg.s_n, walk.m)
-    walk.steps(vec, signs)
+    walk.steps(vec, _draw_signs(state.rng, cfg.s_n, walk.m))
     _write_symmetric(state.counts, iu, vec)
-    prop_energy = cfg.h.evaluate(state.density(cfg))
+    prop_energy = cfg.h.evaluate(walk.density(state.counts))
     delta = prop_energy - energy
     acc_prob = math.exp(-cfg.beta_nr * max(0.0, delta))
     accepted = state.rng.random() < acc_prob
@@ -228,10 +265,9 @@ def metropolis_step(state: ChainState, cfg: ChainConfig, walk: _CountWalk | None
         vec = before
         _write_symmetric(state.counts, iu, vec)
     if cfg.l_nr:
-        relax = _draw_signs(state.rng, cfg.l_nr, walk.m)
-        walk.steps(vec, relax)
+        walk.steps(vec, _draw_signs(state.rng, cfg.l_nr, walk.m))
         _write_symmetric(state.counts, iu, vec)
-        energy = cfg.h.evaluate(state.density(cfg))
+        energy = cfg.h.evaluate(walk.density(state.counts))
     state.step_index += 1
     return state, accepted, StepDiagnostics(delta, acc_prob, accepted, energy)
 
@@ -279,10 +315,10 @@ def run_chain(
     walk = _CountWalk(cfg)
     milestones = set(milestones)
     records: list[ChainRecord] = []
-    energy = cfg.h.evaluate(state.density(cfg))
+    energy = cfg.h.evaluate(walk.density(state.counts))
 
     def record(step: int, acc_prob: float, accepted: bool, energy: float) -> None:
-        density = state.density(cfg)
+        density = walk.density(state.counts)
         if not np.isfinite(energy):
             raise FloatingPointError(f"non-finite energy at step {step}")
         rec = ChainRecord(step, cfg.diffusion_time(step), density, energy, acc_prob, accepted)
@@ -313,6 +349,10 @@ def empirical_drift(
     (r x r) normalized drift estimate with its per-coordinate standard
     errors.  The start must be interior: every density in
     [interior_eps, 1 - interior_eps].
+
+    Trials run in blocks on the chain's own walk: each trial draws its signs
+    exactly as metropolis_step would, into one int8 (rows, block, m) buffer
+    per segment, and _CountWalk.steps moves the whole block at once.
     """
     q0_vals = q0.values if isinstance(q0, StepKernel) else np.asarray(q0, dtype=float)
     if q0_vals.min() < interior_eps or q0_vals.max() > 1.0 - interior_eps:
@@ -321,35 +361,36 @@ def empirical_drift(
     walk = _CountWalk(cfg)
     caps = walk.caps.astype(float)
     vec0 = counts0[walk.iu]
-    energy0 = cfg.h.evaluate(StepKernel(counts0 / cfg.capacities()))
+    energy0 = cfg.h.evaluate(walk.density(counts0))
     scale = cfg.r**4 / cfg.gamma_n
     streams = np.random.SeedSequence(cfg.seed).spawn(trials)
     sum_x = np.zeros(walk.m)
     sum_x2 = np.zeros(walk.m)
     done = 0
-    full = np.zeros((cfg.r, cfg.r))
+    full = np.zeros((cfg.r, cfg.r), dtype=np.int64)
+    # the sign buffers hold at most SIGN_DRAW_LIMIT entries each
+    block = max(1, min(block, SIGN_DRAW_LIMIT // (max(cfg.s_n, cfg.l_nr, 1) * walk.m)))
+    signs = np.empty((cfg.s_n, block, walk.m), dtype=np.int8)
+    relax = np.empty((cfg.l_nr, block, walk.m), dtype=np.int8)
     while done < trials:
         k = min(block, trials - done)
         rngs = [np.random.default_rng(s) for s in streams[done : done + k]]
         # per-trial draws follow the single-step order: signs, uniform, relax
-        signs = np.stack([_draw_signs(g, cfg.s_n, walk.m) for g in rngs])
+        for i, g in enumerate(rngs):
+            signs[:, i] = _draw_signs(g, cfg.s_n, walk.m)
         unif = np.array([g.random() for g in rngs])
         vecs = np.broadcast_to(vec0, (k, walk.m)).copy()
-        for row in range(cfg.s_n):
-            np.add(vecs, signs[:, row, :], out=vecs)
-            np.clip(vecs, 0, walk.caps, out=vecs)
+        walk.steps(vecs, signs[:, :k])
         acc = np.empty(k, dtype=bool)
         for i in range(k):
-            full[walk.iu] = vecs[i]
-            full.T[walk.iu] = vecs[i]
-            delta = cfg.h.evaluate(StepKernel(full / cfg.capacities())) - energy0
+            _write_symmetric(full, walk.iu, vecs[i])
+            delta = cfg.h.evaluate(walk.density(full)) - energy0
             acc[i] = unif[i] < math.exp(-cfg.beta_nr * max(0.0, delta))
         vecs[~acc] = vec0
         if cfg.l_nr:
-            relax = np.stack([_draw_signs(g, cfg.l_nr, walk.m) for g in rngs])
-            for row in range(cfg.l_nr):
-                np.add(vecs, relax[:, row, :], out=vecs)
-                np.clip(vecs, 0, walk.caps, out=vecs)
+            for i, g in enumerate(rngs):
+                relax[:, i] = _draw_signs(g, cfg.l_nr, walk.m)
+            walk.steps(vecs, relax[:, :k])
         x = (vecs - vec0) / caps * scale
         sum_x += x.sum(axis=0)
         sum_x2 += (x * x).sum(axis=0)
@@ -378,7 +419,7 @@ def empirical_qv(cfg: ChainConfig, horizon_t: float, init: StepKernel | None = N
     state = ChainState.from_density(cfg, init if init is not None else StepKernel.constant(cfg.r, 0.5), rng)
     walk = _CountWalk(cfg)
     caps = walk.caps.astype(float)
-    energy = cfg.h.evaluate(state.density(cfg))
+    energy = cfg.h.evaluate(walk.density(state.counts))
     prev = state.counts[walk.iu] / caps
     incs = np.empty((steps, walk.m))
     for k in range(steps):

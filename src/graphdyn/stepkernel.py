@@ -88,6 +88,20 @@ class StepKernel:
         v.setflags(write=False)
         object.__setattr__(self, "values", v)
 
+    @classmethod
+    def _trusted(cls, values: np.ndarray) -> "StepKernel":
+        """Wrap a float square array the caller guarantees symmetric and in [0, 1].
+
+        No copy and no checks: the array is only set read-only.  For values a
+        caller built itself from already validated state, such as chain counts
+        over capacities; everything else goes through the public constructor.
+        """
+        values.setflags(write=False)
+        kernel = object.__new__(cls)
+        object.__setattr__(kernel, "values", values)
+        object.__setattr__(kernel, "range", UNIT)
+        return kernel
+
     @property
     def r(self) -> int:
         return self.values.shape[0]

@@ -148,6 +148,31 @@ def test_non_finite_energy_exits_with_the_numeric_code(tmp_path, capsys):
     assert "numeric guard: non-finite energy at step 0" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key, value", [
+    ("beta", "inf"), ("beta", "nan"), ("sigma", "inf"), ("gamma_n", "inf"),
+])
+def test_non_finite_chain_parameters_exit_with_the_config_code(tmp_path, capsys, key, value):
+    # before, beta = inf or nan ran to exit 0 with nan acceptance
+    # probabilities, and an infinite sigma or gamma_n died in math.ceil
+    fields = {"n": "16", "r": "2", "beta": "1.0", "sigma": "1.0", "gamma_n": "0.03125",
+              "iterations": "40", key: value}
+    path = tmp_path / "chain.ini"
+    path.write_text("[metropolis]\n" + "".join(f"{k} = {v}\n" for k, v in fields.items())
+                    + "\n[hamiltonian]\nterm.edge = 1.0\n")
+    assert main(["metropolis", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
+    assert f"config error: {key} must be finite" in capsys.readouterr().err
+
+
+def test_oversized_chain_walk_exits_with_the_config_code(tmp_path, capsys):
+    # s_n ~ 6.6e64 proposal steps: refused when the config is built.  A size
+    # this large is also one numpy refuses without allocating, so the test
+    # stays harmless even if the guard were gone.
+    path = tmp_path / "big.ini"
+    path.write_text("[metropolis]\nn = 16\nr = 2\nbeta = 1.0\ngamma_n = 1e30\niterations = 1\n")
+    assert main(["metropolis", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
+    assert "past the limit" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------- run modes
 
 

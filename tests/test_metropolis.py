@@ -1,9 +1,12 @@
 """Relaxed Metropolis chain on pair counts: proposals, acceptance, scalings."""
 
+import hashlib
 import math
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from graphdyn import (
     Hamiltonian,
@@ -12,6 +15,7 @@ from graphdyn import (
     kernel_from_values,
     triangle_graph,
 )
+import graphdyn.metropolis as metropolis
 from graphdyn.metropolis import (
     ChainConfig,
     ChainState,
@@ -75,6 +79,40 @@ def test_config_validation():
         ChainConfig(n=4, r=2, beta=1.0, sigma=0.0, gamma_n=0.0, h=ZERO_H)
     with pytest.raises(ValueError):
         ChainConfig(n=4, r=2, beta=1.0, sigma=-0.5, gamma_n=0.1, h=ZERO_H)
+    for name in ("beta", "sigma", "gamma_n"):
+        for value in (math.inf, -math.inf, math.nan):
+            params = dict(n=8, r=2, beta=1.0, sigma=1.0, gamma_n=1 / 32, h=ZERO_H)
+            params[name] = value
+            with pytest.raises(ValueError, match=f"{name} must be finite"):
+                ChainConfig(**params)
+
+
+def test_config_rejects_walk_segments_past_the_sign_draw_limit():
+    # construction only: a rejected config never reaches a sign draw
+    base = dict(r=2, beta=1.0, h=ZERO_H, iterations=1)
+    # s_n = 200^4 proposal steps over 3 coordinates: ~38 GB of int64 signs
+    with pytest.raises(ValueError, match="past the limit"):
+        ChainConfig(n=200, sigma=0.0, gamma_n=1.0, **base)
+    # l_nr = 1e9 relaxation steps from a large sigma
+    with pytest.raises(ValueError, match="past the limit"):
+        ChainConfig(n=200, sigma=100.0, gamma_n=1e-3, **base)
+    with pytest.raises(ValueError, match="past the limit"):
+        ChainConfig(n=16, sigma=0.0, gamma_n=1e30, **base)
+    with pytest.raises(ValueError, match="overflows"):
+        ChainConfig(n=16, sigma=0.0, gamma_n=1e200, **base)
+    # just under the limit is accepted; a sampler config (no iterations) never walks
+    side = math.isqrt(metropolis.SIGN_DRAW_LIMIT // 3)
+    ok = ChainConfig(n=int(math.isqrt(side)), sigma=0.0, gamma_n=1.0, **base)
+    assert ok.s_n * 3 <= metropolis.SIGN_DRAW_LIMIT
+    assert ChainConfig(n=200, r=2, beta=0.0, sigma=0.0, gamma_n=1.0, h=ZERO_H).s_n == 200**4
+
+
+def test_sign_draws_past_the_limit_are_refused_before_allocating(monkeypatch):
+    monkeypatch.setattr(metropolis, "SIGN_DRAW_LIMIT", 12)
+    rng = np.random.default_rng(0)
+    assert _draw_signs(rng, 4, 3).shape == (4, 3)
+    with pytest.raises(ValueError, match="past the limit"):
+        _draw_signs(rng, 5, 3)
 
 
 def test_regime_warnings_fire_on_both_sides():
@@ -163,6 +201,60 @@ def test_counts_respect_their_bounds_under_heavy_fuzz():
     for _ in range(100):
         walk.steps(vec, _draw_signs(rng, 100, walk.m))  # 1.36e6 moves total
         assert np.all(vec >= 0) and np.all(vec <= walk.caps)
+
+
+def _clip_walk(vec, signs, caps):
+    """Reference walk: one np.clip per sign row."""
+    for row in signs:
+        np.add(vec, row, out=vec)
+        np.clip(vec, 0, caps, out=vec)
+
+
+@pytest.mark.parametrize("rows", [1, 16, 1024])
+@pytest.mark.parametrize("dtype", [np.int64, np.int8])
+@pytest.mark.parametrize("batch", [None, 7])
+def test_walk_matches_the_clip_loop_exactly(rows, dtype, batch):
+    # n = 3 gives capacities 9 off the diagonal and 3 on it, so 1024 rows
+    # pin coordinates to both faces many times over
+    cfg = ChainConfig(n=3, r=4, beta=0.0, sigma=0.0, gamma_n=1.0, h=ZERO_H)
+    walk = _CountWalk(cfg)
+    assert set(walk.caps.tolist()) == {3, 9}
+    rng = np.random.default_rng(rows)
+    shape = (walk.m,) if batch is None else (batch, walk.m)
+    for start in ("floor", "cap", "random"):
+        if start == "floor":
+            vec = np.zeros(shape, dtype=np.int64)
+        elif start == "cap":
+            vec = np.broadcast_to(walk.caps, shape).copy()
+        else:
+            vec = rng.integers(0, walk.caps + 1, size=shape)
+        signs = (rng.integers(0, 2, size=(rows, *shape)) * 2 - 1).astype(dtype)
+        ref = vec.copy()
+        _clip_walk(ref, signs, walk.caps)
+        walk.steps(vec, signs)
+        assert vec.dtype == np.int64
+        assert np.array_equal(vec, ref)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_walk_stays_in_range_and_matches_the_clip_loop(data):
+    n = data.draw(st.integers(2, 6), label="n")
+    r = data.draw(st.integers(1, 3), label="r")
+    cfg = ChainConfig(n=n, r=r, beta=0.0, sigma=0.0, gamma_n=1.0, h=ZERO_H)
+    walk = _CountWalk(cfg)
+    start = np.array([data.draw(st.integers(0, int(c))) for c in walk.caps], dtype=np.int64)
+    rows = data.draw(st.integers(0, 40), label="rows")
+    signs = np.array(
+        data.draw(st.lists(st.lists(st.sampled_from([-1, 1]), min_size=walk.m, max_size=walk.m),
+                           min_size=rows, max_size=rows)),
+        dtype=np.int64,
+    ).reshape(rows, walk.m)
+    vec, ref = start.copy(), start.copy()
+    walk.steps(vec, signs)
+    _clip_walk(ref, signs, walk.caps)
+    assert np.all(vec >= 0) and np.all(vec <= walk.caps)
+    assert np.array_equal(vec, ref)
 
 
 def test_single_coordinate_transition_function_is_symmetric():
@@ -344,7 +436,91 @@ def test_uniform_and_kernel_inits():
         run_chain(cfg, init="gibbs")
 
 
+def _records_sha256(records, caps):
+    h = hashlib.sha256()
+    for rec in records:
+        h.update(np.rint(rec.density.values * caps).astype(np.int64).tobytes())
+        h.update(struct.pack("<dd?", rec.energy, rec.acc_prob, bool(rec.accepted)))
+    return h.hexdigest()
+
+
+@pytest.mark.filterwarnings("ignore:gamma_n")
+def test_mantel_shaped_chain_reproduces_its_recorded_bits():
+    # pins counts, energies, acceptance probabilities and flags of every
+    # record, and with them the draw order: proposal signs, one uniform,
+    # relaxation signs (s_n = 16, l_nr = 1 at this shape)
+    cfg = ChainConfig(n=16, r=16, beta=0.25, sigma=1.0, gamma_n=1 / 64, h=TRIANGLE_EDGE,
+                      seed=0, iterations=300)
+    records = run_chain(cfg)
+    assert len(records) == 301
+    assert not records[-1].density.values.flags.writeable
+    assert _records_sha256(records, cfg.capacities()) == (
+        "5f027638472c00299d4b882c8e7c5a8dc1a3f59045a3e832e7ae82effe3c019f"
+    )
+
+
 # ---------------------------------------------------------------- drift and QV
+
+
+def _arrays_sha256(*arrays):
+    h = hashlib.sha256()
+    for a in arrays:
+        h.update(np.ascontiguousarray(a).tobytes())
+    return h.hexdigest()
+
+
+def test_drift_and_quadratic_variation_reproduce_their_recorded_bits():
+    # the acceptance-test shapes (07: r = 4 tilt and flat control; 08: the
+    # noise-only r = 2 chain), with fewer drift trials; 2500 trials span a
+    # partial third block.  One relaxed triangle-energy case covers the
+    # relaxation walk and per-trial energies.
+    rng = np.random.default_rng(2024)
+    c = rng.uniform(-0.6, 0.6, (4, 4))
+    stub = LinearTilt((c + c.T) / 2)
+    half = np.full((4, 4), 0.5)
+    cfg = ChainConfig(n=32, r=4, beta=0.5, sigma=0.0, gamma_n=1 / 32, h=stub, seed=11)
+    assert _arrays_sha256(*empirical_drift(cfg, half, 2500)) == (
+        "0a195cf3ad21489f50a12a4c1437ebc97fea97b52f493e98e79fa45fb1f05bf8"
+    )
+    cfg0 = ChainConfig(n=32, r=4, beta=0.5, sigma=0.0, gamma_n=1 / 32, h=ZERO_H, seed=12)
+    assert _arrays_sha256(*empirical_drift(cfg0, half, 2500)) == (
+        "8b909076691705656f1b7964268d2dd56e935c792b54266a425dfa97a49529fd"
+    )
+    relaxed = ChainConfig(n=16, r=3, beta=2.0, sigma=1.0, gamma_n=1 / 32, h=TRIANGLE_EDGE, seed=5)
+    assert (relaxed.s_n, relaxed.l_nr) == (64, 26)
+    assert _arrays_sha256(*empirical_drift(relaxed, np.full((3, 3), 0.3), 1500, block=512)) == (
+        "0315cf104818c61feaed530346a91d10982934d3e5715fb30fdeaff82867b8f6"
+    )
+    expected_qv = {
+        0: "5477d797b2f37e016dbb65f3d3ddf902b3c63723d0db060698e8c9487ce0086c",
+        1: "d3fdd8bd57a8946dbfedda77d3b96ac1b712a1c7cb10a3aa7e5453dd0c1069fa",
+    }
+    for seed, digest in expected_qv.items():
+        cfg = ChainConfig(n=32, r=2, beta=0.0, sigma=1.0, gamma_n=1 / 2048, h=ZERO_H, seed=seed)
+        assert _arrays_sha256(empirical_qv(cfg, 0.05)) == digest
+
+
+def test_drift_blocks_shrink_to_keep_the_sign_buffer_under_the_limit(monkeypatch):
+    cfg = ChainConfig(n=16, r=2, beta=0.7, sigma=1.0, gamma_n=1 / 32, h=TRIANGLE_EDGE, seed=4)
+    start = np.full((2, 2), 0.5)
+    mean, se = empirical_drift(cfg, start, 300)
+    # a limit of five trials' worth of the longer walk segment forces 60 blocks of 5
+    assert (cfg.s_n, cfg.l_nr) == (64, 128)
+    monkeypatch.setattr(metropolis, "SIGN_DRAW_LIMIT", 5 * cfg.l_nr * 3)
+    batches = []
+    steps = _CountWalk.steps
+
+    def spy(walk, vec, signs):
+        batches.append(vec.shape[0])
+        steps(walk, vec, signs)
+
+    monkeypatch.setattr(_CountWalk, "steps", spy)
+    small_mean, small_se = empirical_drift(cfg, start, 300)
+    assert batches == [5] * 120  # proposal and relaxation walk per block
+    # only the order of the per-block sums changes
+    assert np.allclose(small_mean, mean, rtol=0, atol=1e-12)
+    assert np.allclose(small_se, se, rtol=0, atol=1e-12)
+
 
 
 def test_flat_energy_has_no_drift():
