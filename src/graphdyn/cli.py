@@ -9,12 +9,12 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import dataclasses
 import hashlib
 import json
 import math
 import sys
 import time
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -37,7 +37,7 @@ from .stepkernel import (
     save_kernel_pgm,
     save_kernel_text,
 )
-from .flow import measure_rates, run_flow
+from .flow import flow_steps, measure_rates, run_flow
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -72,7 +72,7 @@ class ConfigError(Exception):
         super().__init__("; ".join(self.errors))
 
 
-@dataclass
+@dataclasses.dataclass
 class ExperimentConfig:
     mode: str
     options: dict
@@ -82,21 +82,32 @@ class ExperimentConfig:
     config_text: str
 
 
-_SECTION_KEYS = {
-    "metropolis": {
-        "n", "r", "beta", "sigma", "gamma_n", "iterations", "seed",
-        "record_every", "init",
-    },
-    "sde": {
-        "r", "beta", "sigma", "dt", "seed", "horizon_t", "drift",
-        "replicas", "init", "record_every",
-    },
-    "flow": {"r", "beta", "dt", "horizon", "init", "record_every"},
-    "metrics": {"kind", "a", "b", "epsilon", "seed"},
-    "sample": {"what", "n", "r", "p", "kernel", "seed"},
-    "hamiltonian": {"entropy_gamma"},
-    "output": {"dir", "heatmaps"},
+# A key's spec is (type, default), with REQUIRED as the default of a key that
+# must be given, or a tuple of strings: a choice whose first entry is the default.
+REQUIRED = object()
+
+# sections any mode's config may carry; [hamiltonian] also takes term.<graph> keys
+_SHARED = {
+    "hamiltonian": {"entropy_gamma": (float, 0.0)},
+    "output": {"dir": (Path, Path("out")), "heatmaps": (bool, True)},
 }
+
+# mode -> (key specs of its section, runner), in subcommand order; see _mode
+_MODES: dict = {}
+
+
+def _mode(name: str, **keys):
+    """Register a runner as the subcommand `name`, reading `keys` from [name]."""
+    def register(run):
+        _MODES[name] = (keys, run)
+        return run
+    return register
+
+
+def _existing_file(raw: str) -> str:
+    if not Path(raw).exists():
+        raise FileNotFoundError(raw)
+    return raw
 
 
 def _convert(section: str, key: str, raw: str, kind, errors):
@@ -108,9 +119,31 @@ def _convert(section: str, key: str, raw: str, kind, errors):
                 return False
             raise ValueError(raw)
         return kind(raw)
+    except FileNotFoundError:
+        errors.append(f"[{section}] {key}: file {raw!r} does not exist")
     except ValueError:
         errors.append(f"[{section}] {key}: cannot read {raw!r} as {kind.__name__}")
-        return None
+    return None
+
+
+def _section_values(parser, section: str, specs: dict, errors: list) -> dict:
+    """Typed values of every key in specs, with defaults for absent keys."""
+    given = parser[section] if section in parser else {}
+    values = {}
+    for key, spec in specs.items():
+        if isinstance(spec[0], str):
+            values[key] = given.get(key, spec[0])
+            if values[key] not in spec:
+                errors.append(f"[{section}] {key}: {values[key]!r} not {'|'.join(spec)}")
+            continue
+        kind, default = spec
+        if key in given:
+            values[key] = _convert(section, key, given[key], kind, errors)
+        elif default is REQUIRED:
+            errors.append(f"[{section}] {key}: required key missing")
+        else:
+            values[key] = default
+    return values
 
 
 def parse_config(text: str, mode: str) -> ExperimentConfig:
@@ -124,119 +157,48 @@ def parse_config(text: str, mode: str) -> ExperimentConfig:
         parser.read_string(text)
     except configparser.Error as exc:
         raise ConfigError([str(exc)]) from None
-    errors: list[str] = []
-    if mode not in _SECTION_KEYS or mode == "hamiltonian":
+    if mode not in _MODES:
         raise ConfigError([f"unknown mode {mode!r}"])
+    specs = {name: keys for name, (keys, _) in _MODES.items()} | _SHARED
+    errors: list[str] = []
     for section in parser.sections():
-        if section not in _SECTION_KEYS:
+        if section not in specs:
             errors.append(f"[{section}]: unknown section")
             continue
-        allowed = _SECTION_KEYS[section]
         for key in parser[section]:
             if section == "hamiltonian" and key.startswith("term."):
-                if key[5:] not in (
-                    "edge", "path2", "path3", "triangle", "cycle4", "star3",
-                ):
+                try:
+                    named_term_graph(key[5:])
+                except ValueError:
                     errors.append(f"[hamiltonian] {key}: unknown term graph")
-                continue
-            if key not in allowed:
+            elif key not in specs[section]:
                 errors.append(f"[{section}] {key}: unknown key")
-    if mode != "oracle" and mode not in parser.sections() and mode in ("metropolis", "sde", "flow", "metrics", "sample"):
+    if mode not in parser:
         errors.append(f"[{mode}]: missing section for mode {mode!r}")
     if errors:
         raise ConfigError(errors)
 
-    get = parser[mode] if mode in parser else {}
-    options: dict = {}
-
-    def want(key: str, kind, default=None, required=False):
-        if key in get:
-            val = _convert(mode, key, get[key], kind, errors)
-            options[key] = val
-        elif required:
-            errors.append(f"[{mode}] {key}: required key missing")
-        else:
-            options[key] = default
-
-    if mode == "metropolis":
-        want("n", int, required=True)
-        want("r", int, required=True)
-        want("beta", float, required=True)
-        want("sigma", float, 0.0)
-        want("gamma_n", float, required=True)
-        want("iterations", int, 0)
-        want("seed", int, 0)
-        want("record_every", int, 1)
-        want("init", str, "0.5")
-    elif mode == "sde":
-        want("r", int, required=True)
-        want("beta", float, required=True)
-        want("sigma", float, 0.0)
-        want("dt", float, 1e-3)
-        want("seed", int, 0)
-        want("horizon_t", float, 1.0)
-        want("drift", str, "closed_form")
-        want("replicas", int, 1)
-        want("init", str, "0.5")
-        want("record_every", int, 1)
-    elif mode == "flow":
-        want("r", int, required=True)
-        want("beta", float, required=True)
-        want("dt", float, 1e-3)
-        want("horizon", float, 1.0)
-        want("init", str, "0.5")
-        want("record_every", int, 1)
-    elif mode == "metrics":
-        want("kind", str, "stepkernel")
-        want("a", str, required=True)
-        want("b", str, required=True)
-        want("epsilon", float, 1.0)
-        want("seed", int, 0)
-        for key in ("a", "b"):
-            if options.get(key) and not Path(options[key]).exists():
-                errors.append(f"[metrics] {key}: file {options[key]!r} does not exist")
-        if options.get("kind") not in ("stepkernel", "mvg", None):
-            errors.append(f"[metrics] kind: {options['kind']!r} not stepkernel|mvg")
-    elif mode == "sample":
-        want("what", str, "esbm")
-        want("n", int, required=True)
-        want("r", int, 2)
-        want("p", float, 0.5)
-        want("kernel", str, None)
-        want("seed", int, 0)
-        if options.get("kernel") and not Path(options["kernel"]).exists():
-            errors.append(f"[sample] kernel: file {options['kernel']!r} does not exist")
-
+    options = _section_values(parser, mode, specs[mode], errors)
     terms = []
-    gamma = 0.0
-    if "hamiltonian" in parser:
-        sect = parser["hamiltonian"]
-        for key in sect:
-            if key.startswith("term."):
-                coeff = _convert("hamiltonian", key, sect[key], float, errors)
-                if coeff is not None:
-                    terms.append((coeff, named_term_graph(key[5:])))
-        if "entropy_gamma" in sect:
-            gamma = _convert("hamiltonian", "entropy_gamma", sect["entropy_gamma"], float, errors) or 0.0
-
-    out_dir = Path("out")
-    heatmaps = True
-    if "output" in parser:
-        if "dir" in parser["output"]:
-            out_dir = Path(parser["output"]["dir"])
-        if "heatmaps" in parser["output"]:
-            heatmaps = _convert("output", "heatmaps", parser["output"]["heatmaps"], bool, errors)
+    for key, raw in parser["hamiltonian"].items() if "hamiltonian" in parser else ():
+        if key.startswith("term."):
+            coeff = _convert("hamiltonian", key, raw, float, errors)
+            if coeff is not None:
+                terms.append((coeff, named_term_graph(key[5:])))
+    shared = {name: _section_values(parser, name, specs[name], errors) for name in _SHARED}
     if errors:
         raise ConfigError(errors)
     try:
-        ham = Hamiltonian(tuple(terms), gamma)
+        ham = Hamiltonian(tuple(terms), shared["hamiltonian"]["entropy_gamma"])
     except ValueError as exc:
         raise ConfigError([f"[hamiltonian]: {exc}"]) from None
-    return ExperimentConfig(mode, options, ham, out_dir, heatmaps, text)
+    output = shared["output"]
+    return ExperimentConfig(mode, options, ham, output["dir"], output["heatmaps"], text)
 
 
-def _float_csv(x: float) -> str:
-    return repr(float(x))
+def _cell(x) -> str:
+    """CSV text of a value: steps and flags as integers, the rest as round-trip floats."""
+    return str(int(x)) if isinstance(x, int) else repr(float(x))
 
 
 def _load_init(spec: str, r: int) -> StepKernel | str:
@@ -254,11 +216,15 @@ def _load_init(spec: str, r: int) -> StepKernel | str:
     return StepKernel.constant(r, level)
 
 
-def _write_trajectory_csv(path: Path, header_cols, rows) -> None:
-    with open(path, "w") as fh:
-        fh.write(",".join(header_cols) + "\n")
-        for row in rows:
-            fh.write(",".join(row) + "\n")
+def _kernel_init(cfg: ExperimentConfig) -> StepKernel:
+    """The start of a diffusion or flow run: a kernel of the configured size."""
+    init = _load_init(cfg.options["init"], cfg.options["r"])
+    if isinstance(init, str):
+        raise ConfigError([f"[{cfg.mode}] init: 'uniform' is only for the chain"])
+    # the trajectory header is labelled from r, its rows from the kernel
+    if init.r != cfg.options["r"]:
+        raise ConfigError(["init block count differs from config r"])
+    return init
 
 
 def _pair_labels(r: int) -> list[str]:
@@ -266,24 +232,58 @@ def _pair_labels(r: int) -> list[str]:
 
 
 def _upper_values(values: np.ndarray) -> list[float]:
-    r = values.shape[0]
-    return [values[i, j] for i in range(r) for j in range(i, r)]
+    return values[np.triu_indices(values.shape[0])].tolist()
 
 
-def _manifest(cfg: ExperimentConfig, extra: dict, wall: float) -> dict:
-    digest = hashlib.sha256(cfg.config_text.encode()).hexdigest()
+def _trajectory(cfg: ExperimentConfig, out: Path, kernel: str, columns=None, milestones=()):
+    """An observer collecting trajectory.csv rows, and the function writing them.
+
+    A row holds step, t and H, then the record fields named in `columns`
+    (CSV header -> record attribute), then the upper triangle of the
+    record's `kernel` attribute.  With heatmaps on, each record also writes
+    q_<step>.pgm (only at milestone steps, when there are any).
+    """
+    fields = {"step": "step", "t": "t", "H": "energy", **(columns or {})}
+    rows: list[list[str]] = []
+
+    def observe(rec) -> None:
+        w = getattr(rec, kernel)
+        rows.append([_cell(getattr(rec, a)) for a in fields.values()]
+                    + [repr(v) for v in _upper_values(w.values)])
+        if cfg.heatmaps and (rec.step in milestones or not milestones):
+            save_kernel_pgm(w, out / f"q_{rec.step}.pgm")
+
+    def write() -> None:
+        _write_csv(out / "trajectory.csv", [*fields, *_pair_labels(cfg.options["r"])], rows)
+
+    return observe, write
+
+
+def _write_csv(path: Path, header, rows) -> None:
+    with open(path, "w") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(row) + "\n")
+
+
+def _write_manifest(cfg: ExperimentConfig, path: Path, start: float, fields: dict) -> None:
+    """Write the run record: config, its digest, version, wall time since start, fields."""
     # config text is embedded so that a run is reproducible from the manifest
     # alone; the digest keys runs that shared a config
-    return {
+    doc = {
         "mode": cfg.mode,
-        "config_sha256": digest,
+        "config_sha256": hashlib.sha256(cfg.config_text.encode()).hexdigest(),
         "config": cfg.config_text,
-        "wall_time_s": wall,
+        "wall_time_s": time.monotonic() - start,
         "package_version": __version__,
-        **extra,
+        **fields,
     }
+    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
+@_mode("metropolis", n=(int, REQUIRED), r=(int, REQUIRED), beta=(float, REQUIRED),
+       sigma=(float, 0.0), gamma_n=(float, REQUIRED), iterations=(int, 0), seed=(int, 0),
+       record_every=(int, 1), init=(str, "0.5"))
 def _run_metropolis(cfg: ExperimentConfig, out: Path) -> int:
     o = cfg.options
     chain_cfg = ChainConfig(
@@ -300,123 +300,80 @@ def _run_metropolis(cfg: ExperimentConfig, out: Path) -> int:
     init = _load_init(o["init"], o["r"])
     milestones = o.get("milestones", ())
     start = time.monotonic()
-    rows = []
-    labels = _pair_labels(o["r"])
-
-    def observer(rec) -> None:
-        rows.append(
-            [str(rec.step), _float_csv(rec.t), _float_csv(rec.energy),
-             _float_csv(rec.acc_prob), str(int(rec.accepted))]
-            + [_float_csv(v) for v in _upper_values(rec.density.values)]
-        )
-        if cfg.heatmaps and (rec.step in milestones or not milestones):
-            save_kernel_pgm(rec.density, out / f"q_{rec.step}.pgm")
-
-    run_chain(chain_cfg, init, observers=[observer],
+    observe, write = _trajectory(cfg, out, "density",
+                                 {"acc_prob": "acc_prob", "accepted": "accepted"}, milestones)
+    run_chain(chain_cfg, init, observers=[observe],
               record_every=o["record_every"], milestones=milestones)
-    wall = time.monotonic() - start
-    _write_trajectory_csv(out / "trajectory.csv",
-                          ["step", "t", "H", "acc_prob", "accepted"] + labels, rows)
-    manifest = _manifest(cfg, {
+    write()
+    _write_manifest(cfg, out / "manifest.json", start, {
         "seed": o["seed"], "n": o["n"], "r": o["r"], "beta": o["beta"],
         "sigma": o["sigma"], "gamma_n": o["gamma_n"],
         "iterations": o["iterations"],
         "beta_nr": chain_cfg.beta_nr, "s_n": chain_cfg.s_n, "l_nr": chain_cfg.l_nr,
         "milestones": sorted(milestones),
-    }, wall)
-    (out / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    })
     return EXIT_OK
 
 
+@_mode("sde", r=(int, REQUIRED), beta=(float, REQUIRED), sigma=(float, 0.0),
+       dt=(float, 1e-3), seed=(int, 0), horizon_t=(float, 1.0),
+       drift=("closed_form", "limit"), replicas=(int, 1), init=(str, "0.5"),
+       record_every=(int, 1))
 def _run_sde(cfg: ExperimentConfig, out: Path) -> int:
     o = cfg.options
     sde_cfg = SdeConfig(
         r=o["r"], beta=o["beta"], sigma=o["sigma"], dt=o["dt"], h=cfg.hamiltonian,
         seed=o["seed"], horizon_t=o["horizon_t"], drift=o["drift"],
     )
-    print(f"derived: dt={o['dt']!r} steps={math.ceil(o['horizon_t'] / o['dt'] - 1e-12)}")
-    init = _load_init(o["init"], o["r"])
-    if isinstance(init, str):
-        raise ConfigError(["[sde] init: 'uniform' is only for the chain"])
+    print(f"derived: dt={o['dt']!r} steps={sde_cfg.steps}")
+    init = _kernel_init(cfg)
     start = time.monotonic()
-    rows = []
-    labels = _pair_labels(o["r"])
-
-    def observer(rec) -> None:
-        rows.append(
-            [str(rec.step), _float_csv(rec.t), _float_csv(rec.energy),
-             _float_csv(rec.l0_norm), _float_csv(rec.l1_norm)]
-            + [_float_csv(v) for v in _upper_values(rec.x.values)]
-        )
-        if cfg.heatmaps:
-            save_kernel_pgm(rec.x, out / f"q_{rec.step}.pgm")
-
-    run_sde(sde_cfg, init, observers=[observer], replicas=o["replicas"],
+    observe, write = _trajectory(cfg, out, "x", {"L0_fro": "l0_norm", "L1_fro": "l1_norm"})
+    run_sde(sde_cfg, init, observers=[observe], replicas=o["replicas"],
             record_every=o["record_every"])
-    wall = time.monotonic() - start
-    _write_trajectory_csv(out / "trajectory.csv",
-                          ["step", "t", "H", "L0_fro", "L1_fro"] + labels, rows)
-    manifest = _manifest(cfg, {
+    write()
+    _write_manifest(cfg, out / "manifest.json", start, {
         "seed": o["seed"], "r": o["r"], "beta": o["beta"], "sigma": o["sigma"],
         "dt": o["dt"], "horizon_t": o["horizon_t"], "drift": o["drift"],
         "replicas": o["replicas"],
-    }, wall)
-    (out / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    })
     return EXIT_OK
 
 
+@_mode("flow", r=(int, REQUIRED), beta=(float, REQUIRED), dt=(float, 1e-3),
+       horizon=(float, 1.0), init=(str, "0.5"), record_every=(int, 1))
 def _run_flow(cfg: ExperimentConfig, out: Path) -> int:
     o = cfg.options
-    print(f"derived: dt={o['dt']!r} steps={math.ceil(o['horizon'] / o['dt'] - 1e-12)}")
-    init = _load_init(o["init"], o["r"])
-    if isinstance(init, str):
-        raise ConfigError(["[flow] init: 'uniform' is only for the chain"])
+    print(f"derived: dt={o['dt']!r} steps={flow_steps(o['dt'], o['horizon'])}")
+    init = _kernel_init(cfg)
     start = time.monotonic()
-    rows = []
-    labels = _pair_labels(o["r"])
-
-    def observer(rec) -> None:
-        rows.append(
-            [str(rec.step), _float_csv(rec.t), _float_csv(rec.energy)]
-            + [_float_csv(v) for v in _upper_values(rec.w.values)]
-        )
-        if cfg.heatmaps:
-            save_kernel_pgm(rec.w, out / f"q_{rec.step}.pgm")
-
-    traj = run_flow(cfg.hamiltonian, o["beta"], init, o["dt"], o["horizon"],
-                    observers=[observer], record_every=o["record_every"])
-    report = measure_rates(traj, beta=o["beta"])
-    wall = time.monotonic() - start
-    _write_trajectory_csv(out / "trajectory.csv", ["step", "t", "H"] + labels, rows)
-    with open(out / "rate_report.csv", "w") as fh:
-        fh.write("fit_t0,fit_t1,slope,intercept,r_squared,envelope_ok,envelope_margin\n")
-        fh.write(",".join([
-            _float_csv(report.fit_t0), _float_csv(report.fit_t1),
-            _float_csv(report.slope), _float_csv(report.intercept),
-            _float_csv(report.r_squared), str(int(report.envelope_ok)),
-            _float_csv(report.envelope_margin),
-        ]) + "\n")
-    manifest = _manifest(cfg, {
+    observe, write = _trajectory(cfg, out, "w")
+    records = run_flow(cfg.hamiltonian, o["beta"], init, o["dt"], o["horizon"],
+                       observers=[observe], record_every=o["record_every"])
+    report = measure_rates(records, beta=o["beta"])
+    write()
+    fields = [f.name for f in dataclasses.fields(report)]
+    _write_csv(out / "rate_report.csv", fields, [[_cell(getattr(report, f)) for f in fields]])
+    _write_manifest(cfg, out / "manifest.json", start, {
         "r": o["r"], "beta": o["beta"], "dt": o["dt"], "horizon": o["horizon"],
         "fitted_rate": report.slope,
-    }, wall)
-    (out / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    })
     return EXIT_OK
 
 
+@_mode("metrics", kind=("stepkernel", "mvg"), a=(_existing_file, REQUIRED),
+       b=(_existing_file, REQUIRED), epsilon=(float, 1.0), seed=(int, 0))
 def _run_metrics(cfg: ExperimentConfig, out: Path) -> int:
     o = cfg.options
     start = time.monotonic()
+    load = load_kernel_text if o["kind"] == "stepkernel" else load_mvg_text
+    a, b = load(o["a"]), load(o["b"])
     if o["kind"] == "stepkernel":
-        a = load_kernel_text(o["a"])
-        b = load_kernel_text(o["b"])
         result = {
             "cut_metric_upper": cut_metric_upper(a, b, seed=o["seed"]),
             "delta2_upper": delta2_upper(a, b, seed=o["seed"]),
         }
     else:
-        a = load_mvg_text(o["a"])
-        b = load_mvg_text(o["b"])
         net = build_net(o["epsilon"])
         # wass_cut is delta_black (the two sups commute); both keys are kept
         lower, eps = delta_black(a, b, net, seed=o["seed"])
@@ -430,13 +387,12 @@ def _run_metrics(cfg: ExperimentConfig, out: Path) -> int:
         }
     for key, val in result.items():
         print(f"{key} = {val!r}")
-    wall = time.monotonic() - start
-    (out / "metrics.json").write_text(
-        json.dumps(_manifest(cfg, result, wall), indent=2, sort_keys=True) + "\n"
-    )
+    _write_manifest(cfg, out / "metrics.json", start, result)
     return EXIT_OK
 
 
+@_mode("sample", what=("esbm",), n=(int, REQUIRED), r=(int, 2), p=(float, 0.5),
+       kernel=(_existing_file, None), seed=(int, 0))
 def _run_sample(cfg: ExperimentConfig, out: Path) -> int:
     o = cfg.options
     rng = np.random.default_rng(o["seed"])
@@ -450,16 +406,11 @@ def _run_sample(cfg: ExperimentConfig, out: Path) -> int:
     chain_cfg = ChainConfig(n=o["n"], r=r, beta=0.0, sigma=0.0, gamma_n=1.0,
                             h=Hamiltonian(()), seed=o["seed"])
     edges, realized = esbm_sample(chain_cfg, q, rng)
-    with open(out / "edges.csv", "w") as fh:
-        fh.write("u,v\n")
-        for u, v in edges:
-            fh.write(f"{u},{v}\n")
+    _write_csv(out / "edges.csv", ["u", "v"], ([str(u), str(v)] for u, v in edges))
     save_kernel_text(realized, out / "realized.txt")
-    wall = time.monotonic() - start
-    manifest = _manifest(cfg, {
+    _write_manifest(cfg, out / "manifest.json", start, {
         "seed": o["seed"], "n": o["n"], "r": r, "edge_total": int(len(edges)),
-    }, wall)
-    (out / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    })
     print(f"sampled {len(edges)} edges across {r} communities of {o['n']}")
     return EXIT_OK
 
@@ -521,7 +472,7 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="graphdyn",
                                      description="kernel-valued graph dynamics runner")
     sub = parser.add_subparsers(dest="mode", required=True)
-    for mode in ("metropolis", "sde", "flow", "metrics", "sample", "oracle"):
+    for mode in (*_MODES, "oracle"):
         p = sub.add_parser(mode)
         p.add_argument("--config", type=Path, default=None)
         p.add_argument("--seed", type=int, default=None, help="override config seed")
@@ -554,14 +505,7 @@ def main(argv=None) -> int:
         if getattr(args, "preset", None) == "mantel":
             cfg.options["milestones"] = MANTEL_MILESTONES
         cfg.output_dir.mkdir(parents=True, exist_ok=True)
-        runner = {
-            "metropolis": _run_metropolis,
-            "sde": _run_sde,
-            "flow": _run_flow,
-            "metrics": _run_metrics,
-            "sample": _run_sample,
-        }[args.mode]
-        return runner(cfg, cfg.output_dir)
+        return _MODES[args.mode][1](cfg, cfg.output_dir)
     except ConfigError as exc:
         for msg in exc.errors:
             print(f"config error: {msg}", file=sys.stderr)

@@ -47,6 +47,15 @@ def flow_step(state: FlowState, h, beta: float, dt: float) -> FlowState:
     return FlowState(StepKernel(np.clip(new, 0.0, 1.0)), state.t + dt)
 
 
+def flow_steps(dt: float, horizon: float) -> int:
+    """Euler steps to reach the horizon; dt must be finite and positive."""
+    if not (math.isfinite(dt) and dt > 0):
+        raise ValueError(f"dt must be positive and finite, got {dt}")
+    if not math.isfinite(horizon):
+        raise ValueError(f"horizon must be finite, got {horizon}")
+    return math.ceil(horizon / dt - 1e-12)
+
+
 @dataclass(frozen=True)
 class FlowRecord:
     step: int
@@ -70,7 +79,13 @@ def run_flow(
     With check_descent the run aborts on any energy increase, which for the
     density Hamiltonians indicates dt above the 2/(beta L) threshold.
     """
-    steps = math.ceil(horizon / dt - 1e-12)
+    steps = flow_steps(dt, horizon)
+    if not math.isfinite(beta):
+        raise ValueError(f"beta must be finite, got {beta}")
+    if init.r < 1:
+        raise ValueError(f"r must be at least 1, got {init.r}")
+    if record_every < 1:
+        raise ValueError(f"record_every must be at least 1, got {record_every}")
     state = FlowState(init, 0.0)
     records = [FlowRecord(0, 0.0, init, h.evaluate(init))]
     for obs in observers:

@@ -20,6 +20,10 @@ from .stepkernel import StepKernel
 
 # a walk segment draws rows x r(r+1)/2 signs in one piece; past this it is refused
 SIGN_DRAW_LIMIT = 1 << 27
+# esbm_sample materializes at most this many edges (64 MiB of int64 pairs)
+EDGE_TOTAL_LIMIT = 1 << 22
+# the largest community size whose n^2 pair capacity fits in int64
+N_LIMIT = math.isqrt(np.iinfo(np.int64).max)
 
 
 @dataclass
@@ -36,6 +40,10 @@ class ChainConfig:
     def __post_init__(self) -> None:
         if self.n < 2 or self.r < 1:
             raise ValueError("need n >= 2 members and r >= 1 communities")
+        if self.n > N_LIMIT:
+            raise ValueError(f"n = {self.n} is past {N_LIMIT}: pair capacities overflow int64")
+        if self.iterations < 0:
+            raise ValueError(f"iterations must be nonnegative, got {self.iterations}")
         for name in ("beta", "sigma", "gamma_n"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
@@ -152,6 +160,12 @@ def esbm_sample(cfg: ChainConfig, q, rng: np.random.Generator):
     pairs uniformly without replacement.
     """
     counts = quantize_density(cfg, q)
+    total = sum(int(c) for c in counts[_upper_indices(cfg.r)])  # Python ints cannot wrap
+    if total > EDGE_TOTAL_LIMIT:
+        raise ValueError(
+            f"the quantized density has {total} edges, past the limit of "
+            f"{EDGE_TOTAL_LIMIT}; lower n or the density"
+        )
     caps = cfg.capacities()
     n, r = cfg.n, cfg.r
     chunks = []
@@ -301,6 +315,8 @@ def run_chain(
     step, every milestone step, and the endpoints.  Soft validation warnings
     for the gamma_n regime are emitted once up front.
     """
+    if record_every < 1:
+        raise ValueError(f"record_every must be at least 1, got {record_every}")
     for msg in cfg.validation_warnings():
         warnings.warn(msg, stacklevel=2)
     rng = np.random.default_rng(cfg.seed)

@@ -105,12 +105,22 @@ class SdeConfig:
     drift: str = "closed_form"
 
     def __post_init__(self) -> None:
+        if self.r < 1:
+            raise ValueError(f"r must be at least 1, got {self.r}")
+        for name in ("beta", "sigma", "dt", "horizon_t"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.dt <= 0:
             raise ValueError("dt must be positive")
         if self.sigma < 0:
             raise ValueError("sigma must be nonnegative")
         if self.drift not in ("closed_form", "limit"):
             raise ValueError(f"unknown drift {self.drift!r}")
+
+    @property
+    def steps(self) -> int:
+        """Euler-Maruyama steps to reach the horizon."""
+        return math.ceil(self.horizon_t / self.dt - 1e-12)
 
     def drift_kernel(self, w: StepKernel) -> StepKernel:
         if self.drift == "closed_form":
@@ -194,7 +204,11 @@ def run_sde(
     """
     if init.r != cfg.r:
         raise ValueError("init block count differs from config r")
-    steps = math.ceil(cfg.horizon_t / cfg.dt - 1e-12)
+    if replicas < 1:
+        raise ValueError(f"replicas must be at least 1, got {replicas}")
+    if record_every < 1:
+        raise ValueError(f"record_every must be at least 1, got {record_every}")
+    steps = cfg.steps
     streams = [np.random.default_rng(s) for s in np.random.SeedSequence(cfg.seed).spawn(replicas)]
     states = [SdeState.initial(init) for _ in range(replicas)]
 

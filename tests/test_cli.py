@@ -3,10 +3,16 @@
 import hashlib
 import json
 import math
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import graphdyn
 from graphdyn.cli import (
     MANTEL_CONFIG,
     MANTEL_MILESTONES,
@@ -134,6 +140,17 @@ def test_uniform_init_is_chain_only(tmp_path, capsys):
     assert "only for the chain" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("mode, horizon", [("sde", "horizon_t"), ("flow", "horizon")])
+def test_init_kernel_must_have_the_configured_size(tmp_path, capsys, mode, horizon):
+    # otherwise flow would label three pair columns over rows of six values
+    save_kernel_text(StepKernel.constant(3, 0.5), tmp_path / "k.txt")
+    path = tmp_path / "run.ini"
+    path.write_text(f"[{mode}]\nr = 2\nbeta = 1.0\ndt = 0.1\n{horizon} = 0.2\n"
+                    f"init = {tmp_path / 'k.txt'}\n")
+    assert main([mode, "--config", str(path), "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err == "config error: init block count differs from config r\n"
+
+
 @pytest.mark.filterwarnings("ignore:gamma_n")
 def test_non_finite_energy_exits_with_the_numeric_code(tmp_path, capsys):
     # two huge same-sign coefficients at the all-ones start overflow the
@@ -171,6 +188,74 @@ def test_oversized_chain_walk_exits_with_the_config_code(tmp_path, capsys):
     path.write_text("[metropolis]\nn = 16\nr = 2\nbeta = 1.0\ngamma_n = 1e30\niterations = 1\n")
     assert main(["metropolis", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
     assert "past the limit" in capsys.readouterr().err
+
+
+# a valid config per mode; each case below changes one key to a value the
+# schema or the library refuses, and none may end in a traceback or a run
+VALID_SECTIONS = {
+    "metropolis": {"n": "16", "r": "2", "beta": "1.0", "gamma_n": "0.03125", "iterations": "4"},
+    "sde": {"r": "2", "beta": "1.0", "sigma": "0.5", "dt": "0.05", "horizon_t": "0.2"},
+    "flow": {"r": "2", "beta": "1.0", "dt": "0.05", "horizon": "0.2"},
+    "sample": {"n": "4"},
+}
+
+MALFORMED = [
+    ("sde", "horizon_t", "inf", "horizon_t must be finite"),
+    ("flow", "horizon", "inf", "horizon must be finite"),
+    ("flow", "dt", "0", "dt must be positive and finite"),
+    ("flow", "dt", "inf", "dt must be positive and finite"),
+    ("sde", "r", "0", "r must be at least 1"),
+    ("sde", "replicas", "0", "replicas must be at least 1"),
+    ("metropolis", "record_every", "0", "record_every must be at least 1"),
+    ("sde", "record_every", "0", "record_every must be at least 1"),
+    ("flow", "record_every", "0", "record_every must be at least 1"),
+    ("sde", "dt", "inf", "dt must be finite"),
+    ("sde", "beta", "inf", "beta must be finite"),
+    ("sde", "sigma", "nan", "sigma must be finite"),
+    ("flow", "beta", "nan", "beta must be finite"),
+    ("flow", "r", "0", "r must be at least 1"),
+    ("metropolis", "iterations", "-3", "iterations must be nonnegative"),
+    ("metropolis", "n", "4000000000", "pair capacities overflow int64"),
+    ("sample", "n", "4000000000", "pair capacities overflow int64"),
+    ("sample", "what", "mvg", "[sample] what: 'mvg' not esbm"),
+    ("sde", "drift", "fast", "[sde] drift: 'fast' not closed_form|limit"),
+]
+
+
+def _malformed_config(path, mode, key, value):
+    fields = {**VALID_SECTIONS[mode], key: value}
+    path.write_text(f"[{mode}]\n" + "".join(f"{k} = {v}\n" for k, v in fields.items()))
+    return path
+
+
+@pytest.mark.filterwarnings("ignore:gamma_n")
+@pytest.mark.parametrize("mode, key, value, message", MALFORMED)
+def test_malformed_configs_exit_with_the_config_code(tmp_path, capsys, mode, key, value, message):
+    path = _malformed_config(tmp_path / "bad.ini", mode, key, value)
+    assert main([mode, "--config", str(path), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("config error: ")
+    assert message in err[0]
+
+
+def test_malformed_config_never_prints_a_traceback(tmp_path):
+    path = _malformed_config(tmp_path / "bad.ini", "flow", "dt", "0")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(Path(graphdyn.__file__).parents[1]), os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run(
+        [sys.executable, "-m", "graphdyn", "flow", "--config", str(path),
+         "--out", str(tmp_path / "o")],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("config error: dt must be positive and finite")
+
+
+def test_only_run_modes_are_modes():
+    for mode in ("output", "hamiltonian", "oracle"):
+        with pytest.raises(ConfigError, match=f"unknown mode '{mode}'"):
+            parse_config("[output]\ndir = x\n", mode)
 
 
 # ---------------------------------------------------------------- run modes
@@ -302,3 +387,115 @@ def test_sample_mode_writes_the_edge_list_and_realized_density(tmp_path, capsys)
     realized = load_kernel_text(out / "realized.txt")
     assert np.all(realized.values == 0.5)
     assert json.loads((out / "manifest.json").read_text())["edge_total"] == 14
+
+
+# ---------------------------------------------------------------- golden outputs
+
+# One small run per mode.  Inputs are literal text and every path is relative
+# to the run directory, so the embedded config (and its sha256) never names a
+# temporary directory.
+KERNEL_A = "3 0.0 1.0\n0.9 0.2 0.4\n0.2 0.7 0.1\n0.4 0.1 0.3\n"
+KERNEL_B = "3 0.0 1.0\n0.3 0.15 0.45\n0.15 0.8 0.25\n0.45 0.25 0.6\n"
+MVG_A = "2 2\n0 0 -0.5 0.25 0.75 0.75\n0 1 0.0 1.0\n1 1 -1.0 0.5 1.0 0.5\n"
+MVG_B = "2 2\n0 0 0.5 1.0\n0 1 -0.25 0.5 0.25 0.5\n1 1 -0.75 0.25 0.0 0.75\n"
+TERMS = "\n[hamiltonian]\nterm.triangle = 1.0\nterm.edge = -0.25\n"
+
+GOLDEN_RUNS = {
+    "metropolis": (
+        ["metropolis", "--seed", "3"],
+        "[metropolis]\nn = 16\nr = 2\nbeta = 0.5\nsigma = 1.0\ngamma_n = 0.03125\n"
+        "iterations = 6\nrecord_every = 2\nseed = 1\n" + TERMS,
+    ),
+    "sde": (
+        ["sde"],
+        "[sde]\nr = 2\nbeta = 0.5\nsigma = 0.5\ndt = 0.05\nhorizon_t = 0.2\nseed = 4\n"
+        "replicas = 2\n" + TERMS,
+    ),
+    "flow": (
+        ["flow"],
+        "[flow]\nr = 3\nbeta = 1.0\ndt = 0.05\nhorizon = 0.3\ninit = a.txt\nrecord_every = 2\n"
+        + TERMS + "entropy_gamma = 0.05\n",
+    ),
+    "metrics-stepkernel": (
+        ["metrics"],
+        "[metrics]\nkind = stepkernel\na = a.txt\nb = b.txt\nseed = 2\n",
+    ),
+    "metrics-mvg": (
+        ["metrics"],
+        "[metrics]\nkind = mvg\na = mvg_a.txt\nb = mvg_b.txt\nepsilon = 2.0\n",
+    ),
+    "sample": (
+        ["sample"],
+        "[sample]\nwhat = esbm\nn = 5\nkernel = a.txt\nseed = 2\n",
+    ),
+}
+
+
+def _golden_hashes(name, tmp_path, monkeypatch, capsys):
+    """sha256 of every output file and of stdout; wall_time_s reads as 0."""
+    argv, text = GOLDEN_RUNS[name]
+    monkeypatch.chdir(tmp_path)
+    for fname, body in [("a.txt", KERNEL_A), ("b.txt", KERNEL_B),
+                        ("mvg_a.txt", MVG_A), ("mvg_b.txt", MVG_B), ("run.ini", text)]:
+        (tmp_path / fname).write_text(body)
+    capsys.readouterr()
+    assert main(argv + ["--config", "run.ini", "--out", "out"]) == 0
+    hashes = {"<stdout>": hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()}
+    for path in sorted((tmp_path / "out").iterdir()):
+        data = re.sub(rb'"wall_time_s": [^,\n]*', b'"wall_time_s": 0', path.read_bytes())
+        hashes[path.name] = hashlib.sha256(data).hexdigest()
+    return hashes
+
+
+# taken before the config schema and the output writer were folded together
+GOLDEN = {
+    "metropolis": {
+        "<stdout>": "0bf44c24adb07772e3c3450994614a6632c4b5a83f2ea247d0dc7e90feda7ef2",
+        "manifest.json": "0cc289e42dbb614a223c7a082f290c6737a6a07d0b30942a1a3321f189ac4e4a",
+        "q_0.pgm": "a08b860a9fbe8b148853bb499514567898892b6772c211734e16e6fbde3f6b2d",
+        "q_2.pgm": "e1e95814f5afa9e4fbc32e1818223c197c6af1b3edc1a0741d284a9ed056c215",
+        "q_4.pgm": "1d74bd895a431563e5032f2240a25bfeb4952f10c19a5fe28dac8c6599a054ea",
+        "q_6.pgm": "1f3e9be5f8b3e85e5dd168d73c0d1290471d03127eee9698a6013b087fd8adff",
+        "trajectory.csv": "ab1ac57fb515084bf462d9cdded497db08a0f2a973c50400a02cc5080ab82d15",
+    },
+    "sde": {
+        "<stdout>": "74e3674ac96cbe2df4e17f886baf700c734a8c9278ea740dfdb74d1a57daecbe",
+        "manifest.json": "8a97adf3a7cb9d247df2ef98fa25014c318133d4b4d16ee3c09534d91426575c",
+        "q_0.pgm": "a08b860a9fbe8b148853bb499514567898892b6772c211734e16e6fbde3f6b2d",
+        "q_1.pgm": "6c3822c0f34dd0378f054202947424f082bb6ca28350cd4d20325ee168260ad6",
+        "q_2.pgm": "caa53e41f97b54e910929c3bac2d441d12cb9ef248e6a6ae4d75c56e6aaa7df6",
+        "q_3.pgm": "4ebbbfc9e058fce14236dd3194ad11493d86cf301c8e43e1072184edc3436e65",
+        "q_4.pgm": "0f5c70315bf469e3efc05097e8208308e4f2244747f91f7a68bfe34f2a5565b4",
+        "trajectory.csv": "212413b8255ae59f069545d966064806e6674ee18af8f038effed0fd1035c5cd",
+    },
+    "flow": {
+        "<stdout>": "732235f4c4e43ae5837f5ed18aef8b5e5b2cb58ac95b3f2adcc9278ee44cda91",
+        "manifest.json": "d0bf84979a837cfa57793fd80a837b17764869c3a45284d4d5ecb4f404050cea",
+        "q_0.pgm": "03422ff8279abe63b0147067f0faa14c9ec419c8f8449726be9dace8a215b4a5",
+        "q_2.pgm": "069b57255837fac113cf3a115cf99fd171a56b21d5098db63375027869ee0699",
+        "q_4.pgm": "78c7b427f38be9a05f7c9d6a7835572a50a69759641ac95d5a6d71c5a4835ebf",
+        "q_6.pgm": "8e7c9e7c33f68030b017dad962816bf2cbbb29b6cdfd194ac46972c3461ab7bc",
+        "rate_report.csv": "5a359a9995cd912b6f7732945408148a6b38fbd4732e1ee2e09071770f7abfd6",
+        "trajectory.csv": "3d1dc651f79e4524efa8bf42db0ad5e7a8ebabbb44e7533328767919e5582fb7",
+    },
+    "metrics-stepkernel": {
+        "<stdout>": "d5c54c2ed95e9e4ab58f1b79e5b6963ca337a847ec5bc7c786cb30dbc9f6b2b2",
+        "metrics.json": "b24f7ef0e044376f1a6f1ba0f90a8985389faf7ce20045bd1155998c59b54129",
+    },
+    "metrics-mvg": {
+        "<stdout>": "2a9e8b6598ca263afa636600484993d4446102b60e22eb101258a8994ebd8383",
+        "metrics.json": "8722114690d01312936e50dc06d6fa1f81b26827f52736f0b5efa0d99608e3a4",
+    },
+    "sample": {
+        "<stdout>": "c1cfa2c812d5584ce8d9f6644b1eb099e9ee3c4b5440eb02277aa29fa754d795",
+        "edges.csv": "b785935ea1b4ef395d6af40af8c80f516ddcdb8b292706434c6d7f407caef745",
+        "manifest.json": "f9ef863fb44e05d9ed21852026e413ea4bd9742ef94e5968b2aee8bc35385669",
+        "realized.txt": "7c56745a5b67c5f49cc19484486ef1431fc0653a6d15123594522fa066c7348a",
+    },
+}
+
+
+@pytest.mark.filterwarnings("ignore:gamma_n", "ignore:step size")
+@pytest.mark.parametrize("name", sorted(GOLDEN_RUNS))
+def test_cli_outputs_match_their_golden_hashes(name, tmp_path, monkeypatch, capsys):
+    assert _golden_hashes(name, tmp_path, monkeypatch, capsys) == GOLDEN[name]

@@ -1,5 +1,7 @@
 """Deterministic gradient flow: masking, stepping, and rate measurement."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -80,6 +82,21 @@ def test_step_from_one_half_moves_by_half_beta_dt():
 def test_step_requires_positive_dt():
     with pytest.raises(ValueError):
         flow_step(FlowState(StepKernel.constant(2, 0.5)), ZERO_H, 1.0, 0.0)
+
+
+@pytest.mark.parametrize("beta, dt, horizon, r, record_every, message", [
+    (1.0, 0.0, 1.0, 2, 1, "dt must be positive and finite"),
+    (1.0, math.inf, 1.0, 2, 1, "dt must be positive and finite"),
+    (1.0, math.nan, 1.0, 2, 1, "dt must be positive and finite"),
+    (1.0, 0.1, math.inf, 2, 1, "horizon must be finite"),
+    (math.nan, 0.1, 1.0, 2, 1, "beta must be finite"),
+    (1.0, 0.1, 1.0, 0, 1, "r must be at least 1"),
+    (1.0, 0.1, 1.0, 2, 0, "record_every must be at least 1"),
+])
+def test_run_rejects_degenerate_parameters(beta, dt, horizon, r, record_every, message):
+    with pytest.raises(ValueError, match=message):
+        run_flow(ZERO_H, beta, StepKernel.constant(r, 0.5), dt, horizon,
+                 record_every=record_every)
 
 
 def test_step_is_euclidean_gradient_descent_on_the_matrix_energy():

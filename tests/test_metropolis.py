@@ -85,6 +85,12 @@ def test_config_validation():
             params[name] = value
             with pytest.raises(ValueError, match=f"{name} must be finite"):
                 ChainConfig(**params)
+    base = dict(r=2, beta=1.0, sigma=0.0, gamma_n=0.1, h=ZERO_H)
+    with pytest.raises(ValueError, match="iterations must be nonnegative"):
+        ChainConfig(n=8, iterations=-3, **base)
+    assert ChainConfig(n=metropolis.N_LIMIT, **base).capacities()[0, 1] == metropolis.N_LIMIT**2
+    with pytest.raises(ValueError, match="overflow int64"):
+        ChainConfig(n=metropolis.N_LIMIT + 1, **base)
 
 
 def test_config_rejects_walk_segments_past_the_sign_draw_limit():
@@ -158,6 +164,19 @@ def test_block_model_sample_is_exact_at_the_quantized_density():
     assert len({tuple(sorted(e)) for e in edges.tolist()}) == len(edges)
     assert np.all(edges[:, 0] != edges[:, 1])
     assert edges.min() >= 0 and edges.max() < cfg.n * cfg.r
+
+
+def test_block_model_sample_past_the_edge_limit_is_refused(monkeypatch):
+    cfg = ChainConfig(n=4, r=2, beta=1.0, sigma=0.0, gamma_n=0.1, h=ZERO_H)
+    monkeypatch.setattr(metropolis, "EDGE_TOTAL_LIMIT", 28)
+    edges, _ = esbm_sample(cfg, np.ones((2, 2)), np.random.default_rng(0))
+    assert len(edges) == 28  # exactly at the limit
+    # the draw is refused before any rng call: the stream is left untouched
+    rng = np.random.default_rng(0)
+    monkeypatch.setattr(metropolis, "EDGE_TOTAL_LIMIT", 27)
+    with pytest.raises(ValueError, match="28 edges, past the limit of 27"):
+        esbm_sample(cfg, np.ones((2, 2)), rng)
+    assert rng.random() == np.random.default_rng(0).random()
 
 
 # ---------------------------------------------------------------- base walk
@@ -434,6 +453,8 @@ def test_uniform_and_kernel_inits():
     assert np.all(recs[0].density.values == 0.25)
     with pytest.raises(ValueError):
         run_chain(cfg, init="gibbs")
+    with pytest.raises(ValueError, match="record_every must be at least 1"):
+        run_chain(cfg, record_every=0)
 
 
 def _records_sha256(records, caps):

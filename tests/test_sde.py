@@ -335,6 +335,23 @@ def test_config_validation():
         SdeConfig(r=2, beta=1.0, sigma=-1.0, dt=0.1, h=ZERO_H)
     with pytest.raises(ValueError):
         SdeConfig(r=2, beta=1.0, sigma=1.0, dt=0.1, h=ZERO_H, drift="midpoint")
+    base = dict(r=2, beta=1.0, sigma=1.0, dt=0.1, h=ZERO_H)
+    for name in ("beta", "sigma", "dt", "horizon_t"):
+        for value in (math.inf, -math.inf, math.nan):
+            with pytest.raises(ValueError, match=f"{name} must be finite"):
+                SdeConfig(**{**base, name: value})
+    with pytest.raises(ValueError, match="r must be at least 1"):
+        SdeConfig(**{**base, "r": 0})
+    assert SdeConfig(**base, horizon_t=0.25).steps == 3
+
+
+def test_run_rejects_empty_replica_sets_and_record_strides():
+    cfg = SdeConfig(r=2, beta=1.0, sigma=1.0, dt=0.1, h=ZERO_H)
+    init = StepKernel.constant(2, 0.5)
+    with pytest.raises(ValueError, match="replicas must be at least 1"):
+        run_sde(cfg, init, replicas=0)
+    with pytest.raises(ValueError, match="record_every must be at least 1"):
+        run_sde(cfg, init, record_every=0)
 
 
 # ---------------------------------------------------------------- trajectories
