@@ -1,0 +1,38 @@
+"""The record loop shared by the chain, the diffusion and the flow."""
+from __future__ import annotations
+
+import math
+
+
+def horizon_steps(dt: float, horizon: float) -> int:
+    """Steps of size dt to reach the horizon; a horizon at or below 0 takes none."""
+    if not (math.isfinite(dt) and dt > 0):
+        raise ValueError(f"dt must be positive and finite, got {dt}")
+    if not math.isfinite(horizon):
+        raise ValueError(f"horizon must be finite, got {horizon}")
+    return max(0, math.ceil(horizon / dt - 1e-12))
+
+
+def drive(steps: int, advance, record, observers=(), record_every: int = 1, milestones=()):
+    """Record step 0, every record_every-th step, each milestone in [0, steps] and
+    the last step, once each and in order; return the records.
+
+    advance(k) moves the run to step k and record(k) builds the record of the
+    state there.  A record whose energy is not finite raises FloatingPointError;
+    every other one is kept and passed to each observer.
+    """
+    if record_every < 1:
+        raise ValueError(f"record_every must be at least 1, got {record_every}")
+    marks = {0, steps, *range(0, steps + 1, record_every)}
+    marks.update(m for m in milestones if 0 <= m <= steps)
+    records = []
+    for k in sorted(marks):
+        if k:
+            advance(k)
+        rec = record(k)
+        if not math.isfinite(rec.energy):
+            raise FloatingPointError(f"non-finite energy at step {k}")
+        records.append(rec)
+        for obs in observers:
+            obs(rec)
+    return records

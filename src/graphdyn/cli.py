@@ -20,6 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
+from ._drive import horizon_steps
 from .hamiltonian import Hamiltonian, named_term_graph
 from .metropolis import ChainConfig, esbm_sample, run_chain
 from .mvg import (
@@ -37,7 +38,7 @@ from .stepkernel import (
     save_kernel_pgm,
     save_kernel_text,
 )
-from .flow import flow_steps, measure_rates, run_flow
+from .flow import measure_rates, run_flow
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -344,7 +345,7 @@ def _run_sde(cfg: ExperimentConfig, out: Path) -> int:
        horizon=(float, 1.0), init=(str, "0.5"), record_every=(int, 1))
 def _run_flow(cfg: ExperimentConfig, out: Path) -> int:
     o = cfg.options
-    print(f"derived: dt={o['dt']!r} steps={flow_steps(o['dt'], o['horizon'])}")
+    print(f"derived: dt={o['dt']!r} steps={horizon_steps(o['dt'], o['horizon'])}")
     init = _kernel_init(cfg)
     start = time.monotonic()
     observe, write = _trajectory(cfg, out, "w")
@@ -513,7 +514,7 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except FloatingPointError as exc:
+    except (FloatingPointError, OverflowError) as exc:
         print(f"numeric guard: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except OSError as exc:

@@ -11,6 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._drive import drive, horizon_steps
 from .stepkernel import StepKernel, l2_distance
 
 BOUNDARY_TOL = 1e-12
@@ -47,15 +48,6 @@ def flow_step(state: FlowState, h, beta: float, dt: float) -> FlowState:
     return FlowState(StepKernel(np.clip(new, 0.0, 1.0)), state.t + dt)
 
 
-def flow_steps(dt: float, horizon: float) -> int:
-    """Euler steps to reach the horizon; dt must be finite and positive."""
-    if not (math.isfinite(dt) and dt > 0):
-        raise ValueError(f"dt must be positive and finite, got {dt}")
-    if not math.isfinite(horizon):
-        raise ValueError(f"horizon must be finite, got {horizon}")
-    return math.ceil(horizon / dt - 1e-12)
-
-
 @dataclass(frozen=True)
 class FlowRecord:
     step: int
@@ -74,40 +66,35 @@ def run_flow(
     record_every: int = 1,
     check_descent: bool = False,
 ) -> list[FlowRecord]:
-    """Iterate flow_step to the horizon, recording every record_every-th state.
+    """Iterate flow_step to the horizon, recording on drive's schedule.
 
     With check_descent the run aborts on any energy increase, which for the
     density Hamiltonians indicates dt above the 2/(beta L) threshold.
     """
-    steps = flow_steps(dt, horizon)
+    steps = horizon_steps(dt, horizon)
     if not math.isfinite(beta):
         raise ValueError(f"beta must be finite, got {beta}")
     if init.r < 1:
         raise ValueError(f"r must be at least 1, got {init.r}")
-    if record_every < 1:
-        raise ValueError(f"record_every must be at least 1, got {record_every}")
     state = FlowState(init, 0.0)
-    records = [FlowRecord(0, 0.0, init, h.evaluate(init))]
-    for obs in observers:
-        obs(records[0])
-    last_energy = records[0].energy
-    for k in range(1, steps + 1):
-        state = flow_step(state, h, beta, dt)
-        energy = h.evaluate(state.w)
-        if not np.isfinite(state.w.values).all():
-            raise FloatingPointError(f"non-finite state at step {k}")
-        if check_descent and energy > last_energy + 1e-12:
-            raise RuntimeError(
-                f"energy increased at step {k}: {last_energy} -> {energy}; "
-                "reduce dt below 2/(beta L)"
-            )
-        last_energy = energy
-        if k % record_every == 0 or k == steps:
-            rec = FlowRecord(k, state.t, state.w, energy)
-            records.append(rec)
-            for obs in observers:
-                obs(rec)
-    return records
+    done = 0
+    energy = h.evaluate(init) if check_descent else None  # tracked only to check descent
+
+    def advance(k: int) -> None:
+        nonlocal state, done, energy
+        for j in range(done + 1, k + 1):
+            state = flow_step(state, h, beta, dt)
+            if check_descent:
+                last_energy, energy = energy, h.evaluate(state.w)
+                if energy > last_energy + 1e-12:
+                    raise RuntimeError(f"energy increased at step {j}: {last_energy} -> "
+                                       f"{energy}; reduce dt below 2/(beta L)")
+        done = k
+
+    def record(k: int) -> FlowRecord:
+        return FlowRecord(k, state.t, state.w, energy if check_descent else h.evaluate(state.w))
+
+    return drive(steps, advance, record, observers, record_every)
 
 
 @dataclass(frozen=True)

@@ -11,10 +11,11 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
+from ._drive import drive
 from .hamiltonian import Hamiltonian
 from .stepkernel import StepKernel
 
@@ -132,10 +133,6 @@ class ChainState:
         counts[iu] = rng.integers(0, caps[iu] + 1)
         counts = np.triu(counts) + np.triu(counts, 1).T
         return cls(counts, 0, rng)
-
-    def density(self, cfg: ChainConfig) -> StepKernel:
-        """Counts over capacities; the chain keeps counts symmetric and in range."""
-        return StepKernel._trusted(self.counts / cfg.capacities())
 
 
 def quantize_density(cfg: ChainConfig, q) -> np.ndarray:
@@ -311,12 +308,9 @@ def run_chain(
     """Drive the chain for cfg.iterations steps from the given start.
 
     init is a density kernel, the string "uniform", or None for the constant
-    one-half start.  Records (and notifies observers) every record_every-th
-    step, every milestone step, and the endpoints.  Soft validation warnings
-    for the gamma_n regime are emitted once up front.
+    one-half start.  Records (and notifies observers) on drive's schedule.
+    Soft validation warnings for the gamma_n regime are emitted once up front.
     """
-    if record_every < 1:
-        raise ValueError(f"record_every must be at least 1, got {record_every}")
     for msg in cfg.validation_warnings():
         warnings.warn(msg, stacklevel=2)
     rng = np.random.default_rng(cfg.seed)
@@ -329,26 +323,20 @@ def run_chain(
     else:
         state = ChainState.from_density(cfg, init, rng)
     walk = _CountWalk(cfg)
-    milestones = set(milestones)
-    records: list[ChainRecord] = []
     energy = cfg.h.evaluate(walk.density(state.counts))
+    acc_prob, accepted = 1.0, True
 
-    def record(step: int, acc_prob: float, accepted: bool, energy: float) -> None:
-        density = walk.density(state.counts)
-        if not np.isfinite(energy):
-            raise FloatingPointError(f"non-finite energy at step {step}")
-        rec = ChainRecord(step, cfg.diffusion_time(step), density, energy, acc_prob, accepted)
-        records.append(rec)
-        for obs in observers:
-            obs(rec)
+    def advance(k: int) -> None:
+        nonlocal energy, acc_prob, accepted
+        while state.step_index < k:
+            _, accepted, diag = metropolis_step(state, cfg, walk, energy)
+            energy, acc_prob = diag.energy, diag.acc_prob
 
-    record(0, 1.0, True, energy)
-    for k in range(1, cfg.iterations + 1):
-        state, accepted, diag = metropolis_step(state, cfg, walk, energy)
-        energy = diag.energy
-        if k % record_every == 0 or k == cfg.iterations or k in milestones:
-            record(k, diag.acc_prob, accepted, energy)
-    return records
+    def record(k: int) -> ChainRecord:
+        return ChainRecord(k, cfg.diffusion_time(k), walk.density(state.counts), energy,
+                           acc_prob, accepted)
+
+    return drive(cfg.iterations, advance, record, observers, record_every, milestones)
 
 
 def empirical_drift(
@@ -430,22 +418,11 @@ def empirical_qv(cfg: ChainConfig, horizon_t: float, init: StepKernel | None = N
     """
     if cfg.sigma <= 0:
         raise ValueError("quadratic variation needs sigma > 0")
-    steps = cfg.steps_for_horizon(horizon_t)
-    rng = np.random.default_rng(cfg.seed)
-    state = ChainState.from_density(cfg, init if init is not None else StepKernel.constant(cfg.r, 0.5), rng)
-    walk = _CountWalk(cfg)
-    caps = walk.caps.astype(float)
-    energy = cfg.h.evaluate(walk.density(state.counts))
-    prev = state.counts[walk.iu] / caps
-    incs = np.empty((steps, walk.m))
-    for k in range(steps):
-        state, _, diag = metropolis_step(state, cfg, walk, energy)
-        energy = diag.energy
-        cur = state.counts[walk.iu] / caps
-        incs[k] = cur - prev
-        prev = cur
-    centered = incs - incs.mean(axis=0, keepdims=True) if steps else incs
+    run = replace(cfg, iterations=cfg.steps_for_horizon(horizon_t))
+    iu = _upper_indices(cfg.r)
+    incs = np.diff([rec.density.values[iu] for rec in run_chain(run, init)], axis=0)
+    centered = incs - incs.mean(axis=0, keepdims=True) if len(incs) else incs
     qv = (centered**2).sum(axis=0)
     out = np.zeros((cfg.r, cfg.r))
-    _write_symmetric(out, walk.iu, qv)
+    _write_symmetric(out, iu, qv)
     return out

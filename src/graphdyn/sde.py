@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import erfc
 
+from ._drive import drive, horizon_steps
 from .hamiltonian import Hamiltonian
 from .stepkernel import StepKernel, kernel_from_values, l2_norm
 
@@ -120,7 +121,7 @@ class SdeConfig:
     @property
     def steps(self) -> int:
         """Euler-Maruyama steps to reach the horizon."""
-        return math.ceil(self.horizon_t / self.dt - 1e-12)
+        return horizon_steps(self.dt, self.horizon_t)
 
     def drift_kernel(self, w: StepKernel) -> StepKernel:
         if self.drift == "closed_form":
@@ -178,6 +179,15 @@ def em_step(state: SdeState, cfg: SdeConfig, rng: np.random.Generator,
     )
 
 
+def _replica_mean(states: list[SdeState]) -> SdeState:
+    """Entrywise mean of the replica states; one replica is its own mean."""
+    n = len(states)
+    if n == 1:
+        return states[0]
+    return SdeState(StepKernel(sum(s.x.values for s in states) / n),
+                    sum(s.l0 for s in states) / n, sum(s.l1 for s in states) / n, states[0].t)
+
+
 @dataclass(frozen=True)
 class SdeRecord:
     step: int
@@ -206,41 +216,20 @@ def run_sde(
         raise ValueError("init block count differs from config r")
     if replicas < 1:
         raise ValueError(f"replicas must be at least 1, got {replicas}")
-    if record_every < 1:
-        raise ValueError(f"record_every must be at least 1, got {record_every}")
-    steps = cfg.steps
     streams = [np.random.default_rng(s) for s in np.random.SeedSequence(cfg.seed).spawn(replicas)]
     states = [SdeState.initial(init) for _ in range(replicas)]
+    mean, done = _replica_mean(states), 0
 
-    def mean_state() -> SdeState:
-        if replicas == 1:
-            return states[0]
-        xbar = sum(s.x.values for s in states) / replicas
-        return SdeState(
-            StepKernel(xbar),
-            sum(s.l0 for s in states) / replicas,
-            sum(s.l1 for s in states) / replicas,
-            states[0].t,
-        )
+    def advance(k: int) -> None:
+        nonlocal states, mean, done
+        for _ in range(done, k):
+            drift = cfg.drift_kernel(mean.x)
+            states = [em_step(s, cfg, g, drift) for s, g in zip(states, streams)]
+            mean = _replica_mean(states)
+        done = k
 
-    records: list[SdeRecord] = []
+    def record(k: int) -> SdeRecord:
+        return SdeRecord(k, mean.t, mean.x, cfg.h.evaluate(mean.x),
+                         float(np.linalg.norm(mean.l0)), float(np.linalg.norm(mean.l1)))
 
-    def record(step: int) -> None:
-        s = mean_state()
-        if not np.isfinite(s.x.values).all():
-            raise FloatingPointError(f"non-finite state at step {step}")
-        rec = SdeRecord(
-            step, s.t, s.x, cfg.h.evaluate(s.x),
-            float(np.linalg.norm(s.l0)), float(np.linalg.norm(s.l1)),
-        )
-        records.append(rec)
-        for obs in observers:
-            obs(rec)
-
-    record(0)
-    for k in range(1, steps + 1):
-        drift = cfg.drift_kernel(mean_state().x) if replicas > 1 else None
-        states = [em_step(s, cfg, g, drift) for s, g in zip(states, streams)]
-        if k % record_every == 0 or k == steps:
-            record(k)
-    return records
+    return drive(cfg.steps, advance, record, observers, record_every)

@@ -122,8 +122,10 @@ class StepKernel:
 
 
 def _bounds_range(values: np.ndarray) -> tuple[float, float]:
-    """Smallest canonical range containing the entries, else tight bounds."""
+    """Smallest canonical range containing the entries, else tight bounds; none if not finite."""
     lo, hi = float(values.min(initial=0.0)), float(values.max(initial=0.0))
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise FloatingPointError(f"non-finite kernel entries (min {lo}, max {hi})")
     if 0.0 <= lo and hi <= 1.0:
         return UNIT
     if -1.0 <= lo and hi <= 1.0:

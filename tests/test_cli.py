@@ -165,6 +165,35 @@ def test_non_finite_energy_exits_with_the_numeric_code(tmp_path, capsys):
     assert "numeric guard: non-finite energy at step 0" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("change, message", [
+    # the gradient's norm overflows, so the drift prefactor is inf * 0
+    ("term.triangle = 1e308", "non-finite kernel entries"),
+    # exp(beta^2 |g|^2 / r^2) overflows inside math.exp
+    ("beta = 1e6", "math range error"),
+])
+def test_overflowing_drifts_exit_with_the_numeric_code(tmp_path, change, message):
+    # before, the first exited 1 as an asymmetric kernel and the second died
+    # in a traceback
+    fields = {"r": "4", "beta": "1.0", "sigma": "0", "dt": "1e-3", "horizon_t": "0.01"}
+    terms = {"term.triangle": "1.0", "term.edge": "-0.25"}
+    key, value = change.split(" = ")
+    (fields if key in fields else terms)[key] = value
+    path = tmp_path / "run.ini"
+    path.write_text("[sde]\n" + "".join(f"{k} = {v}\n" for k, v in fields.items())
+                    + "\n[hamiltonian]\n" + "".join(f"{k} = {v}\n" for k, v in terms.items()))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(Path(graphdyn.__file__).parents[1]), os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run(
+        [sys.executable, "-m", "graphdyn", "sde", "--config", str(path),
+         "--out", str(tmp_path / "o")],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    guards = [line for line in proc.stderr.splitlines() if line.startswith("numeric guard:")]
+    assert len(guards) == 1 and message in guards[0]
+
+
 @pytest.mark.parametrize("key, value", [
     ("beta", "inf"), ("beta", "nan"), ("sigma", "inf"), ("gamma_n", "inf"),
 ])
