@@ -13,6 +13,16 @@ def horizon_steps(dt: float, horizon: float) -> int:
     return max(0, math.ceil(horizon / dt - 1e-12))
 
 
+def run_steps(first: int, last: int, step) -> None:
+    """Call step(j) for j = first, ..., last.  An OverflowError or FloatingPointError
+    raised inside a step is raised again with "step j: " before its message."""
+    for j in range(first, last + 1):
+        try:
+            step(j)
+        except (OverflowError, FloatingPointError) as exc:
+            raise type(exc)(f"step {j}: {exc}") from exc
+
+
 def drive(steps: int, advance, record, observers=(), record_every: int = 1, milestones=()):
     """Record step 0, every record_every-th step, each milestone in [0, steps] and
     the last step, once each and in order; return the records.

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._drive import drive, horizon_steps
+from ._drive import drive, horizon_steps, run_steps
 from .stepkernel import StepKernel, l2_distance
 
 BOUNDARY_TOL = 1e-12
@@ -39,13 +39,21 @@ def active_mask(w: StepKernel, g: StepKernel) -> np.ndarray:
 
 
 def flow_step(state: FlowState, h, beta: float, dt: float) -> FlowState:
-    """Forward Euler on the masked gradient, clamped to [0, 1] as a guard."""
+    """Forward Euler on the masked gradient, clamped to [0, 1] as a guard.
+
+    An overflowing beta * dt is refused: it would turn every frozen entry
+    into inf * 0 = nan.
+    """
     if dt <= 0:
         raise ValueError("dt must be positive")
+    rate = beta * dt
+    if not math.isfinite(rate):
+        raise OverflowError(f"flow step beta * dt = {beta} * {dt} is not finite")
     g = h.frechet_derivative(state.w)
     mask = active_mask(state.w, g)
-    new = state.w.values - (beta * dt) * (g.values * mask)
-    return FlowState(StepKernel(np.clip(new, 0.0, 1.0)), state.t + dt)
+    new = state.w.values - rate * (g.values * mask)
+    # symmetric by construction: w, g and with them the mask are symmetric
+    return FlowState(StepKernel._trusted(np.clip(new, 0.0, 1.0)), state.t + dt)
 
 
 @dataclass(frozen=True)
@@ -69,7 +77,8 @@ def run_flow(
     """Iterate flow_step to the horizon, recording on drive's schedule.
 
     With check_descent the run aborts on any energy increase, which for the
-    density Hamiltonians indicates dt above the 2/(beta L) threshold.
+    density Hamiltonians indicates dt above the 2/(beta L) threshold.  A
+    numeric guard tripped inside a step names the step.
     """
     steps = horizon_steps(dt, horizon)
     if not math.isfinite(beta):
@@ -80,15 +89,18 @@ def run_flow(
     done = 0
     energy = h.evaluate(init) if check_descent else None  # tracked only to check descent
 
+    def step(j: int) -> None:
+        nonlocal state, energy
+        state = flow_step(state, h, beta, dt)
+        if check_descent:
+            last_energy, energy = energy, h.evaluate(state.w)
+            if energy > last_energy + 1e-12:
+                raise RuntimeError(f"energy increased at step {j}: {last_energy} -> "
+                                   f"{energy}; reduce dt below 2/(beta L)")
+
     def advance(k: int) -> None:
-        nonlocal state, done, energy
-        for j in range(done + 1, k + 1):
-            state = flow_step(state, h, beta, dt)
-            if check_descent:
-                last_energy, energy = energy, h.evaluate(state.w)
-                if energy > last_energy + 1e-12:
-                    raise RuntimeError(f"energy increased at step {j}: {last_energy} -> "
-                                       f"{energy}; reduce dt below 2/(beta L)")
+        nonlocal done
+        run_steps(done + 1, k, step)
         done = k
 
     def record(k: int) -> FlowRecord:

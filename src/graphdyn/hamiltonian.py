@@ -15,10 +15,10 @@ from scipy.special import xlogy
 from .stepkernel import (
     SimpleGraph,
     StepKernel,
+    _symmetric_kernel,
     edge_graph,
     hom_density,
     hom_density_pinned,
-    kernel_from_values,
     path_graph,
     triangle_graph,
     cycle_graph,
@@ -65,7 +65,7 @@ class Hamiltonian:
         if self.entropy_weight:
             p = np.clip(w.values, ENTROPY_CLIP, 1.0 - ENTROPY_CLIP)
             g_total += self.entropy_weight * np.log(p / (1.0 - p))
-        return kernel_from_values(g_total)
+        return _symmetric_kernel(g_total)
 
     @property
     def semiconvexity_lower(self) -> float:

@@ -11,13 +11,14 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy.special import erfc
 
-from ._drive import drive, horizon_steps
+from ._drive import drive, horizon_steps, run_steps
 from .hamiltonian import Hamiltonian
-from .stepkernel import StepKernel, kernel_from_values, l2_norm
+from .stepkernel import StepKernel, _symmetric_kernel, l2_norm
 
 # one-step clamp displacement above this fraction of the box suggests dt is
 # too coarse for the drift magnitude
@@ -40,16 +41,19 @@ def drift_b(h, w: StepKernel, beta: float, r: int | None = None) -> StepKernel:
         r = w.r
     g = h.frechet_derivative(w)
     norm = l2_norm(g)
-    pref = -2.0 * beta * math.exp((beta * norm / r) ** 2) * gaussian_tail(
-        math.sqrt(2.0) * beta * norm / r
-    )
-    return kernel_from_values(pref * g.values)
+    try:
+        growth = math.exp((beta * norm / r) ** 2)
+    except OverflowError as exc:
+        raise OverflowError(f"drift prefactor exp((beta |g|_2 / r)^2) overflows at "
+                            f"beta = {beta}, |g|_2 = {norm}, r = {r}: {exc}") from exc
+    pref = -2.0 * beta * growth * gaussian_tail(math.sqrt(2.0) * beta * norm / r)
+    return _symmetric_kernel(pref * g.values)
 
 
 def limit_drift(h, w: StepKernel, beta: float) -> StepKernel:
     """Large-r limit of drift_b: -beta times the gradient."""
     g = h.frechet_derivative(w)
-    return kernel_from_values(-beta * g.values)
+    return _symmetric_kernel(-beta * g.values)
 
 
 def explicit_drift_formula(v: np.ndarray, t: float) -> np.ndarray:
@@ -131,7 +135,7 @@ class SdeConfig:
 
 @dataclass
 class SdeState:
-    x: StepKernel
+    x: StepKernel | np.ndarray  # one kernel, or an (R, r, r) stack of replicas
     l0: np.ndarray
     l1: np.ndarray
     t: float = 0.0
@@ -141,19 +145,32 @@ class SdeState:
         return cls(x, np.zeros((x.r, x.r)), np.zeros((x.r, x.r)), 0.0)
 
 
+@lru_cache(maxsize=None)
+def _strict_lower(r: int) -> tuple[np.ndarray, np.ndarray]:
+    return np.tril_indices(r, -1)
+
+
+def _mirror_upper(xi: np.ndarray) -> np.ndarray:
+    """Copy the strict upper triangle of each r x r slice onto its lower one, in place."""
+    lo, hi = _strict_lower(xi.shape[-1])
+    xi[..., lo, hi] = xi[..., hi, lo]
+    return xi
+
+
 def _symmetric_noise(rng: np.random.Generator, r: int) -> np.ndarray:
     """One standard normal per unordered pair, mirrored across the diagonal."""
-    xi = np.triu(rng.standard_normal((r, r)))
-    return xi + np.triu(xi, 1).T
+    return _mirror_upper(rng.standard_normal((r, r)))
 
 
-def em_step(state: SdeState, cfg: SdeConfig, rng: np.random.Generator,
+def em_step(state: SdeState, cfg: SdeConfig, rng: np.random.Generator | None,
             drift: StepKernel | None = None,
             noise: np.ndarray | None = None) -> SdeState:
     """One projected Euler-Maruyama step with local-time bookkeeping.
 
     An explicit symmetric noise matrix may be supplied in place of a draw
     from rng (used when several integrations must share one noise stream).
+    A state holding an (R, r, r) replica stack moves every replica by the
+    one given drift, with the given (R, r, r) noise when sigma > 0.
     """
     if drift is None:
         drift = cfg.drift_kernel(state.x)
@@ -164,28 +181,22 @@ def em_step(state: SdeState, cfg: SdeConfig, rng: np.random.Generator,
             f"{DT_STABILITY_FRACTION}; step size is coarse for this drift",
             stacklevel=2,
         )
-    y = state.x.values + b * cfg.dt
+    x = state.x.values if isinstance(state.x, StepKernel) else state.x
+    y = x + b * cfg.dt
     if cfg.sigma:
         if noise is None:
             noise = _symmetric_noise(rng, cfg.r)
         y = y + cfg.sigma * math.sqrt(cfg.dt) * noise
     below = np.maximum(0.0, -y)
     above = np.maximum(0.0, y - 1.0)
+    # symmetric and in [0, 1] by construction: x, b and noise are symmetric
+    clamped = np.clip(y, 0.0, 1.0)
     return SdeState(
-        StepKernel(np.clip(y, 0.0, 1.0)),
+        clamped if clamped.ndim == 3 else StepKernel._trusted(clamped),
         state.l0 + below,
         state.l1 + above,
         state.t + cfg.dt,
     )
-
-
-def _replica_mean(states: list[SdeState]) -> SdeState:
-    """Entrywise mean of the replica states; one replica is its own mean."""
-    n = len(states)
-    if n == 1:
-        return states[0]
-    return SdeState(StepKernel(sum(s.x.values for s in states) / n),
-                    sum(s.l0 for s in states) / n, sum(s.l1 for s in states) / n, states[0].t)
 
 
 @dataclass(frozen=True)
@@ -209,27 +220,41 @@ def run_sde(
 
     Replicas start from the same init, receive independent noise from streams
     split off cfg.seed, and share the drift evaluated at their entrywise mean
-    state (the finite-sample stand-in for the law-coupled drift).  Recorded
-    kernels are the replica means.
+    state (the finite-sample stand-in for the law-coupled drift).  They move
+    as one (R, r, r) stack, one em_step per time step.  Recorded kernels are
+    the replica means.  A numeric guard tripped inside a step names the step.
     """
     if init.r != cfg.r:
         raise ValueError("init block count differs from config r")
     if replicas < 1:
         raise ValueError(f"replicas must be at least 1, got {replicas}")
     streams = [np.random.default_rng(s) for s in np.random.SeedSequence(cfg.seed).spawn(replicas)]
-    states = [SdeState.initial(init) for _ in range(replicas)]
-    mean, done = _replica_mean(states), 0
+    shape = (replicas, cfg.r, cfg.r)
+    state = SdeState(np.broadcast_to(init.values, shape).copy(), np.zeros(shape), np.zeros(shape))
+    done = 0
+
+    def mean(stack: np.ndarray) -> np.ndarray:
+        return stack.sum(axis=0) / replicas
+
+    x_mean = StepKernel._trusted(mean(state.x))
+
+    def step(j: int) -> None:
+        nonlocal state, x_mean
+        drift = cfg.drift_kernel(x_mean)
+        noise = None
+        if cfg.sigma:
+            noise = _mirror_upper(np.stack([g.standard_normal((cfg.r, cfg.r)) for g in streams]))
+        state = em_step(state, cfg, None, drift, noise)
+        x_mean = StepKernel._trusted(mean(state.x))
 
     def advance(k: int) -> None:
-        nonlocal states, mean, done
-        for _ in range(done, k):
-            drift = cfg.drift_kernel(mean.x)
-            states = [em_step(s, cfg, g, drift) for s, g in zip(states, streams)]
-            mean = _replica_mean(states)
+        nonlocal done
+        run_steps(done + 1, k, step)
         done = k
 
     def record(k: int) -> SdeRecord:
-        return SdeRecord(k, mean.t, mean.x, cfg.h.evaluate(mean.x),
-                         float(np.linalg.norm(mean.l0)), float(np.linalg.norm(mean.l1)))
+        return SdeRecord(k, state.t, x_mean, cfg.h.evaluate(x_mean),
+                         float(np.linalg.norm(mean(state.l0))),
+                         float(np.linalg.norm(mean(state.l1))))
 
     return drive(cfg.steps, advance, record, observers, record_every)

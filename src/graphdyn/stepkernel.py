@@ -89,8 +89,8 @@ class StepKernel:
         object.__setattr__(self, "values", v)
 
     @classmethod
-    def _trusted(cls, values: np.ndarray) -> "StepKernel":
-        """Wrap a float square array the caller guarantees symmetric and in [0, 1].
+    def _trusted(cls, values: np.ndarray, range: tuple[float, float] = UNIT) -> "StepKernel":
+        """Wrap a float square array the caller guarantees symmetric and within range.
 
         No copy and no checks: the array is only set read-only.  For values a
         caller built itself from already validated state, such as chain counts
@@ -99,7 +99,7 @@ class StepKernel:
         values.setflags(write=False)
         kernel = object.__new__(cls)
         object.__setattr__(kernel, "values", values)
-        object.__setattr__(kernel, "range", UNIT)
+        object.__setattr__(kernel, "range", range)
         return kernel
 
     @property
@@ -139,6 +139,13 @@ def kernel_from_values(values: np.ndarray) -> StepKernel:
     return StepKernel(values, _bounds_range(values))
 
 
+def _symmetric_kernel(values: np.ndarray) -> StepKernel:
+    """kernel_from_values for a float array its caller built exactly symmetric,
+    such as a gradient or a drift: no copy and no symmetry check, but the range
+    is inferred and non-finite entries are refused all the same."""
+    return StepKernel._trusted(values, _bounds_range(values))
+
+
 def hom_density(graph: SimpleGraph, w: StepKernel) -> float:
     """Homomorphism density t(F, w), averaging edge products over assignments.
 
@@ -169,14 +176,65 @@ def _hom_density_matrices(graph: SimpleGraph, mats: list[np.ndarray]) -> float:
     return float(np.einsum(subs + "->", *mats, optimize=True) / r**m)
 
 
+def _rows(a: np.ndarray) -> np.ndarray:
+    return np.einsum("ij->i", a)
+
+
+def _cols(a: np.ndarray) -> np.ndarray:
+    return np.einsum("ij->j", a)
+
+
+# Pinned densities of the six named term graphs, times r^(m-2), keyed by
+# (m, edges) with one form per pinned edge.  A form may return a row, a column
+# or a scalar, to be broadcast to r x r.  Each makes the numpy calls that
+# einsum(optimize=True) makes for its contraction (numpy 2.4: the same
+# single-operand sums, and matmuls on the same transposed views; star3's
+# square is einsum's product of the row sums with themselves), so it agrees
+# with the einsum path bit for bit; a plain a.sum(1) or a @ a can move the
+# last bit, and with it every trajectory downstream.
+_PINNED_FORMS = {
+    (2, ((0, 1),)): (  # edge
+        lambda a, r: 1.0,
+    ),
+    (3, ((0, 1), (1, 2))): (  # path2
+        lambda a, r: _rows(a),
+        lambda a, r: _cols(a)[:, None],
+    ),
+    (4, ((0, 1), (1, 2), (2, 3))): (  # path3
+        lambda a, r: _rows(a).reshape(1, r) @ a.T,
+        lambda a, r: _rows(a).reshape(1, r) * _cols(a).reshape(r, 1),
+        lambda a, r: a.T @ _cols(a).reshape(r, 1),
+    ),
+    (3, ((0, 1), (0, 2), (1, 2))): (  # triangle
+        lambda a, r: (a @ a.T).T,
+        lambda a, r: (a.T @ a.T).T,
+        lambda a, r: (a.T @ a).T,
+    ),
+    (4, ((0, 1), (0, 3), (1, 2), (2, 3))): (  # cycle4
+        lambda a, r: (a @ a.T).T @ a.T,
+        lambda a, r: (a.T @ a.T).T @ a,
+        lambda a, r: (a.T @ a).T @ a.T,
+        lambda a, r: ((a.T @ a) @ a).T,
+    ),
+    (4, ((0, 1), (0, 2), (0, 3))): (  # star3
+        lambda a, r: np.square(_rows(a))[:, None],
+    ) * 3,
+}
+
+
 def hom_density_pinned(graph: SimpleGraph, w: StepKernel, pin_edge: int) -> np.ndarray:
     """Density with one edge removed and its endpoints pinned to blocks (i, j).
 
-    Returns the r x r matrix of pinned densities, normalized by r^(m-2).
+    Returns the r x r matrix of pinned densities, normalized by r^(m-2).  The
+    named term graphs take closed forms; any other graph (a relabeled copy
+    included) takes one einsum over its vertex assignments.
     """
     m, edges = graph.m, graph.edges
     a = w.values
     r = w.r
+    forms = _PINNED_FORMS.get((m, edges))
+    if forms is not None:
+        return np.divide(forms[pin_edge](a, r), r ** (m - 2), out=np.empty((r, r)))
     u0, v0 = edges[pin_edge]
     rest = [e for k, e in enumerate(edges) if k != pin_edge]
     letters = "abcdefgh"[:m]

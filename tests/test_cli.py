@@ -194,6 +194,33 @@ def test_overflowing_drifts_exit_with_the_numeric_code(tmp_path, change, message
     assert len(guards) == 1 and message in guards[0]
 
 
+@pytest.mark.parametrize("mode, fields, guard", [
+    ("sde", "r = 4\nbeta = 1e6\nsigma = 0\ndt = 1e-3\nhorizon_t = 0.01\n",
+     "numeric guard: step 1: drift prefactor exp((beta |g|_2 / r)^2) overflows at beta = "
+     "1000000.0, |g|_2 = 0.5, r = 4: math range error"),
+    # before, the frozen corners became inf * 0 = nan and the run exited 1
+    # with "config error: values must be exactly symmetric"
+    ("flow", "r = 2\nbeta = 1e308\ndt = 10\nhorizon = 20\ninit = {init}\n",
+     "numeric guard: step 1: flow step beta * dt = 1e+308 * 10.0 is not finite"),
+])
+def test_numeric_guards_name_the_step_and_the_quantity(tmp_path, mode, fields, guard):
+    init = tmp_path / "init.txt"
+    init.write_text("2 0.0 1.0\n0.0 0.5\n0.5 1.0\n")
+    path = tmp_path / "run.ini"
+    path.write_text(f"[{mode}]\n" + fields.format(init=init)
+                    + "\n[hamiltonian]\nterm.triangle = 1.0\nterm.edge = -0.25\n")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(Path(graphdyn.__file__).parents[1]), os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run(
+        [sys.executable, "-m", "graphdyn", mode, "--config", str(path),
+         "--out", str(tmp_path / "o")],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert [line for line in proc.stderr.splitlines() if line.startswith("numeric guard:")] == [guard]
+
+
 @pytest.mark.parametrize("key, value", [
     ("beta", "inf"), ("beta", "nan"), ("sigma", "inf"), ("gamma_n", "inf"),
 ])
@@ -445,6 +472,13 @@ GOLDEN_RUNS = {
         "[flow]\nr = 3\nbeta = 1.0\ndt = 0.05\nhorizon = 0.3\ninit = a.txt\nrecord_every = 2\n"
         + TERMS + "entropy_gamma = 0.05\n",
     ),
+    # every named term graph, so every closed-form pinned density is pinned
+    "flow-six-terms": (
+        ["flow"],
+        "[flow]\nr = 3\nbeta = 0.5\ndt = 0.02\nhorizon = 0.2\ninit = b.txt\nrecord_every = 2\n"
+        "\n[hamiltonian]\nterm.edge = -0.25\nterm.path2 = 0.3\nterm.path3 = -0.1\n"
+        "term.triangle = 1.0\nterm.cycle4 = 0.2\nterm.star3 = -0.15\nentropy_gamma = 0.5\n",
+    ),
     "metrics-stepkernel": (
         ["metrics"],
         "[metrics]\nkind = stepkernel\na = a.txt\nb = b.txt\nseed = 2\n",
@@ -506,6 +540,19 @@ GOLDEN = {
         "q_6.pgm": "8e7c9e7c33f68030b017dad962816bf2cbbb29b6cdfd194ac46972c3461ab7bc",
         "rate_report.csv": "5a359a9995cd912b6f7732945408148a6b38fbd4732e1ee2e09071770f7abfd6",
         "trajectory.csv": "3d1dc651f79e4524efa8bf42db0ad5e7a8ebabbb44e7533328767919e5582fb7",
+    },
+    # taken before the pinned densities of the named graphs took closed forms
+    "flow-six-terms": {
+        "<stdout>": "b30c672ef81ef687474f6170b9f52b28fdf4ebbb808c711fd596d0f303fcfcb6",
+        "manifest.json": "79f6eb3bba3b6013d09a92430a13531b9526b780661d78a732da19fd40714066",
+        "q_0.pgm": "11656fc6f7819981eb92e59ace4479cc7f90e3ccb6db5575964ad7d3aad8fde3",
+        "q_10.pgm": "68dc3cbe8257ebfc65a4ead9d1e8032ef3304a4949b89b5cc4b775f379b55764",
+        "q_2.pgm": "01a9544fc8b054c563317752d7aacdbabf2d248d7de2c36676bfe8c67acb12ec",
+        "q_4.pgm": "4c6a827151dab4c8b48d2f4af5af9e53333ea3fe6637865a9300ab33894dde20",
+        "q_6.pgm": "59041bf705a0363d24f94f26228bb0912083a1279ce813de84bdfef46c897663",
+        "q_8.pgm": "1830ed592542311abf29081df80b698b0b1b5eb0ffc47a20b7944d5f953df57f",
+        "rate_report.csv": "09cdf52cd22ffafbc05bf61115ef18852aa458890f1b2c4001ba1214194178f7",
+        "trajectory.csv": "ce79c84bbd9b01bbbc95876977a3e626b9d04b94c7e10231bf59f61bbd40d555",
     },
     "metrics-stepkernel": {
         "<stdout>": "d5c54c2ed95e9e4ab58f1b79e5b6963ca337a847ec5bc7c786cb30dbc9f6b2b2",

@@ -99,6 +99,17 @@ def test_run_rejects_degenerate_parameters(beta, dt, horizon, r, record_every, m
                  record_every=record_every)
 
 
+def test_overflowing_step_is_refused_with_its_step_and_quantity():
+    # before, beta * dt = inf turned the frozen corners into inf * 0 = nan
+    # and the step died as an asymmetric kernel (a ValueError)
+    init = StepKernel(np.array([[0.0, 0.5], [0.5, 1.0]]))
+    with pytest.raises(OverflowError, match=r"^step 1: flow step beta \* dt = 1e\+308 \* 10 "
+                                            r"is not finite$"):
+        run_flow(TRIANGLE_EDGE, 1e308, init, 10, 20)
+    with pytest.raises(OverflowError, match="is not finite"):
+        flow_step(FlowState(init), TRIANGLE_EDGE, math.nan, 0.1)
+
+
 def test_step_is_euclidean_gradient_descent_on_the_matrix_energy():
     # as a function of the r x r matrix, the energy's Euclidean gradient is
     # the kernel gradient divided by r^2, so descent with step beta dt r^2

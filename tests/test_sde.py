@@ -1,10 +1,13 @@
 """Reflected Euler-Maruyama integrator, drift formulas, and the Skorokhod map."""
 
+import hashlib
 import math
+import struct
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from graphdyn import (
     Hamiltonian,
@@ -238,6 +241,26 @@ def test_reflection_is_four_lipschitz_in_sup_norm():
         assert np.abs(x1 - x2).max() <= 4.0 * gap + 1e-12
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    lo=st.floats(-5.0, 5.0),
+    width=st.floats(0.01, 5.0),
+    starts=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
+    moves=st.lists(st.tuples(st.floats(-3.0, 3.0), st.floats(-0.5, 0.5)), min_size=1,
+                   max_size=40),
+)
+def test_reflection_is_four_lipschitz_for_any_pair_of_paths(lo, width, starts, moves):
+    # any bounds, any starts inside them, and a second path that departs
+    # from the first by an arbitrary perturbation at every step
+    hi = lo + width
+    p1 = lo + width * np.concatenate([[starts[0]], starts[0] + np.cumsum([m for m, _ in moves])])
+    p2 = np.concatenate([[lo + width * starts[1]], p1[1:] + width * np.array([d for _, d in moves])])
+    p1[0], p2[0] = min(max(p1[0], lo), hi), min(max(p2[0], lo), hi)
+    x1, _, _ = skorokhod_1d(p1, lo, hi)
+    x2, _, _ = skorokhod_1d(p2, lo, hi)
+    assert np.abs(x1 - x2).max() <= 4.0 * np.abs(p1 - p2).max() + 1e-9
+
+
 # ---------------------------------------------------------------- one step
 
 
@@ -352,6 +375,78 @@ def test_run_rejects_empty_replica_sets_and_record_strides():
         run_sde(cfg, init, replicas=0)
     with pytest.raises(ValueError, match="record_every must be at least 1"):
         run_sde(cfg, init, record_every=0)
+
+
+def _per_replica_run(cfg, init, replicas):
+    """The replicas as separate states, each moved by its own em_step call with
+    its own stream, all sharing the drift at their mean: (mean, |L0|, |L1|)
+    at every step."""
+    streams = [np.random.default_rng(s) for s in np.random.SeedSequence(cfg.seed).spawn(replicas)]
+    states = [SdeState.initial(init) for _ in range(replicas)]
+    out = []
+    for k in range(cfg.steps + 1):
+        if k:
+            drift = cfg.drift_kernel(mean)
+            states = [em_step(s, cfg, g, drift) for s, g in zip(states, streams)]
+        mean = StepKernel(sum(s.x.values for s in states) / replicas)
+        out.append((mean, float(np.linalg.norm(sum(s.l0 for s in states) / replicas)),
+                    float(np.linalg.norm(sum(s.l1 for s in states) / replicas))))
+    return out
+
+
+@pytest.mark.filterwarnings("ignore:dt")
+@settings(max_examples=40, deadline=None)
+@given(
+    replicas=st.integers(1, 4),
+    r=st.integers(1, 3),
+    steps=st.integers(1, 4),
+    sigma=st.sampled_from([0.0, 0.5, 3.0]),
+    drift=st.sampled_from(["closed_form", "limit"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_replica_stack_equals_a_per_replica_loop_bit_for_bit(replicas, r, steps, sigma, drift,
+                                                             seed):
+    cfg = SdeConfig(r=r, beta=1.5, sigma=sigma, dt=0.05, h=TRIANGLE_EDGE, seed=seed,
+                    horizon_t=steps * 0.05, drift=drift)
+    assert cfg.steps == steps
+    init = random_kernel(np.random.default_rng(seed), r)
+    records = run_sde(cfg, init, replicas=replicas)
+    reference = _per_replica_run(cfg, init, replicas)
+    assert len(records) == len(reference) == steps + 1
+    for rec, (mean, l0, l1) in zip(records, reference):
+        assert np.array_equal(rec.x.values, mean.values)
+        assert (rec.l0_norm, rec.l1_norm) == (l0, l1)
+        assert rec.energy == TRIANGLE_EDGE.evaluate(mean)
+
+
+def _sde_records_sha256(records):
+    h = hashlib.sha256()
+    for rec in records:
+        h.update(struct.pack("<qd", rec.step, rec.t))
+        h.update(np.ascontiguousarray(rec.x.values).tobytes())
+        h.update(struct.pack("<ddd", rec.energy, rec.l0_norm, rec.l1_norm))
+    return h.hexdigest()
+
+
+# taken before the replicas moved as one stack and the gradient took closed forms
+@pytest.mark.parametrize("drift, digest", [
+    ("limit", "8b67d61602ed37ef9a965abc7e99abb0ca57d1fe04b08e008d60170e359bcbd0"),
+    ("closed_form", "00a68b3d895883e5c3b12fb81ed56ed124436e42a1050313854cd0e3ec48caa7"),
+])
+def test_sixteen_replica_run_reproduces_its_recorded_bits(drift, digest):
+    cfg = SdeConfig(r=4, beta=1.0, sigma=0.5, dt=0.004, h=TRIANGLE_EDGE, seed=3,
+                    horizon_t=0.2, drift=drift)
+    records = run_sde(cfg, StepKernel.constant(4, 0.5), replicas=16)
+    assert len(records) == 51
+    assert _sde_records_sha256(records) == digest
+
+
+def test_overflowing_drift_prefactor_names_its_step_and_quantity():
+    cfg = SdeConfig(r=4, beta=1e6, sigma=0.0, dt=1e-3, h=TRIANGLE_EDGE, horizon_t=0.01)
+    with pytest.raises(OverflowError, match=r"^step 1: drift prefactor exp\(\(beta \|g\|_2 / r\)"
+                                            r"\^2\) overflows at beta = 1000000.0, .*: "
+                                            r"math range error$"):
+        run_sde(cfg, StepKernel.constant(4, 0.5))
 
 
 # ---------------------------------------------------------------- trajectories

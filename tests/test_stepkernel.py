@@ -26,6 +26,8 @@ from graphdyn import (
     triangle_graph,
 )
 
+from graphdyn import stepkernel
+from graphdyn.hamiltonian import named_term_graph
 from graphdyn.stepkernel import _cut_norm_exhaustive
 
 from oracles import cut_norm_brute, cut_norm_fractional, hom_density_brute, min_over_perms_brute
@@ -135,6 +137,48 @@ def test_pinned_density_averages_back_to_density():
         assert pinned.shape == (4, 4)
         recovered = float((pinned * w.values).mean())
         assert recovered == pytest.approx(hom_density(graph, w), abs=1e-12)
+
+
+NAMED_TERM_GRAPHS = ("edge", "path2", "path3", "triangle", "cycle4", "star3")
+
+
+def test_named_graph_pinned_forms_match_the_einsum_path_bit_for_bit(monkeypatch):
+    # the closed forms replay einsum's own calls, so not one bit may move,
+    # whatever the memory order of the kernel
+    rng = np.random.default_rng(29)
+    graphs = [named_term_graph(name) for name in NAMED_TERM_GRAPHS]
+    assert all((g.m, g.edges) in stepkernel._PINNED_FORMS for g in graphs)
+    kernels = []
+    for r in range(1, 41):
+        w = random_kernel(rng, r)
+        kernels += [w, StepKernel(np.asfortranarray(w.values))]
+    assert kernels[-1].values.flags.f_contiguous and not kernels[-1].values.flags.c_contiguous
+    cases = [(g, e, w) for g in graphs for e in range(g.edge_count) for w in kernels]
+    forms = [hom_density_pinned(g, w, e) for g, e, w in cases]
+    monkeypatch.setattr(stepkernel, "_PINNED_FORMS", {})
+    for (g, e, w), form in zip(cases, forms):
+        assert form.shape == (w.r, w.r)
+        assert np.array_equal(form, hom_density_pinned(g, w, e)), (g, e, w.r)
+
+
+def test_relabeled_term_graphs_take_the_einsum_path(monkeypatch):
+    calls = []
+    einsum = np.einsum
+
+    def spy(*args, **kwargs):
+        calls.append(kwargs.get("optimize", False))
+        return einsum(*args, **kwargs)
+
+    monkeypatch.setattr(np, "einsum", spy)
+    w = random_kernel(np.random.default_rng(31), 5)
+    named = hom_density_pinned(path_graph(2), w, 0)
+    assert calls == [False]  # the row sums of the closed form
+    calls.clear()
+    relabeled = SimpleGraph(3, [(0, 2), (2, 1)])  # path2 with the middle vertex last
+    assert (relabeled.m, relabeled.edges) not in stepkernel._PINNED_FORMS
+    pinned = hom_density_pinned(relabeled, w, 0)
+    assert calls == [True]
+    np.testing.assert_allclose(pinned, named, rtol=1e-14)
 
 
 # ---------------------------------------------------------------- cut norm
