@@ -22,13 +22,13 @@ import numpy as np
 from .stepkernel import (
     StepKernel,
     SimpleGraph,
+    _block_count,
     _cut_norm_exhaustive,
     _hom_density_matrices,
     kernel_from_values,
     minimize_over_permutations,
 )
 
-NET_ENUMERATION_CAP = 10**6
 NET_MAX_SEGMENTS = 12
 
 
@@ -44,6 +44,8 @@ class DiscreteMeasure:
         w = np.array(self.weights, dtype=float).ravel()
         if a.shape != w.shape or a.size == 0:
             raise ValueError("atoms and weights must be matching nonempty vectors")
+        if not (np.isfinite(a).all() and np.isfinite(w).all()):
+            raise ValueError("atoms and weights must be finite")
         if a.min() < -1.0 - 1e-12 or a.max() > 1.0 + 1e-12:
             raise ValueError("atoms must lie in [-1, 1]")
         if w.min() < -1e-12:
@@ -159,8 +161,7 @@ class MvgKernel:
 
     def project(self) -> StepKernel:
         """Replace every cell by its mean value."""
-        vals = np.array([[mu.mean() for mu in row] for row in self.cells])
-        return kernel_from_values((vals + vals.T) / 2)
+        return kernel_from_values(_pair(self, lambda a: a)[0])
 
     def max_atoms(self) -> int:
         return max(len(self.cells[i][j].atoms) for i in range(self.r) for j in range(i, self.r))
@@ -172,12 +173,6 @@ class _SignedCell:
 
     atoms: np.ndarray
     weights: np.ndarray
-
-    def integrate(self, f) -> float:
-        return float(f(self.atoms) @ self.weights)
-
-    def mean(self) -> float:
-        return float(self.atoms @ self.weights)
 
 
 @dataclass(frozen=True)
@@ -194,9 +189,8 @@ class MvgDiff:
     def r(self) -> int:
         return len(self.cells)
 
-    def project(self) -> StepKernel:
-        vals = np.array([[cell.mean() for cell in row] for row in self.cells])
-        return kernel_from_values((vals + vals.T) / 2)
+    # the pairing reads only atoms and weights, which signed cells carry too
+    project = MvgKernel.project
 
 
 def mvg_diff(w1: MvgKernel, w2: MvgKernel) -> MvgDiff:
@@ -283,22 +277,15 @@ class TestNet:
         return tuple(PLFunction(breaks, v) for v in vals)
 
 
-def build_net(
-    epsilon: float,
-    segments: int | None = None,
-    offset_step: float | None = None,
-    cap: int = NET_ENUMERATION_CAP,
-) -> TestNet:
+def build_net(epsilon: float, segments: int | None = None) -> TestNet:
     """PL test functions with slopes in {-1, 0, 1} on equal segments.
 
     Every candidate is pinned to the value 0 at the origin, the normalisation
     under which a Dirac mass at 0 pairs to zero; on signed differences the
     pinning is free because constants cancel there, and shifting any
     1-Lipschitz function by its value at 0 keeps it inside the unit sup ball.
-    The segment count is forced even so the origin is a grid node.  The
-    enumeration guard multiplies slope words by the nominal offset grid
-    (steps of `offset_step` across [-1, 1]) and raises when the product
-    exceeds `cap`.
+    The segment count is forced even so the origin is a grid node, and it
+    defaults to 2 * ceil(4 / epsilon); more than NET_MAX_SEGMENTS is refused.
 
     Cover radius is one segment width `w`: tracking a target function
     greedily from the origin keeps every node within w/2, and between nodes
@@ -307,16 +294,12 @@ def build_net(
     if not (math.isfinite(epsilon) and epsilon > 0):
         raise ValueError(f"epsilon must be positive and finite, got {epsilon!r}")
     if segments is None:
-        segments = min(2 * math.ceil(4.0 / epsilon), NET_MAX_SEGMENTS)
+        segments = 2 * math.ceil(4.0 / epsilon)
     if segments < 2 or segments % 2 != 0:
         raise ValueError(f"segments must be even and at least 2 so 0 is a node, got {segments}")
-    if offset_step is None:
-        offset_step = epsilon / 4.0
-    n_offsets = math.floor(2.0 / offset_step) + 1
-    count = 3**segments * n_offsets
-    if count > cap:
+    if segments > NET_MAX_SEGMENTS:
         raise ValueError(
-            f"net enumeration needs {count} candidates (> cap {cap}); "
+            f"net needs {segments} segments (> {NET_MAX_SEGMENTS}); "
             "raise epsilon or lower `segments`"
         )
     cover = 2.0 / segments
@@ -328,16 +311,22 @@ def build_net(
     return TestNet(float(epsilon), float(cover), segments)
 
 
-def gamma_kernel(psi, w: MvgKernel) -> StepKernel:
+def gamma_kernel(psi, w: MvgKernel | MvgDiff) -> StepKernel:
     """Pair a test function with every cell measure: an ordinary step kernel."""
-    vals = np.zeros((w.r, w.r))
-    for i in range(w.r):
-        for j in range(i, w.r):
-            vals[i, j] = vals[j, i] = w.cells[i][j].integrate(psi)
-    return kernel_from_values(vals)
+    return kernel_from_values(_pair(w, psi)[0])
 
 
-def _cell_arrays(w: MvgKernel):
+def _pair(w: MvgKernel | MvgDiff, f) -> np.ndarray:
+    """Integral of each row of f(atoms) against every cell: a (k, r, r) stack,
+    exactly symmetric because mirrored cells are one object."""
+    atoms, weights, idx = _cell_arrays(w)
+    vals = np.asarray(f(atoms), dtype=float).reshape(-1, atoms.size)
+    out = np.zeros((len(vals), w.r, w.r))
+    np.add.at(out.reshape(len(vals), -1).T, idx, (vals * weights).T)
+    return out
+
+
+def _cell_arrays(w: MvgKernel | MvgDiff):
     """Concatenated atoms/weights with a cell index map, for batched pairing."""
     atoms, weights, idx = [], [], []
     for i in range(w.r):
@@ -357,12 +346,9 @@ def _word_stack(net: TestNet, w: MvgKernel) -> np.ndarray:
     C_k = gamma(phi_k, w).  Returns (2^(K-1), r, r).
     """
     k = net.segments
-    atoms, weights, idx = _cell_arrays(w)
     breaks = np.linspace(-1.0, 1.0, k + 1)
     lo, hi = breaks[:-1, None], breaks[1:, None]
-    ramps = np.clip(atoms, lo, hi) - np.clip(0.0, lo, hi)
-    pairings = np.zeros((k, w.r * w.r))
-    np.add.at(pairings.T, idx, (ramps * weights).T)
+    pairings = _pair(w, lambda a: np.clip(a, lo, hi) - np.clip(0.0, lo, hi)).reshape(k, -1)
     bits = (np.arange(1 << (k - 1))[:, None] >> np.arange(k - 1)) & 1
     words = np.concatenate([np.ones((len(bits), 1)), 1.0 - 2.0 * bits], axis=1)
     return (words @ pairings).reshape(-1, w.r, w.r)
@@ -507,11 +493,6 @@ def decorated_density(graph: SimpleGraph, decorations, w: MvgKernel) -> float:
     return _hom_density_matrices(graph, mats)
 
 
-def sample_block_sizes(r: int, n: int) -> np.ndarray:
-    """Community of each of n vertices under the equal r-partition of [0, 1]."""
-    return np.minimum((np.arange(n) * r) // n, r - 1)
-
-
 def _locate_blocks(r: int, n: int, rng: np.random.Generator) -> np.ndarray:
     """Blocks of n independent uniform positions under the equal r-partition."""
     return np.minimum((rng.random(n) * r).astype(int), r - 1)
@@ -531,15 +512,24 @@ def sample_weighted_graph(w: MvgKernel, n: int, rng: np.random.Generator) -> Ste
 
     Vertex positions are independent uniforms; entry (i, j) is a draw from the
     cell at the located block pair, mirrored.  Diagonal entries draw from the
-    diagonal cells.
+    diagonal cells.  Each pair takes one uniform, in row-major upper-triangle
+    order, and inverts its cell's CDF built as `Generator.choice` builds it:
+    the values and the stream of one `rng.choice(len(p), p=p)` per pair.
     """
     block = _locate_blocks(w.r, n, rng)
+    rows, cols = np.triu_indices(n)
+    u = rng.random(rows.size)
+    cell = block[rows] * w.r + block[cols]
+    order = np.argsort(cell, kind="stable")
+    ids, starts = np.unique(cell[order], return_index=True)
+    drawn = np.empty(rows.size)
+    for c, at in zip(ids, np.split(order, starts[1:])):
+        mu = w.cells[c // w.r][c % w.r]
+        cdf = mu.weights.cumsum()
+        cdf /= cdf[-1]
+        drawn[at] = mu.atoms[cdf.searchsorted(u[at], side="right")]
     vals = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i, n):
-            mu = w.cells[block[i]][block[j]]
-            k = rng.choice(len(mu.weights), p=mu.weights)
-            vals[i, j] = vals[j, i] = mu.atoms[k]
+    vals[rows, cols] = vals[cols, rows] = drawn
     return kernel_from_values(vals)
 
 
@@ -561,20 +551,29 @@ def load_mvg_text(path) -> MvgKernel:
         head = fh.readline().split()
         if len(head) != 2:
             raise ValueError(f"{path}: bad header, expected 'r k_max'")
-        r = int(head[0])
+        r = _block_count(path, head[0])
         upper = {}
         for line in fh:
             parts = line.split()
             if not parts:
                 continue
-            i, j = int(parts[0]), int(parts[1])
-            nums = [float(x) for x in parts[2:]]
-            if len(nums) % 2:
-                raise ValueError(f"{path}: cell ({i}, {j}) has unpaired atom data")
-            upper[(i, j)] = DiscreteMeasure(np.array(nums[0::2]), np.array(nums[1::2]))
-    missing = [(i, j) for i in range(r) for j in range(i, r) if (i, j) not in upper]
-    if missing:
-        raise ValueError(f"{path}: missing cells {missing[:4]}")
+            try:
+                i, j = int(parts[0]), int(parts[1])
+                nums = [float(x) for x in parts[2:]]
+            except (IndexError, ValueError):
+                raise ValueError(f"{path}: bad cell line {line.strip()!r}") from None
+            if not 0 <= i <= j < r:
+                raise ValueError(f"{path}: cell ({i}, {j}) is outside 0 <= i <= j < {r}")
+            if (i, j) in upper:
+                raise ValueError(f"{path}: cell ({i}, {j}) appears twice")
+            try:
+                upper[(i, j)] = DiscreteMeasure(np.array(nums[0::2]), np.array(nums[1::2]))
+            except ValueError as exc:
+                raise ValueError(f"{path}: cell ({i}, {j}): {exc}") from None
+    if len(upper) != r * (r + 1) // 2:
+        cells = ((i, j) for i in range(r) for j in range(i, r))
+        missing = list(itertools.islice((c for c in cells if c not in upper), 4))
+        raise ValueError(f"{path}: missing cells {missing}")
     return MvgKernel.from_upper(r, upper)
 
 

@@ -422,18 +422,39 @@ def save_kernel_text(w: StepKernel, path) -> None:
             fh.write(" ".join(repr(float(x)) for x in row) + "\n")
 
 
+def _block_count(path, field: str) -> int:
+    """A file header's block count r: an integer of at least 1."""
+    try:
+        r = int(field)
+    except ValueError:
+        raise ValueError(f"{path}: block count {field.strip()!r} is not an integer") from None
+    if r < 1:
+        raise ValueError(f"{path}: block count must be at least 1, got {r}")
+    return r
+
+
+def _read_kernel(fh, path, head: list, sep: str | None) -> StepKernel:
+    """The kernel after a parsed 'r lo hi' header: at most r more lines are read."""
+    r = _block_count(path, head[0])
+    try:
+        rng = (float(head[1]), float(head[2]))
+        rows = [[float(x) for x in line.split(sep)] for line in itertools.islice(fh, r)]
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    if len(rows) != r or any(len(row) != r for row in rows):
+        raise ValueError(f"{path}: expected {r} rows of {r} entries")
+    try:
+        return StepKernel(np.array(rows), rng)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
 def load_kernel_text(path) -> StepKernel:
     with open(path) as fh:
         head = fh.readline().split()
         if len(head) != 3:
             raise ValueError(f"{path}: bad header, expected 'r lo hi'")
-        r = int(head[0])
-        rng = (float(head[1]), float(head[2]))
-        rows = [[float(x) for x in fh.readline().split()] for _ in range(r)]
-    values = np.array(rows)
-    if values.shape != (r, r):
-        raise ValueError(f"{path}: expected {r} rows of {r} entries")
-    return StepKernel(values, rng)
+        return _read_kernel(fh, path, head, None)
 
 
 def save_kernel_csv(w: StepKernel, path) -> None:
@@ -449,13 +470,9 @@ def load_kernel_csv(path) -> StepKernel:
         if fh.readline().strip() != "r,lo,hi":
             raise ValueError(f"{path}: missing 'r,lo,hi' header")
         meta = fh.readline().split(",")
-        r = int(meta[0])
-        rng = (float(meta[1]), float(meta[2]))
-        rows = [[float(x) for x in fh.readline().split(",")] for _ in range(r)]
-    values = np.array(rows)
-    if values.shape != (r, r):
-        raise ValueError(f"{path}: expected {r} rows of {r} entries")
-    return StepKernel(values, rng)
+        if len(meta) != 3:
+            raise ValueError(f"{path}: bad header, expected an 'r,lo,hi' row")
+        return _read_kernel(fh, path, meta, ",")
 
 
 def save_kernel_pgm(w: StepKernel, path) -> None:

@@ -430,6 +430,36 @@ def test_metrics_mode_rejects_an_infinite_net_resolution(tmp_path, capsys):
     assert "config error: epsilon must be positive and finite" in capsys.readouterr().err
 
 
+MVG_CELL = "0 0 0.5 1.0\n"
+
+
+@pytest.mark.parametrize("kind, text, message", [
+    # the header's block count never drives reads past the end of the file
+    ("stepkernel", "1000000 0.0 1.0\n0.5\n", "expected 1000000 rows of 1000000 entries"),
+    ("stepkernel", "0 0.0 1.0\n", "block count must be at least 1, got 0"),
+    ("stepkernel", "2 0.0 1.0\n0.5 x\n0.5 0.5\n", "could not convert string to float"),
+    ("mvg", "3000 1\n" + MVG_CELL, "missing cells [(0, 1), (0, 2), (0, 3), (0, 4)]"),
+    ("mvg", "0 1\n", "block count must be at least 1, got 0"),
+    ("mvg", "-1 1\n", "block count must be at least 1, got -1"),
+    ("mvg", "1 1\n" + MVG_CELL + "0 3 0.5 1.0\n", "cell (0, 3) is outside 0 <= i <= j < 1"),
+    ("mvg", "2 1\n" + MVG_CELL + "1 0 0.5 1.0\n1 1 0.5 1.0\n",
+     "cell (1, 0) is outside 0 <= i <= j < 2"),
+    ("mvg", "1 1\n" + MVG_CELL + MVG_CELL, "cell (0, 0) appears twice"),
+    ("mvg", "1 1\n0\n", "bad cell line '0'"),
+    ("mvg", "1 1\n0 0 0.5\n", "cell (0, 0): atoms and weights must be matching"),
+    ("mvg", "1 1\n0 0 nan 1.0\n", "cell (0, 0): atoms and weights must be finite"),
+])
+def test_metrics_mode_names_a_malformed_kernel_file(tmp_path, capsys, kind, text, message):
+    bad = tmp_path / "bad.txt"
+    bad.write_text(text)
+    path = tmp_path / "m.ini"
+    path.write_text(f"[metrics]\nkind = {kind}\na = {bad}\nb = {bad}\n")
+    assert main(["metrics", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"config error: {bad}: ")
+    assert message in err[0]
+
+
 def test_sample_mode_writes_the_edge_list_and_realized_density(tmp_path, capsys):
     path = tmp_path / "s.ini"
     path.write_text("[sample]\nwhat = esbm\nn = 4\nr = 2\np = 0.5\nseed = 3\n")

@@ -1,7 +1,10 @@
 """Measure-valued kernels: pairing, nets, cut metrics, transport, sampling."""
 
+import hashlib
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from graphdyn import (
     DiscreteMeasure,
@@ -45,6 +48,26 @@ def random_measure(rng, max_atoms=3):
 def random_mvg(rng, r, max_atoms=3):
     upper = {(i, j): random_measure(rng, max_atoms) for i in range(r) for j in range(i, r)}
     return MvgKernel.from_upper(r, upper)
+
+
+@st.composite
+def measures(draw):
+    pairs = draw(st.lists(st.tuples(st.floats(-1, 1), st.floats(0.01, 1)), min_size=1, max_size=3))
+    weights = np.array([p for _, p in pairs])
+    return DiscreteMeasure(np.array([a for a, _ in pairs]), weights / weights.sum())
+
+
+@st.composite
+def mvg_kernels(draw, r):
+    return MvgKernel.from_upper(r, {(i, j): draw(measures()) for i in range(r) for j in range(i, r)})
+
+
+@st.composite
+def pl_functions(draw):
+    inner = draw(st.lists(st.floats(-0.99, 0.99), max_size=4, unique=True))
+    breaks = np.array([-1.0, *sorted(inner), 1.0])
+    values = draw(st.lists(st.floats(-1, 1), min_size=len(breaks), max_size=len(breaks)))
+    return PLFunction(breaks, np.array(values))
 
 
 def cells_as_arrays(w, k_max):
@@ -235,8 +258,8 @@ def test_gen_cut_norm_is_the_sup_over_every_net_member():
 
 
 def test_gen_cut_norm_grows_under_net_refinement():
-    # halved segment width and offset step embed the coarse family in the
-    # fine one, so the lower bound can only improve
+    # every coarse ramp is the sum of two fine ones, so the coarse family
+    # sits inside the fine one and the lower bound can only improve
     coarse = build_net(2.0, segments=4)
     fine = build_net(1.0, segments=8)
     rng = np.random.default_rng(9)
@@ -269,6 +292,16 @@ def test_pairing_is_linear_in_the_difference():
     lo_pair, _ = gen_cut_norm(w1, w2, NET)
     lo_diff, _ = gen_cut_norm(diff, None, NET)
     assert lo_pair == pytest.approx(lo_diff, abs=1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_pairing_a_difference_is_the_difference_of_pairings(data):
+    r = data.draw(st.integers(1, 4))
+    w1, w2 = data.draw(mvg_kernels(r)), data.draw(mvg_kernels(r))
+    psi = data.draw(pl_functions())
+    direct = gamma_kernel(psi, w1).values - gamma_kernel(psi, w2).values
+    assert np.abs(gamma_kernel(psi, mvg_diff(w1, w2)).values - direct).max() <= 1e-12
 
 
 def test_projection_of_difference_is_difference_of_projections():
@@ -332,6 +365,17 @@ def test_permuted_copy_is_at_zero_alignment_distance():
     shuffled = w.permute(rng.permutation(4))
     assert delta_black(w, shuffled, NET)[0] == pytest.approx(0.0, abs=1e-12)
     assert delta2_mvg_upper(w, shuffled) == pytest.approx(0.0, abs=1e-12)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_relabeled_copies_are_at_exactly_zero_distance(data):
+    r = data.draw(st.integers(1, 5))
+    w = data.draw(mvg_kernels(r))
+    shuffled = w.permute(np.array(data.draw(st.permutations(range(r)))))
+    # r <= 5 searches every relabeling, so the inverse one is always tried
+    assert delta_black(w, shuffled, NET)[0] == 0.0
+    assert delta2_mvg_upper(w, shuffled) == 0.0
 
 
 # ---------------------------------------------------------------- transport
@@ -504,6 +548,54 @@ def test_sampled_edge_density_concentrates_near_the_bernoulli_mean():
     density = hom_density(edge_graph(), sampled)
     # about 20k independent draws: 0.015 is a conservative binomial band
     assert abs(density - p) <= 0.015
+
+
+# sha256 of the sampled values followed by the generator's next three
+# uniforms, taken when the sampler made one rng.choice per pair:
+# (r, n, max_atoms) -> digest
+SAMPLE_DIGESTS = {
+    (1, 0, 3): "b15f4e2ef36a710b11b2ba74a5fe2316fdf8a4b3f0ba011896fd407c66fc0a19",
+    (3, 0, 2): "b15f4e2ef36a710b11b2ba74a5fe2316fdf8a4b3f0ba011896fd407c66fc0a19",
+    (1, 1, 3): "7a0be8d8115c83f6114df5b23f637dd4d9d81616a71ce6acc5469e7501ef29e9",
+    (4, 1, 2): "52400a46ca3f24d8af54614ed40e32a5d3c1cc814378b438d9f29e3629c75153",
+    (2, 2, 1): "cd7b43ce45e8adae8f611e828ca1867a91cff09f67cd90e6bc3c0c164a3dc9cb",
+    (3, 7, 1): "465bce0d4b4c5b2e0bc4e700c671d7d4f83d65d5f638acc388d23e295dd02de3",
+    (2, 40, 3): "21623b14c933c83fe03794a51bde1c9db41b6deb5ea9f13b28802f83224a2854",
+    (5, 23, 4): "f67362107e030b55de93166bf24734e760ae1040019c4dc8871fc615256a32f9",
+    (6, 59, 2): "470b536ab20cf202cdb9ec2289f7ebcb6654a7cacaee4ad0675f65d2ca9375b7",
+    (4, 200, 3): "1712b587c05eb069033b96667df57aa9c7fac4c4cb144387cb60d6690d0d3046",
+}
+
+
+@pytest.mark.parametrize("r, n, max_atoms", list(SAMPLE_DIGESTS))
+def test_sampled_values_and_stream_are_pinned(r, n, max_atoms):
+    w = random_mvg(np.random.default_rng([r, n, max_atoms]), r, max_atoms)
+    rng = np.random.default_rng(n)
+    vals = sample_weighted_graph(w, n, rng).values
+    digest = hashlib.sha256(vals.tobytes() + rng.random(3).tobytes()).hexdigest()
+    assert digest == SAMPLE_DIGESTS[(r, n, max_atoms)]
+
+
+def sample_per_pair(w, n, rng):
+    """Reference sampler: one Generator.choice per vertex pair."""
+    block = np.minimum((rng.random(n) * w.r).astype(int), w.r - 1)
+    vals = np.zeros((n, n))
+    for i in range(n):
+        for j in range(i, n):
+            mu = w.cells[block[i]][block[j]]
+            vals[i, j] = vals[j, i] = mu.atoms[rng.choice(len(mu.weights), p=mu.weights)]
+    return vals
+
+
+def test_sampler_matches_one_choice_per_pair():
+    rng = np.random.default_rng(103)
+    for _ in range(20):
+        r, n, k = int(rng.integers(1, 7)), int(rng.integers(0, 40)), int(rng.integers(1, 5))
+        w = random_mvg(rng, r, k)
+        seed = int(rng.integers(2**32))
+        fast, slow = np.random.default_rng(seed), np.random.default_rng(seed)
+        assert sample_weighted_graph(w, n, fast).values.tobytes() == sample_per_pair(w, n, slow).tobytes()
+        assert fast.bit_generator.state == slow.bit_generator.state
 
 
 def test_sample_mvg_copies_located_cells():

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from graphdyn import (
     SimpleGraph,
@@ -288,6 +289,21 @@ def test_alignment_metrics_vanish_on_permuted_copies():
     assert cut_metric_upper(w, w) == 0.0
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_relabeled_copies_score_exactly_zero(data):
+    r = data.draw(st.integers(1, 5))
+    upper = data.draw(st.lists(st.floats(0, 1), min_size=r * (r + 1) // 2,
+                               max_size=r * (r + 1) // 2))
+    vals = np.zeros((r, r))
+    vals[np.triu_indices(r)] = upper
+    w = StepKernel(vals + np.triu(vals, 1).T)
+    shuffled = w.permute(np.array(data.draw(st.permutations(range(r)))))
+    # r <= 5 searches every relabeling, so the inverse one is always tried
+    assert cut_metric_upper(w, shuffled) == 0.0
+    assert delta2_upper(w, shuffled) == 0.0
+
+
 def test_alignment_metrics_match_permutation_enumeration():
     rng = np.random.default_rng(47)
     for _ in range(3):
@@ -351,6 +367,23 @@ def test_loaders_reject_malformed_headers(tmp_path):
     bad_csv.write_text("nope\n")
     with pytest.raises(ValueError):
         load_kernel_csv(bad_csv)
+
+
+@pytest.mark.parametrize("meta, rows, message", [
+    ("1000000,0,1", "0.5\n", "expected 1000000 rows of 1000000 entries"),
+    ("0,0,1", "", "block count must be at least 1, got 0"),
+    ("2.5,0,1", "", "block count '2.5' is not an integer"),
+    ("2,0", "", "bad header"),
+    ("2,0,1", "0.5,x\n0.5,0.5\n", "could not convert"),
+    ("2,0,1", "0.5,0.4\n0.5,0.5\n", "symmetric"),
+])
+def test_csv_loader_is_bounded_by_the_file_and_names_it(tmp_path, meta, rows, message):
+    # a header's block count never drives reads past the end of the file
+    path = tmp_path / "k.csv"
+    path.write_text(f"r,lo,hi\n{meta}\n{rows}")
+    with pytest.raises(ValueError, match=message) as err:
+        load_kernel_csv(path)
+    assert str(err.value).startswith(f"{path}: ")
 
 
 def test_pgm_export_scales_range_to_gray_levels(tmp_path):
