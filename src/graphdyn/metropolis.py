@@ -9,6 +9,7 @@ difference, then walks l_nr further unconditional relaxation steps.
 """
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass, replace
@@ -21,6 +22,10 @@ from .stepkernel import StepKernel
 
 # a walk segment draws rows x r(r+1)/2 signs in one piece; past this it is refused
 SIGN_DRAW_LIMIT = 1 << 27
+# one block of chain iterations draws about this many raw words at once (1 MiB)
+BLOCK_WORDS = 1 << 17
+# a half-word at or above this draws the sign +1
+_SIGN_BIT = np.uint32(1 << 31)
 # esbm_sample materializes at most this many edges (64 MiB of int64 pairs)
 EDGE_TOTAL_LIMIT = 1 << 22
 # the largest community size whose n^2 pair capacity fits in int64
@@ -199,6 +204,9 @@ class _CountWalk:
         self.cap_matrix = cfg.capacities()
         self.caps = self.cap_matrix[self.iu]
         self.m = len(self.caps)
+        # cell (i, j) of the r x r matrix reads upper-triangle coordinate full[i, j]
+        self.full = np.empty((cfg.r, cfg.r), dtype=np.intp)
+        _write_symmetric(self.full, self.iu, np.arange(self.m))
 
     def steps(self, vec: np.ndarray, signs: np.ndarray) -> None:
         """Walk every coordinate through the sign rows in place, reflecting lazily.
@@ -220,6 +228,25 @@ class _CountWalk:
         """Density kernel of symmetric in-range counts, without re-validation."""
         return StepKernel._trusted(counts / self.cap_matrix)
 
+    def vec_density(self, vec: np.ndarray) -> StepKernel:
+        """density() of the counts whose upper triangle is vec: the same values, bit
+        for bit, without writing the symmetric matrix first."""
+        return StepKernel._trusted((vec / self.caps)[self.full])
+
+    def compose(self, signs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The walk of each of k segments as one clamp: (a, lo, hi), each (k, m).
+
+        signs is (k, rows, m).  Reflected steps compose to
+        x -> min(max(x + a, lo), hi) on [0, capacity], with a the sum of the
+        signs and lo, hi the walk started from 0 and from capacity, so one
+        (2, k, m) walk gives every segment's map at once.
+        """
+        ends = np.empty((2,) + signs[:, 0].shape, dtype=np.int64)
+        ends[0] = 0
+        ends[1] = self.caps
+        self.steps(ends, signs.transpose(1, 0, 2))
+        return signs.sum(axis=1, dtype=np.int64), ends[0], ends[1]
+
 
 def _check_draws(rows: int, m: int) -> None:
     if rows * m > SIGN_DRAW_LIMIT:
@@ -238,6 +265,88 @@ def _draw_signs(rng: np.random.Generator, k: int, m: int) -> np.ndarray:
     """
     _check_draws(k, m)
     return rng.integers(0, 2, size=(k, m), dtype=np.int64) * 2 - 1
+
+
+class _DrawPlan:
+    """Where the draws of `iters` chain iterations sit in the raw words of a PCG64.
+
+    An iteration draws s signs, one uniform, then rl signs (none when rl is 0).
+    Generator.integers(0, 2, dtype=int64) takes each sign as bit 31 of a 32-bit
+    half-word, low half first (Lemire's bounded method never rejects on range
+    2), and keeps the unused high half of an odd-length draw as a carry that the
+    next sign draw reads first, even across a uniform; Generator.random takes a
+    whole word w as (w >> 11) * 2^-53.  So the words a run of iterations draws
+    one call at a time are random_raw(words) taken at once, and this plan knows
+    which half of which word each draw reads, given whether a carry is waiting.
+    """
+
+    def __init__(self, iters: int, s: int, rl: int, carry: int) -> None:
+        self.s, self.rl, self.shape, self.carry = s, rl, (iters, s + rl), carry
+        i = np.arange(iters)
+        # iteration i's uniform follows ceil((signs so far - carry) / 2) sign words
+        self.unif = (i * (s + rl) + s - carry + 1) // 2 + i
+        self.words = (iters * (s + rl) - carry + 1) // 2 + iters
+        # a sign half left unread is the carry at the end; the generator also keeps
+        # the high half of the last sign word it drew, read or not
+        self.end_carry = carry + 2 * (self.words - iters) - iters * (s + rl)
+        sign_words = np.ones(self.words, dtype=bool)
+        sign_words[self.unif] = False
+        last = np.flatnonzero(sign_words)[-1:]
+        self.last_high = 2 * int(last[0]) + 1 if len(last) else None
+
+    def decode(self, raw: np.ndarray, carry: int = 0) -> tuple[np.ndarray, np.ndarray]:
+        """int8 +-1 signs (..., iters, s + rl) and uniforms (..., iters) from raw
+        words (..., words); carry is the waiting half-word, if any."""
+        # one flag per half-word, after a spare slot and the waiting carry, so that
+        # the two halves of a word are one uint16 and a uniform's word drops out whole
+        bits = np.empty(raw.shape[:-1] + (2 * self.words + 2,), dtype=bool)
+        bits[..., 1] = carry >= _SIGN_BIT
+        np.greater_equal(raw.view(np.uint32), _SIGN_BIT, out=bits[..., 2:])
+        stream = np.delete(bits.view(np.uint16), self.unif + 1, axis=-1).view(bool)
+        first = 2 - self.carry
+        signs = stream[..., first : first + self.shape[0] * self.shape[1]]
+        signs = signs.reshape(raw.shape[:-1] + self.shape).view(np.int8) * 2 - 1
+        return signs, (raw[..., self.unif] >> np.uint64(11)) * 2.0**-53
+
+
+# a run of equal blocks needs two plans, one for each carry
+_draw_plan = functools.lru_cache(maxsize=4)(_DrawPlan)
+
+
+def _block_draws(bitgen, plan: _DrawPlan, state: dict) -> tuple[np.ndarray, np.ndarray]:
+    """Decode plan's draws from bitgen, whose state before the draw was `state`,
+    and leave its carry where drawing them one call at a time leaves it."""
+    start = state["uinteger"] if state["has_uint32"] else 0
+    raw = bitgen.random_raw(plan.words)
+    after = bitgen.state
+    after["has_uint32"] = plan.end_carry
+    if plan.last_high is not None:
+        after["uinteger"] = int(raw.view(np.uint32)[plan.last_high])
+    bitgen.state = after
+    return plan.decode(raw, start)
+
+
+@functools.cache
+def _decoder_agrees() -> bool:
+    """Whether _DrawPlan reads raw words the way this numpy's Generator draws.
+
+    Checked once per process, on an odd-length sign draw, then a uniform, then
+    a sign draw that starts on the carry, from a start that has a carry waiting.
+    """
+    seq, blk = np.random.default_rng(0), np.random.default_rng(0)
+    for g in (seq, blk):
+        g.integers(0, 2, size=3, dtype=np.int64)
+    state = blk.bit_generator.state
+    try:
+        plan = _DrawPlan(2, 5, 6, state["has_uint32"])
+        signs, unif = _block_draws(blk.bit_generator, plan, state)
+    except KeyError:  # a state without the waiting half-word
+        return False
+    for row, u in zip(signs, unif.tolist()):
+        if not (np.array_equal(row[:5], _draw_signs(seq, 1, 5)[0]) and u == seq.random()
+                and np.array_equal(row[5:], _draw_signs(seq, 1, 6)[0])):
+            return False
+    return blk.bit_generator.state == seq.bit_generator.state
 
 
 @dataclass(frozen=True)
@@ -283,6 +392,37 @@ def metropolis_step(state: ChainState, cfg: ChainConfig, walk: _CountWalk | None
     return state, accepted, StepDiagnostics(delta, acc_prob, accepted, energy)
 
 
+def _step_block(state: ChainState, cfg: ChainConfig, walk: _CountWalk, signs: np.ndarray,
+                unif: np.ndarray, energy: float) -> tuple[float, float, bool]:
+    """len(unif) iterations of metropolis_step, in place, from their decoded draws.
+
+    The same states, energies and acceptances, bit for bit: each walk segment
+    is applied as its composed clamp, and each density is built from the
+    upper-triangle vector, which gives the values of counts / capacities.
+    The counts are written back once, at the end.  Returns the energy,
+    acceptance probability and flag of the last iteration.
+    """
+    iters, s = len(unif), cfg.s_n * walk.m
+    a, lo, hi = walk.compose(signs[:, :s].reshape(iters, cfg.s_n, walk.m))
+    if cfg.l_nr:
+        ra, rlo, rhi = walk.compose(signs[:, s:].reshape(iters, cfg.l_nr, walk.m))
+    vec = state.counts[walk.iu]
+    for j, u in enumerate(unif.tolist()):
+        prop = np.minimum(np.maximum(vec + a[j], lo[j]), hi[j])
+        prop_energy = cfg.h.evaluate(walk.vec_density(prop))
+        delta = prop_energy - energy
+        acc_prob = math.exp(-cfg.beta_nr * max(0.0, delta))
+        accepted = u < acc_prob
+        if accepted:
+            vec, energy = prop, prop_energy
+        if cfg.l_nr:
+            vec = np.minimum(np.maximum(vec + ra[j], rlo[j]), rhi[j])
+            energy = cfg.h.evaluate(walk.vec_density(vec))
+    _write_symmetric(state.counts, walk.iu, vec)
+    state.step_index += iters
+    return energy, acc_prob, accepted
+
+
 def _write_symmetric(counts: np.ndarray, iu, vec: np.ndarray) -> None:
     counts[iu] = vec
     counts.T[iu] = vec
@@ -325,18 +465,49 @@ def run_chain(
     walk = _CountWalk(cfg)
     energy = cfg.h.evaluate(walk.density(state.counts))
     acc_prob, accepted = 1.0, True
+    s, rl = cfg.s_n * walk.m, cfg.l_nr * walk.m
+    block = max(1, BLOCK_WORDS // ((s + rl + 1) // 2 + 1))
 
     def advance(k: int) -> None:
         nonlocal energy, acc_prob, accepted
         while state.step_index < k:
-            _, accepted, diag = metropolis_step(state, cfg, walk, energy)
-            energy, acc_prob = diag.energy, diag.acc_prob
+            iters = min(block, k - state.step_index)
+            # a lone iteration gains nothing from a composed walk, which walks two starts
+            if iters == 1 or not _decoder_agrees():
+                _, accepted, diag = metropolis_step(state, cfg, walk, energy)
+                energy, acc_prob = diag.energy, diag.acc_prob
+                continue
+            _check_draws(max(cfg.s_n, cfg.l_nr), walk.m)
+            bitgen = state.rng.bit_generator
+            start = bitgen.state
+            plan = _draw_plan(iters, s, rl, start["has_uint32"])
+            signs, unif = _block_draws(bitgen, plan, start)
+            energy, acc_prob, accepted = _step_block(state, cfg, walk, signs, unif, energy)
 
     def record(k: int) -> ChainRecord:
         return ChainRecord(k, cfg.diffusion_time(k), walk.density(state.counts), energy,
                            acc_prob, accepted)
 
     return drive(cfg.iterations, advance, record, observers, record_every, milestones)
+
+
+def _trial_draws(seeds, plan: _DrawPlan, signs: np.ndarray, unif: np.ndarray) -> None:
+    """Fill signs (k, s + rl) and unif (k,) with one iteration's draws for each of
+    k trials, each drawn from a fresh PCG64 on its own seed sequence."""
+    if not _decoder_agrees():
+        for i, seed in enumerate(seeds):
+            g = np.random.default_rng(seed)
+            signs[i, : plan.s] = _draw_signs(g, 1, plan.s)[0]
+            unif[i] = g.random()
+            signs[i, plan.s :] = _draw_signs(g, 1, plan.rl)[0]
+        return
+    chunk = max(1, BLOCK_WORDS // plan.words)
+    for c in range(0, len(seeds), chunk):
+        raw = np.stack([np.random.PCG64(seed).random_raw(plan.words)
+                        for seed in seeds[c : c + chunk]])
+        got, got_unif = plan.decode(raw)
+        signs[c : c + chunk] = got[:, 0]
+        unif[c : c + chunk] = got_unif[:, 0]
 
 
 def empirical_drift(
@@ -354,9 +525,10 @@ def empirical_drift(
     errors.  The start must be interior: every density in
     [interior_eps, 1 - interior_eps].
 
-    Trials run in blocks on the chain's own walk: each trial draws its signs
-    exactly as metropolis_step would, into one int8 (rows, block, m) buffer
-    per segment, and _CountWalk.steps moves the whole block at once.
+    Trials run in blocks on the chain's own walk: each trial's draws are
+    decoded from its raw words as metropolis_step would draw them, into one
+    int8 (block, signs per iteration) buffer, and _CountWalk.steps moves the
+    whole block at once.
     """
     q0_vals = q0.values if isinstance(q0, StepKernel) else np.asarray(q0, dtype=float)
     if q0_vals.min() < interior_eps or q0_vals.max() > 1.0 - interior_eps:
@@ -371,30 +543,24 @@ def empirical_drift(
     sum_x = np.zeros(walk.m)
     sum_x2 = np.zeros(walk.m)
     done = 0
-    full = np.zeros((cfg.r, cfg.r), dtype=np.int64)
-    # the sign buffers hold at most SIGN_DRAW_LIMIT entries each
+    s, rl = cfg.s_n * walk.m, cfg.l_nr * walk.m
+    # each walk segment's part of the sign buffer holds at most SIGN_DRAW_LIMIT entries
     block = max(1, min(block, SIGN_DRAW_LIMIT // (max(cfg.s_n, cfg.l_nr, 1) * walk.m)))
-    signs = np.empty((cfg.s_n, block, walk.m), dtype=np.int8)
-    relax = np.empty((cfg.l_nr, block, walk.m), dtype=np.int8)
+    signs = np.empty((block, s + rl), dtype=np.int8)
+    unif = np.empty(block)
+    plan = _draw_plan(1, s, rl, 0)
     while done < trials:
         k = min(block, trials - done)
-        rngs = [np.random.default_rng(s) for s in streams[done : done + k]]
-        # per-trial draws follow the single-step order: signs, uniform, relax
-        for i, g in enumerate(rngs):
-            signs[:, i] = _draw_signs(g, cfg.s_n, walk.m)
-        unif = np.array([g.random() for g in rngs])
+        _trial_draws(streams[done : done + k], plan, signs[:k], unif[:k])
         vecs = np.broadcast_to(vec0, (k, walk.m)).copy()
-        walk.steps(vecs, signs[:, :k])
+        walk.steps(vecs, signs[:k, :s].reshape(k, cfg.s_n, walk.m).transpose(1, 0, 2))
         acc = np.empty(k, dtype=bool)
         for i in range(k):
-            _write_symmetric(full, walk.iu, vecs[i])
-            delta = cfg.h.evaluate(walk.density(full)) - energy0
+            delta = cfg.h.evaluate(walk.vec_density(vecs[i])) - energy0
             acc[i] = unif[i] < math.exp(-cfg.beta_nr * max(0.0, delta))
         vecs[~acc] = vec0
         if cfg.l_nr:
-            for i, g in enumerate(rngs):
-                relax[:, i] = _draw_signs(g, cfg.l_nr, walk.m)
-            walk.steps(vecs, relax[:, :k])
+            walk.steps(vecs, signs[:k, s:].reshape(k, cfg.l_nr, walk.m).transpose(1, 0, 2))
         x = (vecs - vec0) / caps * scale
         sum_x += x.sum(axis=0)
         sum_x2 += (x * x).sum(axis=0)

@@ -263,17 +263,25 @@ class TestNet:
     def __len__(self) -> int:
         return 3**self.segments
 
-    @functools.cached_property
-    def functions(self) -> tuple:
+    def node_values(self) -> tuple[np.ndarray, np.ndarray]:
+        """The shared breakpoints (segments + 1,) and every member's values at
+        them, one row per member (3^segments, segments + 1), in the order of
+        itertools.product over the slopes (-1, 0, 1)."""
         k = self.segments
-        slopes = np.array(list(itertools.product((-1.0, 0.0, 1.0), repeat=k)))
-        paths = np.concatenate(
-            [np.zeros((len(slopes), 1)), np.cumsum(slopes * (2.0 / k), axis=1)], axis=1
-        )
+        # base-3 digits of the row index, last digit fastest, are the slopes + 1
+        steps = np.indices((3,) * k, dtype=np.int8).reshape(k, -1).T - 1.0
+        steps *= 2.0 / k
+        vals = np.zeros((len(steps), k + 1))
+        np.cumsum(steps, axis=1, out=vals[:, 1:])
         # pin the node at the origin to 0; |values| <= |zeta| <= 1 follows
-        vals = paths - paths[:, k // 2 : k // 2 + 1]
+        vals -= vals[:, k // 2 : k // 2 + 1].copy()
         breaks = np.linspace(-1.0, 1.0, k + 1)
         breaks[0], breaks[-1] = -1.0, 1.0
+        return breaks, vals
+
+    @functools.cached_property
+    def functions(self) -> tuple:
+        breaks, vals = self.node_values()
         return tuple(PLFunction(breaks, v) for v in vals)
 
 
@@ -552,6 +560,10 @@ def load_mvg_text(path) -> MvgKernel:
         if len(head) != 2:
             raise ValueError(f"{path}: bad header, expected 'r k_max'")
         r = _block_count(path, head[0])
+        try:
+            k_max = int(head[1])
+        except ValueError:
+            raise ValueError(f"{path}: atom bound {head[1]!r} is not an integer") from None
         upper = {}
         for line in fh:
             parts = line.split()
@@ -566,6 +578,9 @@ def load_mvg_text(path) -> MvgKernel:
                 raise ValueError(f"{path}: cell ({i}, {j}) is outside 0 <= i <= j < {r}")
             if (i, j) in upper:
                 raise ValueError(f"{path}: cell ({i}, {j}) appears twice")
+            if len(nums[0::2]) > k_max:
+                raise ValueError(f"{path}: cell ({i}, {j}) has {len(nums[0::2])} atoms, "
+                                 f"past the header's k_max of {k_max}")
             try:
                 upper[(i, j)] = DiscreteMeasure(np.array(nums[0::2]), np.array(nums[1::2]))
             except ValueError as exc:
@@ -579,13 +594,11 @@ def load_mvg_text(path) -> MvgKernel:
 
 def save_net_text(net: TestNet, path) -> None:
     """One function per line as 'breakpoint:value' pairs."""
+    breaks, vals = net.node_values()
+    heads = [f"{b!r}:" for b in breaks.tolist()]
     with open(path, "w") as fh:
         fh.write(f"# cover_radius {net.cover_radius!r} segments {net.segments}\n")
-        for f in net.functions:
-            fh.write(
-                " ".join(
-                    f"{float(b)!r}:{float(v)!r}"
-                    for b, v in zip(f.breakpoints, f.values)
-                )
-                + "\n"
-            )
+        # a few thousand rows of Python floats at a time, not all 3^segments
+        for start in range(0, len(vals), 4096):
+            for row in vals[start : start + 4096].tolist():
+                fh.write(" ".join(h + repr(v) for h, v in zip(heads, row)) + "\n")

@@ -6,6 +6,7 @@ and permutation-minimized distances between kernels all live here.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -80,6 +81,8 @@ class StepKernel:
         v = np.array(self.values, dtype=float)
         if v.ndim != 2 or v.shape[0] != v.shape[1]:
             raise ValueError("values must be a square matrix")
+        if not np.isfinite(v).all():
+            raise ValueError("values must be finite")
         if not np.array_equal(v, v.T):
             raise ValueError("values must be exactly symmetric")
         lo, hi = self.range
@@ -172,8 +175,16 @@ def _hom_density_matrices(graph: SimpleGraph, mats: list[np.ndarray]) -> float:
         a2 = a @ a
         return float(np.trace(a2 @ a2) / r**4)
     letters = "abcdefgh"[:m]
-    subs = ",".join(letters[u] + letters[v] for u, v in edges)
-    return float(np.einsum(subs + "->", *mats, optimize=True) / r**m)
+    subs = ",".join(letters[u] + letters[v] for u, v in edges) + "->"
+    return float(np.einsum(subs, *mats, optimize=_contraction_path(subs, r)) / r**m)
+
+
+@functools.lru_cache(maxsize=64)
+def _contraction_path(subs: str, r: int) -> tuple:
+    """The contraction einsum(optimize=True) plans for r x r operands.  The plan
+    depends only on the subscripts and the shapes, so it is made once per pair."""
+    ops = [np.empty((r, r))] * (subs.count(",") + 1)
+    return tuple(np.einsum_path(subs, *ops, optimize=True)[0])
 
 
 def _rows(a: np.ndarray) -> np.ndarray:

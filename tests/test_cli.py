@@ -448,6 +448,10 @@ MVG_CELL = "0 0 0.5 1.0\n"
     ("mvg", "1 1\n0\n", "bad cell line '0'"),
     ("mvg", "1 1\n0 0 0.5\n", "cell (0, 0): atoms and weights must be matching"),
     ("mvg", "1 1\n0 0 nan 1.0\n", "cell (0, 0): atoms and weights must be finite"),
+    ("mvg", "2 1\n" + MVG_CELL + "0 1 -0.5 0.5 0.5 0.5\n1 1 0.5 1.0\n",
+     "cell (0, 1) has 2 atoms, past the header's k_max of 1"),
+    ("mvg", "1 x\n" + MVG_CELL, "atom bound 'x' is not an integer"),
+    ("stepkernel", "1 0.0 1.0\nnan\n", "values must be finite"),
 ])
 def test_metrics_mode_names_a_malformed_kernel_file(tmp_path, capsys, kind, text, message):
     bad = tmp_path / "bad.txt"

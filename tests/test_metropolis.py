@@ -20,6 +20,8 @@ from graphdyn.metropolis import (
     ChainConfig,
     ChainState,
     _CountWalk,
+    _DrawPlan,
+    _block_draws,
     _draw_signs,
     empirical_drift,
     empirical_qv,
@@ -274,6 +276,10 @@ def test_walk_stays_in_range_and_matches_the_clip_loop(data):
     _clip_walk(ref, signs, walk.caps)
     assert np.all(vec >= 0) and np.all(vec <= walk.caps)
     assert np.array_equal(vec, ref)
+    if rows:
+        # the rows composed into one clamp move every start the same way
+        a, lo, hi = walk.compose(signs[None])
+        assert np.array_equal(np.minimum(np.maximum(start + a[0], lo[0]), hi[0]), ref)
 
 
 def test_single_coordinate_transition_function_is_symmetric():
@@ -465,6 +471,9 @@ def _records_sha256(records, caps):
     return h.hexdigest()
 
 
+MANTEL_300_SHA256 = "5f027638472c00299d4b882c8e7c5a8dc1a3f59045a3e832e7ae82effe3c019f"
+
+
 @pytest.mark.filterwarnings("ignore:gamma_n")
 def test_mantel_shaped_chain_reproduces_its_recorded_bits():
     # pins counts, energies, acceptance probabilities and flags of every
@@ -475,9 +484,161 @@ def test_mantel_shaped_chain_reproduces_its_recorded_bits():
     records = run_chain(cfg)
     assert len(records) == 301
     assert not records[-1].density.values.flags.writeable
-    assert _records_sha256(records, cfg.capacities()) == (
-        "5f027638472c00299d4b882c8e7c5a8dc1a3f59045a3e832e7ae82effe3c019f"
-    )
+    assert _records_sha256(records, cfg.capacities()) == MANTEL_300_SHA256
+
+
+def test_the_draw_decoder_agrees_with_this_numpy():
+    # otherwise every chain test below runs the metropolis_step fallback only
+    assert metropolis._decoder_agrees()
+
+
+@pytest.mark.parametrize("pre", [0, 3], ids=["no-carry", "carry"])
+@pytest.mark.parametrize("s, rl", [(5, 6), (4, 0), (3, 0), (7, 3), (6, 2), (1, 1), (2, 5)])
+@pytest.mark.parametrize("iters", [1, 2, 5])
+def test_decoded_draws_match_the_generator_calls(pre, s, rl, iters):
+    # pre = 3 leaves a carry waiting, as a ChainState.uniform start can
+    seq, blk = np.random.default_rng(7), np.random.default_rng(7)
+    for g in (seq, blk):
+        g.integers(0, 2, size=pre, dtype=np.int64)
+    state = blk.bit_generator.state
+    assert state["has_uint32"] == pre % 2
+    signs, unif = _block_draws(blk.bit_generator, _DrawPlan(iters, s, rl, pre % 2), state)
+    assert signs.dtype == np.int8 and signs.shape == (iters, s + rl)
+    for j in range(iters):
+        assert np.array_equal(signs[j, :s], seq.integers(0, 2, size=s, dtype=np.int64) * 2 - 1)
+        assert unif[j] == seq.random()
+        if rl:
+            assert np.array_equal(signs[j, s:], seq.integers(0, 2, size=rl, dtype=np.int64) * 2 - 1)
+    assert blk.bit_generator.state == seq.bit_generator.state
+
+
+def _stepped_chain(cfg, init, record_every, milestones):
+    """Reference: run_chain's records as one metropolis_step per iteration, and
+    the generator's state at the end."""
+    rng = np.random.default_rng(cfg.seed)
+    if init == "uniform":
+        state = ChainState.uniform(cfg, rng)
+    else:
+        state = ChainState.from_density(cfg, np.full((cfg.r, cfg.r), 0.5), rng)
+    walk = _CountWalk(cfg)
+    energy, acc_prob, accepted = cfg.h.evaluate(walk.density(state.counts)), 1.0, True
+    marks = {0, cfg.iterations, *range(0, cfg.iterations + 1, record_every)}
+    records = []
+    for k in sorted(marks | {m for m in milestones if m <= cfg.iterations}):
+        while state.step_index < k:
+            _, accepted, diag = metropolis_step(state, cfg, walk, energy)
+            energy, acc_prob = diag.energy, diag.acc_prob
+        records.append((k, state.counts.copy(), energy, acc_prob, accepted))
+    return records, state.rng.bit_generator.state
+
+
+def _blocked_chain(cfg, init, record_every, milestones):
+    """run_chain's records in the reference's form, and its generator's end state."""
+    made = []
+    with pytest.MonkeyPatch.context() as mp:
+        for name in ("from_density", "uniform"):
+            make = getattr(ChainState, name).__func__
+
+            def spy(cls, *args, _make=make, **kwargs):
+                made.append(_make(cls, *args, **kwargs))
+                return made[-1]
+
+            mp.setattr(ChainState, name, classmethod(spy))
+        recs = run_chain(cfg, init, record_every=record_every, milestones=milestones)
+    caps = cfg.capacities()
+    records = [(rec.step, np.rint(rec.density.values * caps).astype(np.int64), rec.energy,
+                rec.acc_prob, rec.accepted) for rec in recs]
+    return records, made[0].rng.bit_generator.state
+
+
+def _assert_same_records(got, want):
+    # (step, counts, energy, acc_prob, accepted): energies and probabilities bit for bit
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert a[0] == b[0] and np.array_equal(a[1], b[1])
+        assert struct.pack("<dd", *a[2:4]) == struct.pack("<dd", *b[2:4])
+        assert type(a[4]) is bool and a[4] == b[4]
+
+
+@pytest.mark.filterwarnings("ignore")
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_block_stepped_chain_equals_the_single_step_loop(data):
+    # odd s_n m and l_nr m (r = 1 or 2), l_nr = 0, uniform starts that leave a
+    # carry, and block budgets from one iteration up
+    n = data.draw(st.integers(2, 6), label="n")
+    r = data.draw(st.integers(1, 3), label="r")
+    gamma_n = data.draw(st.sampled_from([0.05, 0.1, 0.13, 0.2, 0.3]), label="gamma_n")
+    sigma = data.draw(st.sampled_from([0.0, 0.5, 1.0, 2.5]), label="sigma")
+    beta = data.draw(st.sampled_from([0.0, 0.3, 4.0, 60.0]), label="beta")
+    cfg = ChainConfig(n=n, r=r, beta=beta, sigma=sigma, gamma_n=gamma_n, h=TRIANGLE_EDGE,
+                      seed=data.draw(st.integers(0, 2**32 - 1), label="seed"),
+                      iterations=data.draw(st.integers(0, 40), label="iterations"))
+    init = data.draw(st.sampled_from([None, "uniform"]), label="init")
+    record_every = data.draw(st.integers(1, 45), label="record_every")
+    milestones = data.draw(st.lists(st.integers(0, 45), max_size=3), label="milestones")
+    # raw words per iteration, as run_chain sizes its blocks
+    words = ((cfg.s_n + cfg.l_nr) * r * (r + 1) // 2 + 1) // 2 + 1
+    budget = data.draw(st.sampled_from([1, 2, 3, 5]), label="block") * words
+    budget = data.draw(st.sampled_from([budget, metropolis.BLOCK_WORDS]), label="budget")
+    want = _stepped_chain(cfg, init, record_every, milestones)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(metropolis, "BLOCK_WORDS", budget)
+        got = _blocked_chain(cfg, init, record_every, milestones)
+    _assert_same_records(got[0], want[0])
+    assert got[1] == want[1]
+
+
+@pytest.mark.filterwarnings("ignore:gamma_n")
+def test_a_failed_decoder_check_falls_back_to_single_steps(monkeypatch):
+    cfg = ChainConfig(n=16, r=16, beta=0.25, sigma=1.0, gamma_n=1 / 64, h=TRIANGLE_EDGE,
+                      seed=0, iterations=300)
+    odd = ChainConfig(n=5, r=2, beta=3.0, sigma=0.5, gamma_n=0.13, h=TRIANGLE_EDGE, seed=9,
+                      iterations=120)
+    assert odd.s_n * 3 % 2 == 1
+    blocked = _blocked_chain(odd, "uniform", 50, (7,))
+    relaxed = ChainConfig(n=16, r=3, beta=2.0, sigma=1.0, gamma_n=1 / 32, h=TRIANGLE_EDGE, seed=5)
+    drift = empirical_drift(relaxed, np.full((3, 3), 0.3), 300, block=128)
+    monkeypatch.setattr(metropolis, "_decoder_agrees", lambda: False)
+    steps = []
+    monkeypatch.setattr(metropolis, "_step_block", lambda *args: steps.append(args))
+    assert _records_sha256(run_chain(cfg), cfg.capacities()) == MANTEL_300_SHA256
+    single = _blocked_chain(odd, "uniform", 50, (7,))
+    _assert_same_records(single[0], blocked[0])
+    assert single[1] == blocked[1]
+    fallback = empirical_drift(relaxed, np.full((3, 3), 0.3), 300, block=128)
+    assert all(np.array_equal(a, b) for a, b in zip(fallback, drift))
+    assert steps == []
+
+
+@pytest.mark.filterwarnings("ignore:gamma_n")
+def test_blocks_never_cross_a_record_or_a_milestone(monkeypatch):
+    cfg = ChainConfig(n=8, r=2, beta=0.5, sigma=1.0, gamma_n=1 / 32, h=TRIANGLE_EDGE, seed=3,
+                      iterations=90)
+    # blocks of at most 6 iterations, so gaps of 20 split into several
+    monkeypatch.setattr(metropolis, "BLOCK_WORDS", 6 * ((cfg.s_n + cfg.l_nr) * 3 // 2 + 1))
+    spans = []
+    step_block = metropolis._step_block
+    single = metropolis.metropolis_step
+
+    def spy_block(state, cfg, walk, signs, unif, energy):
+        spans.append((state.step_index, state.step_index + len(unif)))
+        return step_block(state, cfg, walk, signs, unif, energy)
+
+    def spy_single(state, *args):
+        spans.append((state.step_index, state.step_index + 1))
+        return single(state, *args)
+
+    monkeypatch.setattr(metropolis, "_step_block", spy_block)
+    monkeypatch.setattr(metropolis, "metropolis_step", spy_single)
+    recs = run_chain(cfg, record_every=20, milestones=(7, 33, 34))
+    marks = [rec.step for rec in recs]
+    assert marks == [0, 7, 20, 33, 34, 40, 60, 80, 90]
+    # the spans tile 0..90 in order and each ends at or before the next mark
+    assert [a for a, _ in spans] == [0] + [b for _, b in spans[:-1]] and spans[-1][1] == 90
+    assert all(not any(a < m < b for m in marks) for a, b in spans)
+    assert max(b - a for a, b in spans) == 6
+    assert (33, 34) in spans  # a lone iteration takes metropolis_step
 
 
 # ---------------------------------------------------------------- drift and QV

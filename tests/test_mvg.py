@@ -643,3 +643,21 @@ def test_net_export_writes_one_function_per_line(tmp_path):
     lines = path.read_text().splitlines()
     assert lines[0].startswith("# cover_radius")
     assert len(lines) == len(net) + 1
+
+
+@pytest.mark.parametrize("segments, digest", [
+    (4, "64b45911067ae5a92fa39af31f8e91ddc83721270a8174005479e2c2022fa874"),
+    (8, "a47cd9e6ad0d28f23a8553243bfb72069d003b974ed84767f7931d56524d7b11"),
+])
+def test_net_export_bytes_are_pinned(tmp_path, segments, digest):
+    # written from the node values, without one PLFunction per member
+    net = build_net(2.0 / segments, segments)
+    path = tmp_path / "net.txt"
+    save_net_text(net, path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+    assert "functions" not in vars(net)
+    breaks, vals = net.node_values()
+    members = net.functions
+    assert len(members) == len(vals) == 3**segments
+    for f, row in zip(members, vals):
+        assert np.array_equal(f.breakpoints, breaks) and np.array_equal(f.values, row)

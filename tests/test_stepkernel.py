@@ -182,6 +182,21 @@ def test_relabeled_term_graphs_take_the_einsum_path(monkeypatch):
     np.testing.assert_allclose(pinned, named, rtol=1e-14)
 
 
+def test_cached_contraction_paths_match_einsum_optimize_bit_for_bit():
+    # hom_density's einsum fallback plans each (subscripts, r) once instead of
+    # passing optimize=True, which plans again on every call
+    rng = np.random.default_rng(37)
+    graphs = [named_term_graph("path3"), named_term_graph("star3"),
+              SimpleGraph(4, [(0, 2), (1, 2), (1, 3), (0, 3), (0, 1)])]
+    for r in range(1, 41):
+        w = random_kernel(rng, r)
+        for g in graphs:
+            subs = ",".join("abcd"[u] + "abcd"[v] for u, v in g.edges) + "->"
+            want = float(np.einsum(subs, *[w.values] * g.edge_count, optimize=True) / r**g.m)
+            assert hom_density(g, w) == want, (g.edges, r)
+            assert hom_density(g, w) == want, (g.edges, r)
+
+
 # ---------------------------------------------------------------- cut norm
 
 
