@@ -22,9 +22,11 @@ import numpy as np
 from .stepkernel import (
     StepKernel,
     SimpleGraph,
+    _CUT_NORM_BUDGET,
     _block_count,
     _cut_norm_exhaustive,
     _hom_density_matrices,
+    _relabeled,
     kernel_from_values,
     minimize_over_permutations,
 )
@@ -401,8 +403,14 @@ def delta_black(
     g1 = _word_stack(net, w1)
     g2 = _word_stack(net, w2)
 
-    def objective(p: np.ndarray) -> float:
-        return float(_cut_norm_exhaustive(g1 - g2[:, p][:, :, p]).max())
+    # relabelings per difference stack, which then holds at most the budget's entries
+    step = max(1, _CUT_NORM_BUDGET // g2.size)
+
+    def objective(perms: np.ndarray) -> np.ndarray:
+        return np.concatenate([
+            _cut_norm_exhaustive(g1[:, None] - _relabeled(g2, perms[lo:lo + step])).max(axis=0)
+            for lo in range(0, len(perms), step)
+        ])
 
     best, _ = minimize_over_permutations(objective, w1.r, seed, anneal_evals)
     return best, net.cover_radius
@@ -482,8 +490,9 @@ def delta2_mvg_upper(
     ).reshape(r, r, r, r)
     i, j = np.indices((r, r))
 
-    def objective(p: np.ndarray) -> float:
-        return math.sqrt(table[i, j, p[i], p[j]].sum() / r**2)
+    def objective(perms: np.ndarray) -> np.ndarray:
+        gathered = table[i, j, perms[:, :, None], perms[:, None, :]]
+        return np.sqrt(gathered.reshape(len(perms), -1).sum(axis=1) / r**2)
 
     best, _ = minimize_over_permutations(objective, w1.r, seed, anneal_evals)
     return best

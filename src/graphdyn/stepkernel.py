@@ -21,6 +21,12 @@ CUT_NORM_EXHAUSTIVE_LIMIT = 24
 # permutation search switches from enumeration to annealing past this size
 PERM_EXHAUSTIVE_LIMIT = 8
 
+# float64 entries of one product of a block of subsets with matrices: keeps
+# every gemm on one BLAS thread and in cache, and the peak memory where it was
+_CUT_NORM_BUDGET = 1 << 14
+# relabelings handed to a batched objective at once by the exhaustive search
+_PERM_CHUNK = 1 << 8
+
 
 @dataclass(frozen=True)
 class SimpleGraph:
@@ -268,26 +274,50 @@ def hom_density_pinned(graph: SimpleGraph, w: StepKernel, pin_edge: int) -> np.n
     return out / r ** (m - 2)
 
 
+@functools.cache
+def _subset_block(r: int) -> np.ndarray:
+    """The first 2^b rows of the 0/1 subset matrix, row k holding the bits of k:
+    b = r while 2^r rows of r entries fit the budget, else as many as fit."""
+    bits = min(r, (_CUT_NORM_BUDGET // r).bit_length() - 1)
+    rows = np.arange(1 << bits, dtype=np.int64)
+    s = ((rows[:, None] >> np.arange(r)) & 1).astype(float)
+    s.setflags(write=False)
+    return s
+
+
 def _cut_norm_exhaustive(a: np.ndarray) -> np.ndarray:
-    """Exact cut norm of an r x r matrix, or of every matrix in a (..., r, r) stack."""
+    """Exact cut norm of an r x r matrix, or of every matrix in a (..., r, r) stack.
+
+    The matrices are laid side by side as one r x (n r) matrix, so one gemm
+    with a block of subset rows s gives s^T A for several matrices A at once.
+    Past the cached block (r >= 11), a copy of it has its high bits refilled
+    for each further block of subsets.
+    """
     r = a.shape[-1]
     if r > CUT_NORM_EXHAUSTIVE_LIMIT:
         raise ValueError(
             f"exhaustive cut norm enumerates 2^{r} subsets; past r = "
             f"{CUT_NORM_EXHAUSTIVE_LIMIT} use method='heuristic'"
         )
-    best = np.zeros(a.shape[:-2])
-    chunk = 1 << min(r, 14)
-    bits = (1 << np.arange(r, dtype=np.int64))[None, :]
-    for start in range(0, 1 << r, chunk):
-        idx = np.arange(start, min(start + chunk, 1 << r), dtype=np.int64)
-        s = ((idx[:, None] & bits) > 0).astype(float)
-        v = s @ a
-        # best t for fixed s picks the positive (or negative) part of s^T A
-        pos = np.maximum(v, 0.0).sum(axis=-1)
-        neg = np.maximum(-v, 0.0).sum(axis=-1)
-        best = np.maximum(best, np.maximum(pos, neg).max(axis=-1, initial=0.0))
-    return best / r**2
+    n = math.prod(a.shape[:-2])
+    cols = np.ascontiguousarray(np.moveaxis(a.reshape(n, r, r), 0, 1)).reshape(r, n * r)
+    s = _subset_block(r)
+    low = len(s).bit_length() - 1
+    if low < r:
+        s = s.copy()
+    per = max(1, _CUT_NORM_BUDGET // (len(s) * r))
+    best = np.zeros(n)
+    for block in range(1 << (r - low)):
+        if block:
+            s[:, low:] = (block >> np.arange(r - low)) & 1
+        for lo in range(0, n, per):
+            v = (s @ cols[:, lo * r:(lo + per) * r]).reshape(len(s), -1, r)
+            # best t for fixed s picks the positive (or negative) part of s^T A
+            pos = np.maximum(v, 0.0).sum(axis=-1)
+            neg = np.maximum(np.negative(v, out=v), 0.0, out=v).sum(axis=-1)
+            part = best[lo:lo + per]
+            np.maximum(part, np.maximum(pos, neg, out=pos).max(axis=0, initial=0.0), out=part)
+    return (best / r**2).reshape(a.shape[:-2])
 
 
 def _cut_norm_heuristic(a: np.ndarray, restarts: int, seed: int) -> float:
@@ -356,21 +386,26 @@ def minimize_over_permutations(
 ) -> tuple[float, np.ndarray]:
     """Minimize a function of a block relabeling.
 
-    Exhaustive up to PERM_EXHAUSTIVE_LIMIT blocks, then seeded simulated
-    annealing over transpositions.  Beyond the exhaustive regime the result
-    is an upper bound for the true minimum.
+    The objective is batched: it maps a (P, r) int array of relabelings to
+    their (P,) values.  Exhaustive up to PERM_EXHAUSTIVE_LIMIT blocks, fed in
+    chunks in itertools.permutations order; the first strict minimum wins and
+    a NaN is never chosen.  Beyond that, seeded simulated annealing over
+    transpositions, one relabeling per call, and the result is an upper bound
+    for the true minimum.
     """
     if r <= PERM_EXHAUSTIVE_LIMIT:
         best, best_p = math.inf, None
-        for p in itertools.permutations(range(r)):
-            p = np.array(p)
-            val = objective(p)
-            if val < best:
-                best, best_p = val, p
+        perms = itertools.permutations(range(r))
+        while chunk := list(itertools.islice(perms, _PERM_CHUNK)):
+            ps = np.array(chunk, dtype=np.intp)
+            vals = np.asarray(objective(ps), dtype=float)
+            k = int(np.argmin(np.where(np.isnan(vals), np.inf, vals)))
+            if vals[k] < best:
+                best, best_p = float(vals[k]), ps[k].copy()
         return best, best_p
     rng = np.random.default_rng(seed)
     cur = np.arange(r)
-    cur_val = objective(cur)
+    cur_val = float(objective(cur[None])[0])
     best, best_p = cur_val, cur.copy()
     temp = max(cur_val, 1e-3)
     decay = 0.01 ** (1.0 / max(anneal_evals, 1))
@@ -380,13 +415,18 @@ def minimize_over_permutations(
             continue
         cand = cur.copy()
         cand[i], cand[j] = cand[j], cand[i]
-        val = objective(cand)
+        val = float(objective(cand[None])[0])
         if val < cur_val or rng.random() < math.exp(-(val - cur_val) / max(temp, 1e-12)):
             cur, cur_val = cand, val
             if val < best:
                 best, best_p = val, cand.copy()
         temp *= decay
     return best, best_p
+
+
+def _relabeled(b: np.ndarray, perms: np.ndarray) -> np.ndarray:
+    """b[..., p, p] for every relabeling p in a (P, r) array: a (..., P, r, r) stack."""
+    return b[..., perms[:, :, None], perms[:, None, :]]
 
 
 def cut_metric_upper(
@@ -400,9 +440,13 @@ def cut_metric_upper(
     cut norm of the difference, after refining to a common block count."""
     w1, w2 = _to_common_r(w1, w2)
     a, b = w1.values, w2.values
+    exhaustive = method == "exhaustive" or (method == "auto" and w1.r <= CUT_NORM_EXHAUSTIVE_LIMIT)
 
-    def objective(p: np.ndarray) -> float:
-        return cut_norm(a - b[np.ix_(p, p)], method=method, seed=seed)
+    def objective(perms: np.ndarray) -> np.ndarray:
+        d = a - _relabeled(b, perms)
+        if exhaustive:
+            return _cut_norm_exhaustive(d)
+        return np.array([cut_norm(x, method=method, seed=seed) for x in d])
 
     best, _ = minimize_over_permutations(objective, w1.r, seed, anneal_evals)
     return best
@@ -418,8 +462,9 @@ def delta2_upper(
     w1, w2 = _to_common_r(w1, w2)
     a, b = w1.values, w2.values
 
-    def objective(p: np.ndarray) -> float:
-        return l2_norm(a - b[np.ix_(p, p)])
+    def objective(perms: np.ndarray) -> np.ndarray:
+        d = a - _relabeled(b, perms)
+        return np.sqrt((d * d).reshape(len(perms), -1).mean(axis=1))
 
     best, _ = minimize_over_permutations(objective, w1.r, seed, anneal_evals)
     return best

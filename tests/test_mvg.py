@@ -353,10 +353,29 @@ def test_delta2_alignment_is_the_minimum_of_d2_over_relabelings():
     rng = np.random.default_rng(37)
     for r in (2, 3, 4):
         w1, w2 = random_mvg(rng, r), random_mvg(rng, r)
-        best, _ = minimize_over_permutations(lambda p: d2_distance(w1, w2.permute(p)), r)
+        best, _ = minimize_over_permutations(
+            lambda perms: [d2_distance(w1, w2.permute(p)) for p in perms], r)
         assert delta2_mvg_upper(w1, w2) == pytest.approx(best, abs=1e-12)
     with pytest.raises(ValueError):
         delta2_mvg_upper(random_mvg(rng, 2), random_mvg(rng, 3))
+
+
+# Recorded at the parent of the batched permutation search, where the search
+# called its objective once per relabeling; the batched search must give the
+# same bits.  (r, epsilon, kernel seed): (delta_black lower, eps, delta2_mvg_upper),
+# both searches with seed=5 and their default evaluation counts.
+MVG_SEARCH_GOLDEN = {
+    (4, 1.0, 41): (0.15680018267781307, 0.25, 0.4974944673515015),  # exhaustive
+    (9, 2.0, 92): (0.2981088906379852, 0.5, 0.6695572921380425),  # annealed
+}
+
+
+@pytest.mark.parametrize("r, epsilon, seed", sorted(MVG_SEARCH_GOLDEN))
+def test_alignment_metrics_are_pinned(r, epsilon, seed):
+    rng = np.random.default_rng(seed)
+    w1, w2 = random_mvg(rng, r), random_mvg(rng, r)
+    lower, eps = delta_black(w1, w2, build_net(epsilon), seed=5)
+    assert (lower, eps, delta2_mvg_upper(w1, w2, seed=5)) == MVG_SEARCH_GOLDEN[r, epsilon, seed]
 
 
 def test_permuted_copy_is_at_zero_alignment_distance():
@@ -422,8 +441,8 @@ def test_cut_alignment_is_below_transport_alignment_at_the_shared_permutation():
     for _ in range(4):
         w1, w2 = random_mvg(rng, 3), random_mvg(rng, 3)
 
-        def objective(p):
-            return d2_distance(w1, w2.permute(p))
+        def objective(perms):
+            return [d2_distance(w1, w2.permute(p)) for p in perms]
 
         best_d2, perm = minimize_over_permutations(objective, 3, seed=0)
         aligned = w2.permute(perm)

@@ -1,5 +1,7 @@
 """Block kernels: densities, cut norms, alignment metrics, serialization."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -221,9 +223,23 @@ def test_cut_norm_exhaustive_on_a_stack_matches_each_matrix():
     batched = _cut_norm_exhaustive(stack.reshape(2, 3, 5, 5))
     assert batched.shape == (2, 3)
     single = [cut_norm(a, method="exhaustive") for a in stack]
-    assert np.allclose(batched.ravel(), single, rtol=0.0, atol=1e-15)
+    assert batched.ravel().tolist() == single
     with pytest.raises(ValueError):
         _cut_norm_exhaustive(np.zeros((2, 25, 25)))
+
+
+@pytest.mark.parametrize("r", [15, 16])
+def test_cut_norm_exhaustive_across_subset_blocks(r):
+    # more than 2^14 subsets, walked in blocks whose high bits are refilled; the
+    # full set, which carries a nonnegative kernel's cut norm, comes last
+    rng = np.random.default_rng(r)
+    eighths = rng.integers(0, 9, (r, r)) / 8.0  # dyadic: every partial sum is exact
+    nonneg = np.triu(eighths) + np.triu(eighths, 1).T
+    signed = random_kernel(rng, r, -1.0, 1.0).values
+    stack = np.stack([nonneg, signed, -nonneg])
+    batched = _cut_norm_exhaustive(stack)
+    assert batched[0] == batched[2] == nonneg.mean()
+    assert batched.tolist() == [cut_norm(a, method="exhaustive") for a in stack]
 
 
 def test_cut_norm_heuristic_never_exceeds_exhaustive():
@@ -347,8 +363,59 @@ def test_annealed_permutation_search_matches_exhaustive_on_small_r():
     def objective(p):
         return l2_norm(a.values - b.values[np.ix_(p, p)])
 
-    exact, _ = minimize_over_permutations(objective, 5, seed=0)
+    exact, _ = minimize_over_permutations(lambda ps: [objective(p) for p in ps], 5, seed=0)
     assert exact == pytest.approx(min_over_perms_brute(5, objective), abs=1e-12)
+
+
+def _cut_objective(a, b):
+    """Batched cut-norm objective of a against relabelings of b."""
+    return lambda perms: _cut_norm_exhaustive(a - b[perms[:, :, None], perms[:, None, :]])
+
+
+def test_exhaustive_search_breaks_ties_by_the_first_relabeling():
+    const = StepKernel.constant(6, 0.3).values
+    value, perm = minimize_over_permutations(_cut_objective(const, const), 6)
+    assert value == 0.0 and perm.tolist() == list(range(6))
+    # a NaN is never chosen, and an all-NaN search finds nothing
+    value, perm = minimize_over_permutations(
+        lambda perms: np.where(perms[:, 0] == 0, np.nan, perms[:, 0]), 4)
+    assert value == 1.0 and perm.tolist() == [1, 0, 2, 3]
+    assert minimize_over_permutations(lambda perms: np.full(len(perms), np.nan), 3) == (
+        math.inf, None)
+
+
+@pytest.mark.parametrize("r", [3, 7])
+def test_exhaustive_search_does_not_depend_on_the_chunking(r, monkeypatch):
+    rng = np.random.default_rng(67)
+    a, b = random_kernel(rng, r).values, random_kernel(rng, r).values
+    cut = _cut_objective(a, b)
+
+    def coarse(perms):  # rounded, so that many relabelings tie
+        return np.round(cut(perms), 2)
+
+    default = [minimize_over_permutations(f, r) for f in (cut, coarse)]
+    monkeypatch.setattr(stepkernel, "_PERM_CHUNK", 1)
+    monkeypatch.setattr(stepkernel, "_CUT_NORM_BUDGET", 1)
+    for (value, perm), f in zip(default, (cut, coarse)):
+        v1, p1 = minimize_over_permutations(f, r)
+        assert v1 == value and p1.tolist() == perm.tolist()
+
+
+# Recorded at the parent of the batched permutation search, where the search
+# called its objective once per relabeling and each cut norm made its own
+# subset matrix and matmul; the batched search must give the same bits.
+# (r, kernel seed): (cut_metric_upper, delta2_upper), both with seed=3
+SEARCH_GOLDEN = {
+    (7, 71): (0.0703870313408065, 0.1788615224985869),  # exhaustive: 5040 relabelings
+    (9, 91): (0.06253302230343166, 0.23148417256070306),  # annealed, 4000 evaluations
+}
+
+
+@pytest.mark.parametrize("r, seed", sorted(SEARCH_GOLDEN))
+def test_alignment_metrics_are_pinned(r, seed):
+    rng = np.random.default_rng(seed)
+    a, b = random_kernel(rng, r), random_kernel(rng, r)
+    assert (cut_metric_upper(a, b, seed=3), delta2_upper(a, b, seed=3)) == SEARCH_GOLDEN[r, seed]
 
 
 # ---------------------------------------------------------------- serialization
