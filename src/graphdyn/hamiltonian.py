@@ -7,6 +7,7 @@ inner product <u, v> = mean(u * v), so that evaluate(w + s u) has derivative
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,8 +45,10 @@ class Hamiltonian:
                 raise ValueError(f"term graph has {g.m} > {MAX_TERM_VERTICES} vertices")
             if not _connected(g):
                 raise ValueError("term graphs must be connected")
-        if self.entropy_weight < 0:
-            raise ValueError("entropy weight must be nonnegative")
+        if not all(math.isfinite(c) for c, _ in self.terms):
+            raise ValueError("term coefficients must be finite")
+        if not (math.isfinite(self.entropy_weight) and self.entropy_weight >= 0):
+            raise ValueError("entropy weight must be finite and nonnegative")
 
     def evaluate(self, w: StepKernel) -> float:
         val = sum(c * hom_density(g, w) for c, g in self.terms)

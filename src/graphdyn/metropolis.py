@@ -145,6 +145,8 @@ def quantize_density(cfg: ChainConfig, q) -> np.ndarray:
     vals = q.values if isinstance(q, StepKernel) else np.asarray(q, dtype=float)
     if vals.shape != (cfg.r, cfg.r):
         raise ValueError(f"density must be {cfg.r} x {cfg.r}")
+    if not np.isfinite(vals).all():
+        raise ValueError("density must be finite")
     caps = cfg.capacities()
     counts = np.rint(vals * caps).astype(np.int64)
     counts = np.minimum(np.maximum(counts, 0), caps)

@@ -22,16 +22,17 @@ import numpy as np
 from .stepkernel import (
     StepKernel,
     SimpleGraph,
-    _CUT_NORM_BUDGET,
     _block_count,
+    _cut_alignment,
     _cut_norm_exhaustive,
     _hom_density_matrices,
-    _relabeled,
+    _rms_alignment,
     kernel_from_values,
-    minimize_over_permutations,
 )
 
 NET_MAX_SEGMENTS = 12
+# annealing steps of the measure-valued alignment metrics past r = 8
+ANNEAL_EVALS = 2000
 
 
 @dataclass(frozen=True)
@@ -169,45 +170,30 @@ class MvgKernel:
         return max(len(self.cells[i][j].atoms) for i in range(self.r) for j in range(i, self.r))
 
 
-@dataclass(frozen=True)
-class _SignedCell:
-    """Atom list with signed weights; arises only from differences."""
-
-    atoms: np.ndarray
-    weights: np.ndarray
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MvgDiff:
-    """Difference of two measure-valued kernels as signed atom lists per cell.
+    """Difference of two measure-valued kernels: the concatenated cell arrays
+    of both (see _cell_arrays), the second kernel's weights negated.
 
     Pairing with a test function is linear, so gamma of the difference equals
     the difference of gammas; that is the only algebra this object needs.
     """
 
-    cells: tuple
+    r: int
+    atoms: np.ndarray
+    weights: np.ndarray
+    idx: np.ndarray
 
-    @property
-    def r(self) -> int:
-        return len(self.cells)
-
-    # the pairing reads only atoms and weights, which signed cells carry too
     project = MvgKernel.project
 
 
 def mvg_diff(w1: MvgKernel, w2: MvgKernel) -> MvgDiff:
     if w1.r != w2.r:
         raise ValueError("kernels must share a block count")
-    grid = [[None] * w1.r for _ in range(w1.r)]
-    for i in range(w1.r):
-        for j in range(i, w1.r):
-            a, b = w1.cells[i][j], w2.cells[i][j]
-            cell = _SignedCell(
-                np.concatenate([a.atoms, b.atoms]),
-                np.concatenate([a.weights, -b.weights]),
-            )
-            grid[i][j] = grid[j][i] = cell
-    return MvgDiff(tuple(tuple(row) for row in grid))
+    (a1, p1, i1), (a2, p2, i2) = _cell_arrays(w1), _cell_arrays(w2)
+    # each cell's atoms keep their order, the first kernel's then the second's
+    return MvgDiff(w1.r, np.concatenate([a1, a2]), np.concatenate([p1, -p2]),
+                   np.concatenate([i1, i2]))
 
 
 @dataclass(frozen=True)
@@ -328,7 +314,8 @@ def gamma_kernel(psi, w: MvgKernel | MvgDiff) -> StepKernel:
 
 def _pair(w: MvgKernel | MvgDiff, f) -> np.ndarray:
     """Integral of each row of f(atoms) against every cell: a (k, r, r) stack,
-    exactly symmetric because mirrored cells are one object."""
+    exactly symmetric because mirrored cells hold the same atoms in the same
+    order."""
     atoms, weights, idx = _cell_arrays(w)
     vals = np.asarray(f(atoms), dtype=float).reshape(-1, atoms.size)
     out = np.zeros((len(vals), w.r, w.r))
@@ -337,7 +324,10 @@ def _pair(w: MvgKernel | MvgDiff, f) -> np.ndarray:
 
 
 def _cell_arrays(w: MvgKernel | MvgDiff):
-    """Concatenated atoms/weights with a cell index map, for batched pairing."""
+    """Concatenated atoms/weights with a cell index map, for batched pairing;
+    a difference already holds them."""
+    if isinstance(w, MvgDiff):
+        return w.atoms, w.weights, w.idx
     atoms, weights, idx = [], [], []
     for i in range(w.r):
         for j in range(w.r):
@@ -391,28 +381,17 @@ def delta_black(
     w2: MvgKernel,
     net: TestNet,
     seed: int = 0,
-    anneal_evals: int = 2000,
 ) -> tuple[float, float]:
     """Alignment distance: min over relabelings of gen_cut_norm.
 
     Returns (lower, eps) with the same bracket semantics as gen_cut_norm;
-    the relabeling minimum is exhaustive for r <= 8, annealed beyond.
+    the relabeling minimum is exhaustive for r <= 8, annealed beyond.  Past
+    r = 24 each relabeling's cut norm is replaced by an upper bound, so only
+    lower + eps remains a bound.
     """
     if w1.r != w2.r:
         raise ValueError("kernels must share a block count")
-    g1 = _word_stack(net, w1)
-    g2 = _word_stack(net, w2)
-
-    # relabelings per difference stack, which then holds at most the budget's entries
-    step = max(1, _CUT_NORM_BUDGET // g2.size)
-
-    def objective(perms: np.ndarray) -> np.ndarray:
-        return np.concatenate([
-            _cut_norm_exhaustive(g1[:, None] - _relabeled(g2, perms[lo:lo + step])).max(axis=0)
-            for lo in range(0, len(perms), step)
-        ])
-
-    best, _ = minimize_over_permutations(objective, w1.r, seed, anneal_evals)
+    best = _cut_alignment(_word_stack(net, w1), _word_stack(net, w2), seed, ANNEAL_EVALS)
     return best, net.cover_radius
 
 
@@ -470,12 +449,7 @@ def d2_distance(w1: MvgKernel, w2: MvgKernel) -> float:
     return math.sqrt(total / w1.r**2)
 
 
-def delta2_mvg_upper(
-    w1: MvgKernel,
-    w2: MvgKernel,
-    seed: int = 0,
-    anneal_evals: int = 2000,
-) -> float:
+def delta2_mvg_upper(w1: MvgKernel, w2: MvgKernel, seed: int = 0) -> float:
     """Relabeling-minimized d2; exhaustive for r <= 8, annealed beyond.
 
     The cell-pair table D[i, j, k, l] = W2(w1[i][j], w2[k][l])^2 is built
@@ -489,13 +463,8 @@ def delta2_mvg_upper(
         [[wasserstein2(mu, nu) ** 2 for nu in cells2] for row in w1.cells for mu in row]
     ).reshape(r, r, r, r)
     i, j = np.indices((r, r))
-
-    def objective(perms: np.ndarray) -> np.ndarray:
-        gathered = table[i, j, perms[:, :, None], perms[:, None, :]]
-        return np.sqrt(gathered.reshape(len(perms), -1).sum(axis=1) / r**2)
-
-    best, _ = minimize_over_permutations(objective, w1.r, seed, anneal_evals)
-    return best
+    return _rms_alignment(lambda perms: table[i, j, perms[:, :, None], perms[:, None, :]], r,
+                          seed, ANNEAL_EVALS)
 
 
 def decorated_density(graph: SimpleGraph, decorations, w: MvgKernel) -> float:

@@ -20,6 +20,8 @@ SIGNED = (-1.0, 1.0)
 CUT_NORM_EXHAUSTIVE_LIMIT = 24
 # permutation search switches from enumeration to annealing past this size
 PERM_EXHAUSTIVE_LIMIT = 8
+# annealing steps of the step-kernel alignment metrics past that size
+ANNEAL_EVALS = 4000
 
 # float64 entries of one product of a block of subsets with matrices: keeps
 # every gemm on one BLAS thread and in cache, and the peak memory where it was
@@ -382,7 +384,7 @@ def minimize_over_permutations(
     objective,
     r: int,
     seed: int = 0,
-    anneal_evals: int = 4000,
+    anneal_evals: int = ANNEAL_EVALS,
 ) -> tuple[float, np.ndarray]:
     """Minimize a function of a block relabeling.
 
@@ -390,8 +392,8 @@ def minimize_over_permutations(
     their (P,) values.  Exhaustive up to PERM_EXHAUSTIVE_LIMIT blocks, fed in
     chunks in itertools.permutations order; the first strict minimum wins and
     a NaN is never chosen.  Beyond that, seeded simulated annealing over
-    transpositions, one relabeling per call, and the result is an upper bound
-    for the true minimum.
+    transpositions, one relabeling per call, starting from the identity; the
+    result is an upper bound for the true minimum.
     """
     if r <= PERM_EXHAUSTIVE_LIMIT:
         best, best_p = math.inf, None
@@ -429,45 +431,65 @@ def _relabeled(b: np.ndarray, perms: np.ndarray) -> np.ndarray:
     return b[..., perms[:, :, None], perms[:, None, :]]
 
 
-def cut_metric_upper(
-    w1: StepKernel,
-    w2: StepKernel,
-    seed: int = 0,
-    anneal_evals: int = 4000,
-    method: str = "auto",
-) -> float:
+def _cut_norm_bound(a: np.ndarray) -> np.ndarray:
+    """An upper bound of the cut norm of every matrix in a (..., r, r) stack.
+
+    For 0/1 vectors s and t, |s^T A t| <= |s| |t| sigma_max(A) <= r sigma_max(A)
+    and |s^T A t| <= sum |A|, so the cut norm is at most
+    min(sigma_max(A) / r, mean |A|).
+    """
+    r = a.shape[-1]
+    top = np.linalg.svd(a, compute_uv=False)[..., 0]
+    return np.minimum(top / r, np.abs(a).mean(axis=(-2, -1)))
+
+
+def _cut_alignment(g1: np.ndarray, g2: np.ndarray, seed: int, evals: int) -> float:
+    """min over relabelings p of max_k ||g1[k] - g2[k][p, p]||_box, for two
+    (K, r, r) stacks.
+
+    Each difference stack holds at most _CUT_NORM_BUDGET entries.  Past
+    CUT_NORM_EXHAUSTIVE_LIMIT each cut norm is replaced by _cut_norm_bound, so
+    the result stays an upper bound of the minimum.
+    """
+    r = g1.shape[-1]
+    norm = _cut_norm_exhaustive if r <= CUT_NORM_EXHAUSTIVE_LIMIT else _cut_norm_bound
+    # relabelings per difference stack
+    step = max(1, _CUT_NORM_BUDGET // g2.size)
+
+    def perm_objective(perms: np.ndarray) -> np.ndarray:
+        return np.concatenate([
+            norm(g1[:, None] - _relabeled(g2, perms[lo:lo + step])).max(axis=0)
+            for lo in range(0, len(perms), step)
+        ])
+
+    return minimize_over_permutations(perm_objective, r, seed, evals)[0]
+
+
+def _rms_alignment(squares, r: int, seed: int, evals: int) -> float:
+    """min over relabelings p of sqrt(sum(squares(p)) / r^2), where squares maps
+    a (P, r) array of relabelings to a (P, r, r) stack of squared gaps."""
+
+    def perm_objective(perms: np.ndarray) -> np.ndarray:
+        return np.sqrt(squares(perms).reshape(len(perms), -1).sum(axis=1) / r**2)
+
+    return minimize_over_permutations(perm_objective, r, seed, evals)[0]
+
+
+def cut_metric_upper(w1: StepKernel, w2: StepKernel, seed: int = 0) -> float:
     """Upper bound of the cut metric: min over block relabelings of the
-    cut norm of the difference, after refining to a common block count."""
+    cut norm of the difference, after refining to a common block count.
+    Past CUT_NORM_EXHAUSTIVE_LIMIT blocks each cut norm is replaced by the
+    bound min(sigma_max / r, mean |.|)."""
     w1, w2 = _to_common_r(w1, w2)
-    a, b = w1.values, w2.values
-    exhaustive = method == "exhaustive" or (method == "auto" and w1.r <= CUT_NORM_EXHAUSTIVE_LIMIT)
-
-    def objective(perms: np.ndarray) -> np.ndarray:
-        d = a - _relabeled(b, perms)
-        if exhaustive:
-            return _cut_norm_exhaustive(d)
-        return np.array([cut_norm(x, method=method, seed=seed) for x in d])
-
-    best, _ = minimize_over_permutations(objective, w1.r, seed, anneal_evals)
-    return best
+    return _cut_alignment(w1.values[None], w2.values[None], seed, ANNEAL_EVALS)
 
 
-def delta2_upper(
-    w1: StepKernel,
-    w2: StepKernel,
-    seed: int = 0,
-    anneal_evals: int = 4000,
-) -> float:
+def delta2_upper(w1: StepKernel, w2: StepKernel, seed: int = 0) -> float:
     """Upper bound of the L2 block distance, minimized over relabelings."""
     w1, w2 = _to_common_r(w1, w2)
     a, b = w1.values, w2.values
-
-    def objective(perms: np.ndarray) -> np.ndarray:
-        d = a - _relabeled(b, perms)
-        return np.sqrt((d * d).reshape(len(perms), -1).mean(axis=1))
-
-    best, _ = minimize_over_permutations(objective, w1.r, seed, anneal_evals)
-    return best
+    return _rms_alignment(lambda perms: np.square(a - _relabeled(b, perms)), w1.r, seed,
+                          ANNEAL_EVALS)
 
 
 def save_kernel_text(w: StepKernel, path) -> None:

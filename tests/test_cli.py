@@ -294,6 +294,24 @@ def test_malformed_configs_exit_with_the_config_code(tmp_path, capsys, mode, key
     assert message in err[0]
 
 
+@pytest.mark.filterwarnings("ignore:gamma_n")
+@pytest.mark.parametrize("mode", ["flow", "metropolis"])
+@pytest.mark.parametrize("key, value, message", [
+    ("term.edge", "nan", "term coefficients must be finite"),
+    ("term.triangle", "-inf", "term coefficients must be finite"),
+    ("entropy_gamma", "nan", "entropy weight must be finite and nonnegative"),
+    ("entropy_gamma", "inf", "entropy weight must be finite and nonnegative"),
+])
+def test_non_finite_hamiltonian_coefficients_exit_with_the_config_code(
+        tmp_path, capsys, mode, key, value, message):
+    # before the check these ran and tripped the guard at step 0 (exit 2)
+    path = _malformed_config(tmp_path / "bad.ini", mode, "r", "2")
+    path.write_text(path.read_text() + f"[hamiltonian]\n{key} = {value}\n")
+    assert main([mode, "--config", str(path), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"config error: [hamiltonian]: {message}"]
+
+
 def test_malformed_config_never_prints_a_traceback(tmp_path):
     path = _malformed_config(tmp_path / "bad.ini", "flow", "dt", "0")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(

@@ -1,5 +1,7 @@
 """Density Hamiltonians: evaluation, derivative, curvature metadata."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -72,6 +74,11 @@ def test_term_graphs_must_be_connected_and_small():
         Hamiltonian(((1.0, five),))
     with pytest.raises(ValueError):
         Hamiltonian((), entropy_weight=-1.0)
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="term coefficients must be finite"):
+            Hamiltonian(((1.0, edge_graph()), (bad, triangle_graph())))
+        with pytest.raises(ValueError, match="entropy weight must be finite"):
+            Hamiltonian((), entropy_weight=bad)
 
 
 def test_named_term_graphs_cover_the_config_vocabulary():

@@ -147,6 +147,16 @@ def test_quantization_rejects_bad_input():
         quantize_density(cfg, np.zeros((3, 3)))
     with pytest.raises(ValueError):
         quantize_density(cfg, np.array([[0.5, 0.1], [0.9, 0.5]]))
+    # a non-finite density would cast to count 0, even +inf; NaN also slips
+    # past empirical_drift's interior check, whose comparisons are all false
+    for bad in (math.nan, math.inf, -math.inf):
+        q = np.array([[0.5, bad], [bad, 0.5]])
+        with pytest.raises(ValueError, match="density must be finite"):
+            quantize_density(cfg, q)
+        with pytest.raises(ValueError, match="density must be finite"):
+            esbm_sample(cfg, q, np.random.default_rng(0))
+    with pytest.raises(ValueError, match="density must be finite"):
+        empirical_drift(cfg, np.array([[0.5, math.nan], [math.nan, 0.5]]), 4)
 
 
 def test_block_model_sample_is_exact_at_the_quantized_density():

@@ -31,7 +31,7 @@ from graphdyn import (
 
 from graphdyn import stepkernel
 from graphdyn.hamiltonian import named_term_graph
-from graphdyn.stepkernel import _cut_norm_exhaustive
+from graphdyn.stepkernel import _cut_norm_bound, _cut_norm_exhaustive
 
 from oracles import cut_norm_brute, cut_norm_fractional, hom_density_brute, min_over_perms_brute
 
@@ -394,19 +394,26 @@ def test_exhaustive_search_does_not_depend_on_the_chunking(r, monkeypatch):
         return np.round(cut(perms), 2)
 
     default = [minimize_over_permutations(f, r) for f in (cut, coarse)]
+    metric = cut_metric_upper(StepKernel(a), StepKernel(b))
     monkeypatch.setattr(stepkernel, "_PERM_CHUNK", 1)
     monkeypatch.setattr(stepkernel, "_CUT_NORM_BUDGET", 1)
     for (value, perm), f in zip(default, (cut, coarse)):
         v1, p1 = minimize_over_permutations(f, r)
         assert v1 == value and p1.tolist() == perm.tolist()
+    # one relabeling per difference stack
+    assert cut_metric_upper(StepKernel(a), StepKernel(b)) == metric == default[0][0]
 
 
-# Recorded at the parent of the batched permutation search, where the search
-# called its objective once per relabeling and each cut norm made its own
-# subset matrix and matmul; the batched search must give the same bits.
+# r = 7 and 9 were recorded before the batched permutation search, where the
+# search called its objective once per relabeling and each cut norm made its
+# own subset matrix and matmul; r = 8 before the metrics shared their
+# alignment objectives.  Every later search must give the same bits.
 # (r, kernel seed): (cut_metric_upper, delta2_upper), both with seed=3
 SEARCH_GOLDEN = {
     (7, 71): (0.0703870313408065, 0.1788615224985869),  # exhaustive: 5040 relabelings
+    # the last exhaustive size; a 256-relabeling chunk is exactly the
+    # 2^14-entry difference stack of the cut-norm budget
+    (8, 81): (0.08421861901645306, 0.2098333452758603),
     (9, 91): (0.06253302230343166, 0.23148417256070306),  # annealed, 4000 evaluations
 }
 
@@ -416,6 +423,27 @@ def test_alignment_metrics_are_pinned(r, seed):
     rng = np.random.default_rng(seed)
     a, b = random_kernel(rng, r), random_kernel(rng, r)
     assert (cut_metric_upper(a, b, seed=3), delta2_upper(a, b, seed=3)) == SEARCH_GOLDEN[r, seed]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 8), st.integers(1, 3), st.integers(0, 2**32 - 1))
+def test_the_cut_norm_bound_past_r_24_is_an_upper_bound(r, k, seed):
+    rng = np.random.default_rng(seed)
+    stack = rng.uniform(-1.0, 1.0, (k, r, r))
+    stack = (stack + stack.transpose(0, 2, 1)) / 2
+    assert np.all(_cut_norm_bound(stack) >= _cut_norm_exhaustive(stack) - 1e-12)
+
+
+def test_cut_metric_past_r_24_is_bracketed():
+    # an r = 5 and an r = 6 kernel meet at r = 30, past the exhaustive cut norm
+    rng = np.random.default_rng(97)
+    a, b = random_kernel(rng, 5), random_kernel(rng, 6)
+    value = cut_metric_upper(a, b)
+    # the whole square is a box, and no relabeling moves its mean
+    assert value >= abs(a.values.mean() - b.values.mean())
+    # the annealer starts at the identity relabeling
+    start = _cut_norm_bound(a.refine(6).values - b.refine(5).values)
+    assert value <= start + 1e-12
 
 
 # ---------------------------------------------------------------- serialization
