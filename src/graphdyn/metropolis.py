@@ -24,6 +24,8 @@ from .stepkernel import StepKernel
 SIGN_DRAW_LIMIT = 1 << 27
 # one block of chain iterations draws about this many raw words at once (1 MiB)
 BLOCK_WORDS = 1 << 17
+# the longest run of chain iterations _step_block evaluates as one stack
+SPECULATION_DEPTH = 64
 # a half-word at or above this draws the sign +1
 _SIGN_BIT = np.uint32(1 << 31)
 # esbm_sample materializes at most this many edges (64 MiB of int64 pairs)
@@ -401,28 +403,82 @@ def _step_block(state: ChainState, cfg: ChainConfig, walk: _CountWalk, signs: np
     The same states, energies and acceptances, bit for bit: each walk segment
     is applied as its composed clamp, and each density is built from the
     upper-triangle vector, which gives the values of counts / capacities.
-    The counts are written back once, at the end.  Returns the energy,
-    acceptance probability and flag of the last iteration.
+
+    Where cfg.h evaluates stacks in closed form, iterations run speculatively:
+    a run of `depth` iterations is rolled forward as if every proposal were
+    accepted, and its proposal and relaxed densities are evaluated as one
+    stack.  The acceptances are then checked in order.  At the first
+    rejection the prefix is kept, the rejected iteration relaxes from its
+    pre-proposal counts, and speculation starts again after it on the draws
+    already decoded.  The depth halves after a rejection and doubles after a
+    run without one, up to SPECULATION_DEPTH; at depth 1 an iteration is
+    stepped alone, with one evaluate per density.  The counts are written
+    back once, at the end.  Returns the energy, acceptance probability and
+    flag of the last iteration.
     """
-    iters, s = len(unif), cfg.s_n * walk.m
-    a, lo, hi = walk.compose(signs[:, :s].reshape(iters, cfg.s_n, walk.m))
+    h, iters, s = cfg.h, len(unif), cfg.s_n * walk.m
+    segs = [walk.compose(signs[:, :s].reshape(iters, cfg.s_n, walk.m))]
     if cfg.l_nr:
-        ra, rlo, rhi = walk.compose(signs[:, s:].reshape(iters, cfg.l_nr, walk.m))
+        segs.append(walk.compose(signs[:, s:].reshape(iters, cfg.l_nr, walk.m)))
+    per = len(segs)  # densities per iteration: the proposal, then the relaxed state
+    speculate = isinstance(h, Hamiltonian) and h.batched(cfg.r)
+    rolled = np.empty((per * min(iters, SPECULATION_DEPTH), walk.m), dtype=np.int64)
+    uniforms = unif.tolist()
     vec = state.counts[walk.iu]
-    for j, u in enumerate(unif.tolist()):
-        prop = np.minimum(np.maximum(vec + a[j], lo[j]), hi[j])
-        prop_energy = cfg.h.evaluate(walk.vec_density(prop))
-        delta = prop_energy - energy
-        acc_prob = math.exp(-cfg.beta_nr * max(0.0, delta))
-        accepted = u < acc_prob
+    j, depth = 0, 1
+    while j < iters:
+        d = min(depth, iters - j) if speculate else 1
+        if d == 1:
+            prop = _clamp(vec, segs[0], j)
+            prop_energy = h.evaluate(walk.vec_density(prop))
+            acc_prob = math.exp(-cfg.beta_nr * max(0.0, prop_energy - energy))
+            accepted = uniforms[j] < acc_prob
+            if accepted:
+                vec, energy = prop, prop_energy
+            if cfg.l_nr:
+                vec = _clamp(vec, segs[1], j)
+                energy = h.evaluate(walk.vec_density(vec))
+            j, depth = j + 1, 2 if accepted else 1
+            continue
+        run = rolled[: per * d]
+        prev = vec
+        for k in range(per * d):
+            prev = _clamp(prev, segs[k % per], j + k // per, out=run[k])
+        energies = _energies(h, walk, run)
+        for k in range(d):
+            acc_prob = math.exp(-cfg.beta_nr * max(0.0, energies[per * k] - energy))
+            accepted = uniforms[j + k] < acc_prob
+            if not accepted:
+                break
+            energy = energies[per * k + per - 1]
         if accepted:
-            vec, energy = prop, prop_energy
+            vec, j, depth = run[-1].copy(), j + d, min(2 * depth, SPECULATION_DEPTH)
+            continue
+        vec = run[per * k - 1].copy() if k else vec
         if cfg.l_nr:
-            vec = np.minimum(np.maximum(vec + ra[j], rlo[j]), rhi[j])
-            energy = cfg.h.evaluate(walk.vec_density(vec))
+            vec = _clamp(vec, segs[1], j + k)
+            energy = h.evaluate(walk.vec_density(vec))
+        j, depth = j + k + 1, max(1, depth // 2)
     _write_symmetric(state.counts, walk.iu, vec)
     state.step_index += iters
     return energy, acc_prob, accepted
+
+
+def _clamp(vec: np.ndarray, seg, j: int, out: np.ndarray | None = None) -> np.ndarray:
+    """Iteration j's composed walk segment seg = (a, lo, hi) applied to vec."""
+    a, lo, hi = seg
+    out = np.add(vec, a[j], out=out)
+    np.maximum(out, lo[j], out=out)
+    return np.minimum(out, hi[j], out=out)
+
+
+def _energies(h, walk: _CountWalk, vecs: np.ndarray) -> list[float]:
+    """h.evaluate of the density of each count vector in a (k, m) stack: one
+    evaluate_stack call where h is a Hamiltonian, else one evaluate each."""
+    stack = (vecs / walk.caps)[:, walk.full]
+    if isinstance(h, Hamiltonian):
+        return h.evaluate_stack(stack).tolist()
+    return [h.evaluate(StepKernel._trusted(d)) for d in stack]
 
 
 def _write_symmetric(counts: np.ndarray, iu, vec: np.ndarray) -> None:
@@ -556,10 +612,8 @@ def empirical_drift(
         _trial_draws(streams[done : done + k], plan, signs[:k], unif[:k])
         vecs = np.broadcast_to(vec0, (k, walk.m)).copy()
         walk.steps(vecs, signs[:k, :s].reshape(k, cfg.s_n, walk.m).transpose(1, 0, 2))
-        acc = np.empty(k, dtype=bool)
-        for i in range(k):
-            delta = cfg.h.evaluate(walk.vec_density(vecs[i])) - energy0
-            acc[i] = unif[i] < math.exp(-cfg.beta_nr * max(0.0, delta))
+        acc = np.array([u < math.exp(-cfg.beta_nr * max(0.0, e - energy0))
+                        for u, e in zip(unif[:k].tolist(), _energies(cfg.h, walk, vecs))])
         vecs[~acc] = vec0
         if cfg.l_nr:
             walk.steps(vecs, signs[:k, s:].reshape(k, cfg.l_nr, walk.m).transpose(1, 0, 2))

@@ -12,7 +12,6 @@ the metrics evaluate only those.  `wass_cut` is an alias of `delta_black`.
 """
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -241,7 +240,7 @@ class TestNet:
 
     Every psi with |psi| <= 1 and Lip(psi) <= 1 is within cover_radius of some
     member in the sup norm on [-1, 1].  The metrics never enumerate the
-    3^segments members; `functions` builds them on first read.
+    3^segments members; node_values gives them as one array.
     """
 
     requested_radius: float
@@ -266,11 +265,6 @@ class TestNet:
         breaks = np.linspace(-1.0, 1.0, k + 1)
         breaks[0], breaks[-1] = -1.0, 1.0
         return breaks, vals
-
-    @functools.cached_property
-    def functions(self) -> tuple:
-        breaks, vals = self.node_values()
-        return tuple(PLFunction(breaks, v) for v in vals)
 
 
 def build_net(epsilon: float, segments: int | None = None) -> TestNet:

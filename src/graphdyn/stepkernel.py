@@ -195,6 +195,79 @@ def _contraction_path(subs: str, r: int) -> tuple:
     return tuple(np.einsum_path(subs, *ops, optimize=True)[0])
 
 
+def _pairwise_rows(x: np.ndarray) -> np.ndarray:
+    """The sum of each row of a (B, n) array, added as numpy's pairwise sum adds
+    one contiguous row: below 8 entries one by one from -0.0; up to 128 in eight
+    accumulators, which are then combined as a tree, then the remainder one by
+    one; past 128 as the sum of the two halves split at n / 2 rounded down to a
+    multiple of 8.  a.sum() and a.mean() of a C-contiguous matrix add its r^2
+    entries so; a row or axis reduction of a stack need not.
+    """
+    b, n = x.shape
+    if n < 8:
+        res = np.full(b, -0.0)
+        for i in range(n):
+            res += x[:, i]
+        return res
+    if n <= 128:
+        stop = n - n % 8
+        # an accumulate adds strictly in order: lane k gets ((x_k + x_k+8) + ...)
+        acc = np.add.accumulate(x[:, :stop].reshape(b, stop // 8, 8), axis=1)[:, -1]
+        acc = acc[:, 0::2] + acc[:, 1::2]
+        acc = acc[:, 0::2] + acc[:, 1::2]
+        res = acc[:, 0] + acc[:, 1]
+        for i in range(stop, n):
+            res += x[:, i]
+        return res
+    half = n // 2 - n // 2 % 8
+    if 2 * half == n:  # two halves of one shape: one call on twice the rows
+        sums = _pairwise_rows(x.reshape(2 * b, half))
+        return sums[0::2] + sums[1::2]
+    return _pairwise_rows(x[:, :half]) + _pairwise_rows(x[:, half:])
+
+
+def _cycle4_stack(s: np.ndarray, r: int) -> np.ndarray:
+    s2 = s @ s
+    return np.trace(s2 @ s2, axis1=1, axis2=2) / r**4
+
+
+@functools.cache
+def _density_stack_form(graph: SimpleGraph):
+    """hom_density's closed form for graph as a function of a C-contiguous
+    (B, r, r) stack and r, returning the (B,) densities; dispatched as
+    hom_density dispatches, and None where hom_density takes its einsum."""
+    m, k = graph.m, graph.edge_count
+    if not k:
+        return lambda s, r: np.ones(len(s))
+    if k == 1:
+        return lambda s, r: _pairwise_rows(s.reshape(len(s), r * r)) / r**2
+    if m == 3 and k == 2:
+        return lambda s, r: _pairwise_rows((s @ s).reshape(len(s), r * r)) / r**3
+    if m == 3 and k == 3:
+        return lambda s, r: np.trace(s @ s @ s, axis1=1, axis2=2) / r**3
+    if m == 4 and k == 4 and graph.degree_sequence() == (2, 2, 2, 2):
+        return _cycle4_stack
+    return None
+
+
+def _stack_agrees(r: int, form, single) -> bool:
+    """Whether form, applied to a stack, gives single's float for each kernel
+    in it, bit for bit, on 8 seeded symmetric r x r kernels in [0, 1]."""
+    v = np.random.default_rng(r).random((8, r, r))
+    stack = (v + v.transpose(0, 2, 1)) / 2
+    want = np.array([single(a.copy()) for a in stack])
+    return form(stack).tobytes() == want.tobytes()
+
+
+@functools.cache
+def _density_stack_agrees(graph: SimpleGraph, r: int) -> bool:
+    """Whether graph has a closed form for stacks, and it gives hom_density's
+    floats at r with this numpy: checked once per (graph, r)."""
+    form = _density_stack_form(graph)
+    return form is not None and _stack_agrees(
+        r, lambda s: form(s, r), lambda a: hom_density(graph, StepKernel._trusted(a)))
+
+
 def _rows(a: np.ndarray) -> np.ndarray:
     return np.einsum("ij->i", a)
 

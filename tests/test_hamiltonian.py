@@ -17,6 +17,7 @@ from graphdyn import (
     triangle_graph,
 )
 
+import graphdyn.hamiltonian as hamiltonian
 from oracles import fd_gradient
 
 
@@ -63,6 +64,77 @@ def test_entropy_term_matches_direct_sum_and_handles_boundary():
     assert h.evaluate(w) == pytest.approx(gamma * ent, abs=1e-12)
     # h(0) = h(1) = 0: the boundary entries contribute nothing
     assert Hamiltonian((), entropy_weight=1.0).evaluate(StepKernel.constant(2, 1.0)) == 0.0
+
+
+# ---------------------------------------------------------------- stacked evaluation
+
+
+STACKED_TERMS = {"edge": -0.25, "path2": 0.3, "triangle": 1.0, "cycle4": 0.2}
+
+
+def symmetric_stack(rng, b, r):
+    """b symmetric r x r kernels: two at the faces 0 and 1, one with a zero
+    row and column, the rest uniform."""
+    vals = rng.uniform(0.0, 1.0, (b, r, r))
+    stack = (vals + vals.transpose(0, 2, 1)) / 2
+    stack[0], stack[1] = 0.0, 1.0
+    stack[2, 0], stack[2, :, 0] = 0.0, 0.0
+    return stack
+
+
+def evaluate_each(h, stack):
+    return np.array([h.evaluate(StepKernel(np.ascontiguousarray(a))) for a in stack])
+
+
+@pytest.mark.parametrize("entropy", [0.0, 0.7], ids=["no-entropy", "entropy"])
+def test_stacked_energies_equal_evaluate_bit_for_bit(entropy):
+    # each term with a closed form alone, mixed sums, and no term at all, over
+    # r = 1..40 and both memory orders.  evaluate's own bits follow the
+    # memory order of its kernel past r = 16, so a stack is read in C order,
+    # as the chain builds it.
+    rng = np.random.default_rng(43)
+    hs = [Hamiltonian(((c, named_term_graph(g)),), entropy) for g, c in STACKED_TERMS.items()]
+    hs += [
+        triangle_edge_hamiltonian(entropy_weight=entropy),
+        Hamiltonian(tuple((c, named_term_graph(g)) for g, c in STACKED_TERMS.items()), entropy),
+        Hamiltonian((), entropy),
+    ]
+    for r in range(1, 41):
+        stack = symmetric_stack(rng, 5, r)
+        fortran = np.asfortranarray(stack)
+        assert not fortran[0].flags.c_contiguous or r == 1
+        for h in hs:
+            assert h.batched(r)
+            want = evaluate_each(h, stack)
+            for values in (stack, fortran):
+                got = h.evaluate_stack(values)
+                assert got.shape == (5,) and got.tobytes() == want.tobytes(), (h, r)
+    assert all(h.evaluate_stack(np.empty((0, 16, 16))).shape == (0,) for h in hs)
+
+
+@pytest.mark.parametrize("name", ["path3", "star3"])
+def test_terms_without_a_stacked_form_go_through_evaluate(monkeypatch, name):
+    h = Hamiltonian(((1.0, named_term_graph(name)), (-0.25, edge_graph())), 0.5)
+    assert not h.batched(6)
+    stack = symmetric_stack(np.random.default_rng(47), 4, 6)
+    want = evaluate_each(h, stack)
+    calls = []
+    evaluate = Hamiltonian.evaluate
+    monkeypatch.setattr(Hamiltonian, "evaluate", lambda self, w: calls.append(w) or evaluate(self, w))
+    assert h.evaluate_stack(stack).tobytes() == want.tobytes()
+    assert len(calls) == 4
+    assert h.evaluate_stack(np.empty((0, 6, 6))).shape == (0,)
+
+
+@pytest.mark.parametrize("check", ["_density_stack_agrees", "_entropy_stack_agrees"])
+def test_a_failed_stack_check_falls_back_to_evaluate(monkeypatch, check):
+    h = triangle_edge_hamiltonian(entropy_weight=0.5)
+    stack = symmetric_stack(np.random.default_rng(53), 4, 16)
+    assert h.batched(16)
+    want = evaluate_each(h, stack)
+    monkeypatch.setattr(hamiltonian, check, lambda *args: False)
+    assert not h.batched(16)
+    assert h.evaluate_stack(stack).tobytes() == want.tobytes()
 
 
 def test_term_graphs_must_be_connected_and_small():

@@ -11,10 +11,13 @@ from hypothesis import given, settings, strategies as st
 from graphdyn import (
     Hamiltonian,
     StepKernel,
+    cycle_graph,
     edge_graph,
     kernel_from_values,
+    path_graph,
     triangle_graph,
 )
+import graphdyn.hamiltonian as hamiltonian
 import graphdyn.metropolis as metropolis
 from graphdyn.metropolis import (
     ChainConfig,
@@ -497,6 +500,20 @@ def test_mantel_shaped_chain_reproduces_its_recorded_bits():
     assert _records_sha256(records, cfg.capacities()) == MANTEL_300_SHA256
 
 
+MANTEL_2000_SHA256 = "31768a6679473ea5e53d0606cdbb4b699e7e011f13292a7ba174e5d222878628"
+
+
+@pytest.mark.filterwarnings("ignore:gamma_n")
+def test_mantel_shaped_block_path_reproduces_its_recorded_bits():
+    # the benchmark's chain shape: a record every 100 iterations, so every
+    # iteration runs in a block, and at r = 16 in speculative batches
+    cfg = ChainConfig(n=16, r=16, beta=0.25, sigma=1.0, gamma_n=1 / 64, h=TRIANGLE_EDGE,
+                      seed=0, iterations=2000)
+    records = run_chain(cfg, record_every=100)
+    assert [rec.step for rec in records] == list(range(0, 2001, 100))
+    assert _records_sha256(records, cfg.capacities()) == MANTEL_2000_SHA256
+
+
 def test_the_draw_decoder_agrees_with_this_numpy():
     # otherwise every chain test below runs the metropolis_step fallback only
     assert metropolis._decoder_agrees()
@@ -597,6 +614,75 @@ def test_block_stepped_chain_equals_the_single_step_loop(data):
         got = _blocked_chain(cfg, init, record_every, milestones)
     _assert_same_records(got[0], want[0])
     assert got[1] == want[1]
+
+
+# with and without entropy, terms with closed forms for stacks, and one
+# without (path3), whose chains never speculate
+STACK_HS = (
+    TRIANGLE_EDGE,
+    Hamiltonian(((1.0, triangle_graph()), (-0.25, edge_graph())), 0.5),
+    Hamiltonian(((0.2, cycle_graph(4)), (0.3, path_graph(2)), (-1.0, edge_graph()))),
+    Hamiltonian(((1.0, path_graph(3)), (-0.25, edge_graph()))),
+)
+
+
+@pytest.mark.filterwarnings("ignore")
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_speculative_blocks_equal_the_single_step_loop(data):
+    # r up to 16, beta from 0 to 1e5, which rejects most uphill proposals,
+    # l_nr = 0, odd block lengths and speculation depths, and a failed check
+    # of the stacked forms, which must give the same records on the
+    # per-state path
+    n = data.draw(st.integers(2, 5), label="n")
+    r = data.draw(st.sampled_from([1, 2, 5, 8, 16]), label="r")
+    gamma_n = data.draw(st.sampled_from([0.05, 0.13, 0.3]), label="gamma_n")
+    sigma = data.draw(st.sampled_from([0.0, 0.5, 2.5]), label="sigma")
+    beta = data.draw(st.sampled_from([0.0, 0.3, 4.0, 60.0, 1e3, 1e5]), label="beta")
+    cfg = ChainConfig(n=n, r=r, beta=beta, sigma=sigma, gamma_n=gamma_n,
+                      h=data.draw(st.sampled_from(STACK_HS), label="h"),
+                      seed=data.draw(st.integers(0, 2**32 - 1), label="seed"),
+                      iterations=data.draw(st.integers(1, 60), label="iterations"))
+    init = data.draw(st.sampled_from([None, "uniform"]), label="init")
+    record_every = data.draw(st.sampled_from([7, 25, 60]), label="record_every")
+    words = ((cfg.s_n + cfg.l_nr) * r * (r + 1) // 2 + 1) // 2 + 1
+    budget = data.draw(st.sampled_from([3, 13, 10**6]), label="block") * words
+    depth = data.draw(st.sampled_from([2, 3, 64]), label="depth")
+    failed = data.draw(st.booleans(), label="failed check")
+    want = _stepped_chain(cfg, init, record_every, ())
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(metropolis, "BLOCK_WORDS", budget)
+        mp.setattr(metropolis, "SPECULATION_DEPTH", depth)
+        if failed:
+            mp.setattr(hamiltonian, "_density_stack_agrees", lambda *args: False)
+        got = _blocked_chain(cfg, init, record_every, ())
+    _assert_same_records(got[0], want[0])
+    assert got[1] == want[1]
+
+
+@pytest.mark.filterwarnings("ignore:gamma_n")
+@pytest.mark.parametrize("beta", [0.25, 4e4, 1e7], ids=["accepting", "half", "rejecting"])
+def test_speculation_at_the_mantel_shape_keeps_every_iteration(monkeypatch, beta):
+    # every iteration's record of a metropolis_step loop at r = 16, against the
+    # block path with records 83 apart: blocks of 83 iterations and a lone one.
+    # Half of the proposals lower the energy here, so even beta = 1e7 accepts
+    # those and rejects the rest.
+    cfg = ChainConfig(n=16, r=16, beta=beta, sigma=1.0, gamma_n=1 / 64, h=TRIANGLE_EDGE,
+                      seed=2, iterations=250)
+    want, end = _stepped_chain(cfg, None, 1, ())
+    accepted = np.mean([rec[4] for rec in want[1:]])
+    assert {0.25: accepted == 1.0, 4e4: 0.3 < accepted < 0.7, 1e7: accepted < 0.5}[beta]
+    stacks = []
+    evaluate_stack = Hamiltonian.evaluate_stack
+    monkeypatch.setattr(Hamiltonian, "evaluate_stack",
+                        lambda h, v: stacks.append(len(v)) or evaluate_stack(h, v))
+    got, got_end = _blocked_chain(cfg, None, 83, (250,))
+    _assert_same_records(got, [want[k] for k in (0, 83, 166, 249, 250)])
+    assert got_end == end
+    if beta == 0.25:
+        # each block steps its first iteration alone and stacks the other 82
+        # in runs of 2, 4, .., 32 and 20, with nothing evaluated in vain
+        assert stacks == [4, 8, 16, 32, 64, 40] * 3
 
 
 @pytest.mark.filterwarnings("ignore:gamma_n")

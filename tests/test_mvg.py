@@ -35,6 +35,7 @@ from graphdyn import (
     wasserstein1,
     wasserstein2,
 )
+import graphdyn.mvg as mvg
 
 from oracles import decorated_density_brute, w1_lp
 
@@ -155,12 +156,18 @@ def test_gamma_moments_match_direct_summation():
 # ---------------------------------------------------------------- nets
 
 
+def net_members(net):
+    """One PLFunction per member of the net, from its node values."""
+    breaks, vals = net.node_values()
+    return [PLFunction(breaks, v) for v in vals]
+
+
 def test_coarse_net_contains_the_three_reference_functions():
     net = build_net(2.0)
     grid = np.linspace(-1, 1, 9)
     targets = [np.zeros(9), grid, -grid]
     found = [False, False, False]
-    for f in net.functions:
+    for f in net_members(net):
         vals = f(grid)
         for t, target in enumerate(targets):
             if np.allclose(vals, target, atol=1e-12):
@@ -170,7 +177,7 @@ def test_coarse_net_contains_the_three_reference_functions():
 
 def test_every_net_function_is_in_the_unit_bounded_lipschitz_ball():
     net = build_net(1.0)
-    for f in net.functions:
+    for f in net_members(net):
         assert f.sup_norm <= 1.0 + 1e-12
         assert f.lipschitz <= 1.0 + 1e-12
 
@@ -198,15 +205,19 @@ def test_net_rejects_non_finite_epsilon_and_too_few_segments():
             build_net(1.0, segments=k)
 
 
-def test_net_members_are_only_built_when_read():
+def test_net_members_are_only_built_when_read(monkeypatch):
     net = build_net(1.0)
     assert len(net) == 6561
     rng = np.random.default_rng(3)
     w1, w2 = random_mvg(rng, 2), random_mvg(rng, 2)
+    reads = []
+    node_values = mvg.TestNet.node_values
+    monkeypatch.setattr(mvg.TestNet, "node_values",
+                        lambda self: reads.append(self) or node_values(self))
     gen_cut_norm(w1, w2, net)
     delta_black(w1, w2, net)
-    assert "functions" not in vars(net)
-    assert len(net.functions) == len(net)
+    assert reads == []
+    assert len(net_members(net)) == len(net)
 
 
 def test_net_cover_radius_is_reported_from_the_actual_grid():
@@ -243,7 +254,7 @@ def test_gen_cut_norm_is_the_sup_over_every_net_member():
     def brute(w1, w2, net):
         return max(
             cut_norm(gamma_kernel(f, w1).values - gamma_kernel(f, w2).values, method="exhaustive")
-            for f in net.functions
+            for f in net_members(net)
         )
 
     for segments in (4, 8):
@@ -253,7 +264,8 @@ def test_gen_cut_norm_is_the_sup_over_every_net_member():
             assert gen_cut_norm(w1, w2, net)[0] == pytest.approx(brute(w1, w2, net), abs=1e-12)
     w1, w2 = random_mvg(rng, 3), random_mvg(rng, 3)
     diff = mvg_diff(w1, w2)
-    expected = max(cut_norm(gamma_kernel(f, diff).values, method="exhaustive") for f in NET.functions)
+    expected = max(cut_norm(gamma_kernel(f, diff).values, method="exhaustive")
+                   for f in net_members(NET))
     assert gen_cut_norm(diff, None, NET)[0] == pytest.approx(expected, abs=1e-12)
 
 
@@ -674,9 +686,3 @@ def test_net_export_bytes_are_pinned(tmp_path, segments, digest):
     path = tmp_path / "net.txt"
     save_net_text(net, path)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
-    assert "functions" not in vars(net)
-    breaks, vals = net.node_values()
-    members = net.functions
-    assert len(members) == len(vals) == 3**segments
-    for f, row in zip(members, vals):
-        assert np.array_equal(f.breakpoints, breaks) and np.array_equal(f.values, row)

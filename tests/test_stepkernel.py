@@ -164,6 +164,18 @@ def test_named_graph_pinned_forms_match_the_einsum_path_bit_for_bit(monkeypatch)
         assert np.array_equal(form, hom_density_pinned(g, w, e)), (g, e, w.r)
 
 
+def test_pairwise_rows_add_each_row_as_a_contiguous_sum_adds():
+    # the leaf sizes below 8 and up to 128, even and odd splits past 128, and
+    # every r^2 of the stacked densities up to r = 40
+    rng = np.random.default_rng(59)
+    sizes = sorted(set(range(1, 300)) | {r * r for r in range(1, 41)} | {1601, 2000})
+    for n in sizes:
+        x = rng.standard_normal((3, n))
+        want = np.array([row.sum() for row in x])
+        assert stepkernel._pairwise_rows(x).tobytes() == want.tobytes(), n
+        assert stepkernel._pairwise_rows(np.asfortranarray(x)).tobytes() == want.tobytes(), n
+
+
 def test_relabeled_term_graphs_take_the_einsum_path(monkeypatch):
     calls = []
     einsum = np.einsum
