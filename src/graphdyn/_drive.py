@@ -23,20 +23,25 @@ def run_steps(first: int, last: int, step) -> None:
             raise type(exc)(f"step {j}: {exc}") from exc
 
 
+def record_steps(steps: int, record_every: int = 1, milestones=()) -> list[int]:
+    """Step 0, every record_every-th step, each milestone in [0, steps] and the
+    last step, once each and sorted."""
+    if record_every < 1:
+        raise ValueError(f"record_every must be at least 1, got {record_every}")
+    marks = {0, steps, *range(0, steps + 1, record_every)}
+    marks.update(m for m in milestones if 0 <= m <= steps)
+    return sorted(marks)
+
+
 def drive(steps: int, advance, record, observers=(), record_every: int = 1, milestones=()):
-    """Record step 0, every record_every-th step, each milestone in [0, steps] and
-    the last step, once each and in order; return the records.
+    """Record each of record_steps' steps in order; return the records.
 
     advance(k) moves the run to step k and record(k) builds the record of the
     state there.  A record whose energy is not finite raises FloatingPointError;
     every other one is kept and passed to each observer.
     """
-    if record_every < 1:
-        raise ValueError(f"record_every must be at least 1, got {record_every}")
-    marks = {0, steps, *range(0, steps + 1, record_every)}
-    marks.update(m for m in milestones if 0 <= m <= steps)
     records = []
-    for k in sorted(marks):
+    for k in record_steps(steps, record_every, milestones):
         if k:
             advance(k)
         rec = record(k)

@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ._drive import drive
+from ._drive import drive, record_steps
 from .hamiltonian import Hamiltonian
 from .stepkernel import StepKernel
 
@@ -397,12 +397,16 @@ def metropolis_step(state: ChainState, cfg: ChainConfig, walk: _CountWalk | None
 
 
 def _step_block(state: ChainState, cfg: ChainConfig, walk: _CountWalk, signs: np.ndarray,
-                unif: np.ndarray, energy: float) -> tuple[float, float, bool]:
+                unif: np.ndarray, energy: float, depth: int, marks,
+                snaps: dict) -> tuple[float, int]:
     """len(unif) iterations of metropolis_step, in place, from their decoded draws.
 
     The same states, energies and acceptances, bit for bit: each walk segment
     is applied as its composed clamp, and each density is built from the
     upper-triangle vector, which gives the values of counts / capacities.
+    At each step in marks (record steps, a set), the upper-triangle counts
+    and the energy, acceptance probability and flag of the iteration that
+    reached it are written to snaps[step].
 
     Where cfg.h evaluates stacks in closed form, iterations run speculatively:
     a run of `depth` iterations is rolled forward as if every proposal were
@@ -413,10 +417,10 @@ def _step_block(state: ChainState, cfg: ChainConfig, walk: _CountWalk, signs: np
     already decoded.  The depth halves after a rejection and doubles after a
     run without one, up to SPECULATION_DEPTH; at depth 1 an iteration is
     stepped alone, with one evaluate per density.  The counts are written
-    back once, at the end.  Returns the energy, acceptance probability and
-    flag of the last iteration.
+    back once, at the end.  Returns the energy of the last iteration and
+    the depth to start the next block at.
     """
-    h, iters, s = cfg.h, len(unif), cfg.s_n * walk.m
+    h, iters, s, start = cfg.h, len(unif), cfg.s_n * walk.m, state.step_index
     segs = [walk.compose(signs[:, :s].reshape(iters, cfg.s_n, walk.m))]
     if cfg.l_nr:
         segs.append(walk.compose(signs[:, s:].reshape(iters, cfg.l_nr, walk.m)))
@@ -425,7 +429,7 @@ def _step_block(state: ChainState, cfg: ChainConfig, walk: _CountWalk, signs: np
     rolled = np.empty((per * min(iters, SPECULATION_DEPTH), walk.m), dtype=np.int64)
     uniforms = unif.tolist()
     vec = state.counts[walk.iu]
-    j, depth = 0, 1
+    j = 0
     while j < iters:
         d = min(depth, iters - j) if speculate else 1
         if d == 1:
@@ -439,6 +443,8 @@ def _step_block(state: ChainState, cfg: ChainConfig, walk: _CountWalk, signs: np
                 vec = _clamp(vec, segs[1], j)
                 energy = h.evaluate(walk.vec_density(vec))
             j, depth = j + 1, 2 if accepted else 1
+            if start + j in marks:
+                snaps[start + j] = (vec.copy(), energy, acc_prob, accepted)
             continue
         run = rolled[: per * d]
         prev = vec
@@ -451,6 +457,8 @@ def _step_block(state: ChainState, cfg: ChainConfig, walk: _CountWalk, signs: np
             if not accepted:
                 break
             energy = energies[per * k + per - 1]
+            if start + j + k + 1 in marks:
+                snaps[start + j + k + 1] = (run[per * k + per - 1].copy(), energy, acc_prob, True)
         if accepted:
             vec, j, depth = run[-1].copy(), j + d, min(2 * depth, SPECULATION_DEPTH)
             continue
@@ -459,9 +467,11 @@ def _step_block(state: ChainState, cfg: ChainConfig, walk: _CountWalk, signs: np
             vec = _clamp(vec, segs[1], j + k)
             energy = h.evaluate(walk.vec_density(vec))
         j, depth = j + k + 1, max(1, depth // 2)
+        if start + j in marks:
+            snaps[start + j] = (vec.copy(), energy, acc_prob, False)
     _write_symmetric(state.counts, walk.iu, vec)
     state.step_index += iters
-    return energy, acc_prob, accepted
+    return energy, depth
 
 
 def _clamp(vec: np.ndarray, seg, j: int, out: np.ndarray | None = None) -> np.ndarray:
@@ -508,7 +518,13 @@ def run_chain(
     init is a density kernel, the string "uniform", or None for the constant
     one-half start.  Records (and notifies observers) on drive's schedule.
     Soft validation warnings for the gamma_n regime are emitted once up front.
+
+    The chain moves in blocks of about BLOCK_WORDS raw words, which run
+    through record steps: each block keeps a snapshot of the state at every
+    record step inside it, and each record is built from its snapshot.  An
+    error inside a block is raised once every record before it is taken.
     """
+    marks = set(record_steps(cfg.iterations, record_every, milestones))
     for msg in cfg.validation_warnings():
         warnings.warn(msg, stacklevel=2)
     rng = np.random.default_rng(cfg.seed)
@@ -521,30 +537,44 @@ def run_chain(
     else:
         state = ChainState.from_density(cfg, init, rng)
     walk = _CountWalk(cfg)
-    energy = cfg.h.evaluate(walk.density(state.counts))
-    acc_prob, accepted = 1.0, True
+    energy, depth, failure = cfg.h.evaluate(walk.density(state.counts)), 1, None
+    # record step -> (upper-triangle counts, energy, acc_prob, accepted), held
+    # from the block that passes the step until its record is taken
+    snaps = {0: (state.counts[walk.iu], energy, 1.0, True)}
     s, rl = cfg.s_n * walk.m, cfg.l_nr * walk.m
     block = max(1, BLOCK_WORDS // ((s + rl + 1) // 2 + 1))
 
+    def step_block() -> None:
+        nonlocal energy, depth
+        iters = min(block, cfg.iterations - state.step_index)
+        # a lone iteration gains nothing from a composed walk, which walks two starts
+        if iters == 1 or not _decoder_agrees():
+            _, accepted, diag = metropolis_step(state, cfg, walk, energy)
+            energy = diag.energy
+            if state.step_index in marks:
+                snaps[state.step_index] = (state.counts[walk.iu], energy, diag.acc_prob, accepted)
+            return
+        _check_draws(max(cfg.s_n, cfg.l_nr), walk.m)
+        bitgen = state.rng.bit_generator
+        start = bitgen.state
+        plan = _draw_plan(iters, s, rl, start["has_uint32"])
+        signs, unif = _block_draws(bitgen, plan, start)
+        energy, depth = _step_block(state, cfg, walk, signs, unif, energy, depth, marks, snaps)
+
     def advance(k: int) -> None:
-        nonlocal energy, acc_prob, accepted
-        while state.step_index < k:
-            iters = min(block, k - state.step_index)
-            # a lone iteration gains nothing from a composed walk, which walks two starts
-            if iters == 1 or not _decoder_agrees():
-                _, accepted, diag = metropolis_step(state, cfg, walk, energy)
-                energy, acc_prob = diag.energy, diag.acc_prob
-                continue
-            _check_draws(max(cfg.s_n, cfg.l_nr), walk.m)
-            bitgen = state.rng.bit_generator
-            start = bitgen.state
-            plan = _draw_plan(iters, s, rl, start["has_uint32"])
-            signs, unif = _block_draws(bitgen, plan, start)
-            energy, acc_prob, accepted = _step_block(state, cfg, walk, signs, unif, energy)
+        nonlocal failure
+        while k not in snaps:
+            if failure is not None:
+                raise failure
+            # whatever a block raises waits for the records taken before it
+            try:
+                step_block()
+            except Exception as exc:
+                failure = exc
 
     def record(k: int) -> ChainRecord:
-        return ChainRecord(k, cfg.diffusion_time(k), walk.density(state.counts), energy,
-                           acc_prob, accepted)
+        vec, *diagnostics = snaps.pop(k)
+        return ChainRecord(k, cfg.diffusion_time(k), walk.vec_density(vec), *diagnostics)
 
     return drive(cfg.iterations, advance, record, observers, record_every, milestones)
 

@@ -86,7 +86,8 @@ class StepKernel:
     range: tuple[float, float] = UNIT
 
     def __post_init__(self) -> None:
-        v = np.array(self.values, dtype=float)
+        # C order: past r = 16 the matrix products' last bits follow the memory order
+        v = np.array(self.values, dtype=float, order="C")
         if v.ndim != 2 or v.shape[0] != v.shape[1]:
             raise ValueError("values must be a square matrix")
         if not np.isfinite(v).all():

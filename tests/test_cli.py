@@ -1,16 +1,20 @@
 """Config parsing, run modes, exit codes, and output files of the CLI."""
 
+import contextlib
 import hashlib
+import io
 import json
 import math
 import os
 import re
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import graphdyn
 from graphdyn.cli import (
@@ -627,3 +631,81 @@ GOLDEN = {
 @pytest.mark.parametrize("name", sorted(GOLDEN_RUNS))
 def test_cli_outputs_match_their_golden_hashes(name, tmp_path, monkeypatch, capsys):
     assert _golden_hashes(name, tmp_path, monkeypatch, capsys) == GOLDEN[name]
+
+
+# ---------------------------------------------------------------- exit codes
+
+# per mode, each key's (valid, refused) values; None leaves the key out.  A
+# generated config refuses at most two keys, so about half of them run.
+# Valid runs stay small: at most 12 chain iterations and 20 diffusion or flow steps
+EXIT_CASES = {
+    "metropolis": {
+        "n": (["2", "5", "8"], ["1", "0", "4000000000", "x", None]),
+        "r": (["1", "2", "3"], ["0", "-1", None]),
+        "beta": (["1.0", "0", "-1e5", "1e6"], ["nan", "inf", None]),
+        "sigma": (["0", "0.5", "2", None], ["-1", "nan"]),
+        "gamma_n": (["0.03125", "0.25", "1"], ["0", "-1", "inf", "1e30", None]),
+        "iterations": (["0", "5", "12", None], ["-1", "2.5"]),
+        "record_every": (["1", "3", None], ["0", "-2"]),
+        "init": (["0.5", "0", "1", "uniform", None], ["1.5", "-0.5", "nan", "abc"]),
+    },
+    "sde": {
+        "r": (["1", "2", "3"], ["0", "-1", None]),
+        "beta": (["1.0", "0", "-3", "1e6"], ["nan", "inf", None]),
+        "sigma": (["0", "0.5", None], ["-1", "nan"]),
+        "dt": (["0.05", "0.2"], ["0", "-0.1", "nan", "inf"]),
+        "horizon_t": (["0", "0.2", "1", "-1"], ["nan", "inf"]),
+        "drift": (["closed_form", "limit", None], ["fast"]),
+        "replicas": (["1", "2", None], ["0", "-1"]),
+        "record_every": (["1", "3", None], ["0"]),
+        "init": (["0.5", "0", "1", None], ["1.5", "uniform", "abc"]),
+    },
+    "flow": {
+        "r": (["1", "2", "3"], ["0", "-1", None]),
+        "beta": (["1.0", "0", "-3", "1e6"], ["nan", "inf", None]),
+        "dt": (["0.05", "0.2"], ["0", "-0.1", "nan", "inf"]),
+        "horizon": (["0", "0.2", "1", "-1"], ["nan", "inf"]),
+        "record_every": (["1", "3", None], ["0"]),
+        "init": (["0.5", "0", "1", None], ["1.5", "uniform", "abc"]),
+    },
+}
+EXIT_TERMS = {
+    "term.triangle": (["1.0", "-0.25", "1e308", None], ["nan"]),
+    "term.edge": (["-0.25", "1e308", None], ["-inf"]),
+    "entropy_gamma": (["0", "0.5", None], ["-1", "nan"]),
+}
+EXIT_OUTPUT = {"heatmaps": (["true", "false", None], ["maybe"])}
+MESSAGE_PREFIXES = ("config error: ", "numeric guard: ", "i/o error: ", "error: ")
+
+
+def _draw_config(data, mode):
+    sections = {mode: EXIT_CASES[mode], "hamiltonian": EXIT_TERMS, "output": EXIT_OUTPUT}
+    keys = [(name, k) for name, spec in sections.items() for k in spec]
+    refused = data.draw(st.sets(st.sampled_from(keys), max_size=2), label="refused")
+    text = ""
+    for name, spec in sections.items():
+        text += f"[{name}]\n"
+        for k, choices in spec.items():
+            v = data.draw(st.sampled_from(choices[(name, k) in refused]), label=f"{name}.{k}")
+            text += "" if v is None else f"{k} = {v}\n"
+        text += "\n"
+    return text
+
+
+@pytest.mark.filterwarnings("ignore")
+@pytest.mark.parametrize("mode", sorted(EXIT_CASES))
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_generated_configs_exit_with_a_documented_code(mode, data):
+    # every run ends in 0, 1, 2 or 3, and says why on stderr, never in a traceback
+    text = _draw_config(data, mode)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "run.ini"
+        path.write_text(text)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([mode, "--config", str(path), "--out", str(Path(tmp) / "o")])
+    assert code in (0, 1, 2, 3), text
+    lines = err.getvalue().splitlines()
+    assert (code == 0) == (lines == []), (text, lines)
+    assert all(line.startswith(MESSAGE_PREFIXES) for line in lines), (text, lines)

@@ -83,15 +83,15 @@ def symmetric_stack(rng, b, r):
 
 
 def evaluate_each(h, stack):
-    return np.array([h.evaluate(StepKernel(np.ascontiguousarray(a))) for a in stack])
+    return np.array([h.evaluate(StepKernel(a)) for a in stack])
 
 
 @pytest.mark.parametrize("entropy", [0.0, 0.7], ids=["no-entropy", "entropy"])
 def test_stacked_energies_equal_evaluate_bit_for_bit(entropy):
     # each term with a closed form alone, mixed sums, and no term at all, over
-    # r = 1..40 and both memory orders.  evaluate's own bits follow the
-    # memory order of its kernel past r = 16, so a stack is read in C order,
-    # as the chain builds it.
+    # r = 1..40 and both memory orders.  Past r = 16 the matrix products'
+    # bits follow the memory order of their operands, so a stack is read in
+    # C order, as a StepKernel stores its values and the chain builds them.
     rng = np.random.default_rng(43)
     hs = [Hamiltonian(((c, named_term_graph(g)),), entropy) for g, c in STACKED_TERMS.items()]
     hs += [

@@ -664,7 +664,7 @@ def test_speculative_blocks_equal_the_single_step_loop(data):
 @pytest.mark.parametrize("beta", [0.25, 4e4, 1e7], ids=["accepting", "half", "rejecting"])
 def test_speculation_at_the_mantel_shape_keeps_every_iteration(monkeypatch, beta):
     # every iteration's record of a metropolis_step loop at r = 16, against the
-    # block path with records 83 apart: blocks of 83 iterations and a lone one.
+    # block path with records 83 apart and a milestone at the end.
     # Half of the proposals lower the energy here, so even beta = 1e7 accepts
     # those and rejects the rest.
     cfg = ChainConfig(n=16, r=16, beta=beta, sigma=1.0, gamma_n=1 / 64, h=TRIANGLE_EDGE,
@@ -680,9 +680,11 @@ def test_speculation_at_the_mantel_shape_keeps_every_iteration(monkeypatch, beta
     _assert_same_records(got, [want[k] for k in (0, 83, 166, 249, 250)])
     assert got_end == end
     if beta == 0.25:
-        # each block steps its first iteration alone and stacks the other 82
-        # in runs of 2, 4, .., 32 and 20, with nothing evaluated in vain
-        assert stacks == [4, 8, 16, 32, 64, 40] * 3
+        # blocks of 113 iterations run through the records at 83 and 166.  The
+        # first steps its first iteration alone and stacks the other 112 in
+        # runs of 2, 4, .., 32 and 50; the next blocks start at depth 64, in
+        # runs of 64 and 49, then 24, with nothing evaluated in vain
+        assert stacks == [4, 8, 16, 32, 64, 100, 128, 98, 48]
 
 
 @pytest.mark.filterwarnings("ignore:gamma_n")
@@ -708,33 +710,113 @@ def test_a_failed_decoder_check_falls_back_to_single_steps(monkeypatch):
 
 
 @pytest.mark.filterwarnings("ignore:gamma_n")
-def test_blocks_never_cross_a_record_or_a_milestone(monkeypatch):
+@pytest.mark.parametrize("record_every, milestones", [(20, (7, 33, 34)), (1, ())])
+def test_blocks_tile_the_run_and_cross_records_and_milestones(monkeypatch, record_every,
+                                                              milestones):
     cfg = ChainConfig(n=8, r=2, beta=0.5, sigma=1.0, gamma_n=1 / 32, h=TRIANGLE_EDGE, seed=3,
-                      iterations=90)
-    # blocks of at most 6 iterations, so gaps of 20 split into several
+                      iterations=91)
+    want = _stepped_chain(cfg, None, record_every, milestones)
+    # blocks of at most 6 iterations: 15 of them and a lone last iteration
     monkeypatch.setattr(metropolis, "BLOCK_WORDS", 6 * ((cfg.s_n + cfg.l_nr) * 3 // 2 + 1))
     spans = []
     step_block = metropolis._step_block
     single = metropolis.metropolis_step
 
-    def spy_block(state, cfg, walk, signs, unif, energy):
-        spans.append((state.step_index, state.step_index + len(unif)))
-        return step_block(state, cfg, walk, signs, unif, energy)
+    def spy_block(state, *args):
+        spans.append((state.step_index, state.step_index + len(args[3])))
+        return step_block(state, *args)
 
     def spy_single(state, *args):
-        spans.append((state.step_index, state.step_index + 1))
+        spans.append((state.step_index, state.step_index + 1, "single"))
         return single(state, *args)
 
     monkeypatch.setattr(metropolis, "_step_block", spy_block)
     monkeypatch.setattr(metropolis, "metropolis_step", spy_single)
-    recs = run_chain(cfg, record_every=20, milestones=(7, 33, 34))
-    marks = [rec.step for rec in recs]
-    assert marks == [0, 7, 20, 33, 34, 40, 60, 80, 90]
-    # the spans tile 0..90 in order and each ends at or before the next mark
-    assert [a for a, _ in spans] == [0] + [b for _, b in spans[:-1]] and spans[-1][1] == 90
-    assert all(not any(a < m < b for m in marks) for a, b in spans)
-    assert max(b - a for a, b in spans) == 6
-    assert (33, 34) in spans  # a lone iteration takes metropolis_step
+    got = _blocked_chain(cfg, None, record_every, milestones)
+    _assert_same_records(got[0], want[0])
+    assert got[1] == want[1]
+    # the spans tile 0..91 in order, sized by BLOCK_WORDS alone: records and
+    # milestones such as 7, 20, 33 and 34 fall inside blocks
+    assert {7, 20, 33, 34} <= {rec[0] for rec in got[0]}
+    assert spans == [(a, a + 6) for a in range(0, 90, 6)] + [(90, 91, "single")]
+
+
+@pytest.mark.filterwarnings("ignore")
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_records_inside_blocks_equal_the_single_step_loop(data):
+    # records every 1 to 4 iterations and milestones, so that blocks of 3, 13
+    # or BLOCK_WORDS' count of iterations snapshot many steps; s_n and l_nr
+    # vary with n, gamma_n and sigma, and l_nr = 0 at sigma = 0
+    n = data.draw(st.integers(2, 5), label="n")
+    r = data.draw(st.sampled_from([1, 2, 3, 5, 8]), label="r")
+    gamma_n = data.draw(st.sampled_from([0.05, 0.13, 0.3]), label="gamma_n")
+    sigma = data.draw(st.sampled_from([0.0, 0.5, 2.5]), label="sigma")
+    beta = data.draw(st.sampled_from([0.0, 0.3, 60.0, 1e5]), label="beta")
+    cfg = ChainConfig(n=n, r=r, beta=beta, sigma=sigma, gamma_n=gamma_n,
+                      h=data.draw(st.sampled_from(STACK_HS), label="h"),
+                      seed=data.draw(st.integers(0, 2**32 - 1), label="seed"),
+                      iterations=data.draw(st.integers(0, 50), label="iterations"))
+    init = data.draw(st.sampled_from([None, "uniform"]), label="init")
+    record_every = data.draw(st.integers(1, 4), label="record_every")
+    milestones = data.draw(st.lists(st.integers(0, 55), max_size=4), label="milestones")
+    words = ((cfg.s_n + cfg.l_nr) * r * (r + 1) // 2 + 1) // 2 + 1
+    budget = data.draw(st.sampled_from([3, 13, 10**6]), label="block") * words
+    want = _stepped_chain(cfg, init, record_every, milestones)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(metropolis, "BLOCK_WORDS", budget)
+        got = _blocked_chain(cfg, init, record_every, milestones)
+    _assert_same_records(got[0], want[0])
+    assert got[1] == want[1]
+
+
+class BlowsUp:
+    """TRIANGLE_EDGE's energy up to its `after`-th evaluation, then +inf."""
+
+    def __init__(self, after):
+        self.after, self.calls = after, 0
+
+    def evaluate(self, w):
+        self.calls += 1
+        return math.inf if self.calls > self.after else TRIANGLE_EDGE.evaluate(w)
+
+
+@pytest.mark.filterwarnings("ignore:gamma_n")
+@pytest.mark.parametrize("record_every", [1, 3])
+def test_a_non_finite_energy_inside_a_block_raises_at_its_record(record_every):
+    # the energy turns infinite at step 13; the block runs on past it, but
+    # the run raises at the first record from there on, as the stepped loop
+    # would, and the observers have seen every record before that one
+    cfg = ChainConfig(n=8, r=2, beta=0.5, sigma=1.0, gamma_n=1 / 32, h=BlowsUp(25), seed=3,
+                      iterations=40)
+    want = _stepped_chain(cfg, None, record_every, ())[0]
+    bad = next(i for i, rec in enumerate(want) if not math.isfinite(rec[2]))
+    assert want[bad][0] == {1: 13, 3: 15}[record_every]
+    seen = []
+    cfg.h = BlowsUp(25)
+    with pytest.raises(FloatingPointError, match=f"non-finite energy at step {want[bad][0]}"):
+        run_chain(cfg, observers=[seen.append], record_every=record_every)
+    caps = cfg.capacities()
+    _assert_same_records([(rec.step, np.rint(rec.density.values * caps).astype(np.int64),
+                           rec.energy, rec.acc_prob, rec.accepted) for rec in seen], want[:bad])
+
+
+@pytest.mark.filterwarnings("ignore:gamma_n")
+@pytest.mark.parametrize("record_every", [1, 2])
+def test_an_error_inside_a_block_is_raised_after_the_records_before_it(record_every):
+    # beta < 0 makes exp(-beta_nr dH) overflow at the first uphill proposal,
+    # iteration 2 here: every record up to step 2 is still taken
+    cfg = ChainConfig(n=8, r=2, beta=-1e5, sigma=1.0, gamma_n=1 / 32, h=TRIANGLE_EDGE, seed=3,
+                      iterations=40)
+    state = ChainState.from_density(cfg, np.full((2, 2), 0.5))
+    with pytest.raises(OverflowError):
+        while True:
+            metropolis_step(state, cfg)
+    assert state.step_index == 2
+    seen = []
+    with pytest.raises(OverflowError, match="math range error"):
+        run_chain(cfg, observers=[seen.append], record_every=record_every)
+    assert [rec.step for rec in seen] == list(range(0, 3, record_every))
 
 
 # ---------------------------------------------------------------- drift and QV

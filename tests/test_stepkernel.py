@@ -79,6 +79,21 @@ def test_stepkernel_values_are_frozen_copies():
         w.values[0, 0] = 0.4
 
 
+
+@pytest.mark.parametrize("r", [17, 18, 19, 20])
+def test_fortran_ordered_values_give_the_densities_of_their_c_copy(r):
+    # past r = 16 the matrix products' last bits follow the memory order of
+    # their operands, so a kernel stores its values in C order
+    rng = np.random.default_rng(r)
+    for _ in range(64):
+        vals = rng.uniform(0.0, 1.0, (r, r))
+        vals = np.asfortranarray((vals + vals.T) / 2)
+        f, c = StepKernel(vals), StepKernel(np.ascontiguousarray(vals))
+        assert f.values.flags.c_contiguous
+        for graph in (triangle_graph(), path_graph(2)):
+            assert hom_density(graph, f) == hom_density(graph, c)
+
+
 def test_kernel_from_values_infers_canonical_ranges():
     assert kernel_from_values(np.array([[0.2]])).range == (0.0, 1.0)
     assert kernel_from_values(np.array([[-0.2]])).range == (-1.0, 1.0)
@@ -147,14 +162,15 @@ NAMED_TERM_GRAPHS = ("edge", "path2", "path3", "triangle", "cycle4", "star3")
 
 def test_named_graph_pinned_forms_match_the_einsum_path_bit_for_bit(monkeypatch):
     # the closed forms replay einsum's own calls, so not one bit may move,
-    # whatever the memory order of the kernel
+    # whatever the memory order of the kernel (a StepKernel stores C order,
+    # so the Fortran-ordered ones are wrapped as trusted values)
     rng = np.random.default_rng(29)
     graphs = [named_term_graph(name) for name in NAMED_TERM_GRAPHS]
     assert all((g.m, g.edges) in stepkernel._PINNED_FORMS for g in graphs)
     kernels = []
     for r in range(1, 41):
         w = random_kernel(rng, r)
-        kernels += [w, StepKernel(np.asfortranarray(w.values))]
+        kernels += [w, StepKernel._trusted(np.asfortranarray(w.values))]
     assert kernels[-1].values.flags.f_contiguous and not kernels[-1].values.flags.c_contiguous
     cases = [(g, e, w) for g in graphs for e in range(g.edge_count) for w in kernels]
     forms = [hom_density_pinned(g, w, e) for g, e, w in cases]
