@@ -13,14 +13,27 @@ def horizon_steps(dt: float, horizon: float) -> int:
     return max(0, math.ceil(horizon / dt - 1e-12))
 
 
-def run_steps(first: int, last: int, step) -> None:
-    """Call step(j) for j = first, ..., last.  An OverflowError or FloatingPointError
-    raised inside a step is raised again with "step j: " before its message."""
-    for j in range(first, last + 1):
-        try:
-            step(j)
-        except (OverflowError, FloatingPointError) as exc:
-            raise type(exc)(f"step {j}: {exc}") from exc
+def at_step(j: int, exc: Exception) -> Exception:
+    """exc again, of its type, with "step j: " before its message."""
+    return type(exc)(f"step {j}: {exc}")
+
+
+def stepper(step):
+    """advance(k) for drive from step(j), which moves a run from step j - 1 to j:
+    it calls step(j) for each j up to k not yet taken.  An OverflowError or
+    FloatingPointError raised inside step(j) is raised again through at_step."""
+    done = 0
+
+    def advance(k: int) -> None:
+        nonlocal done
+        for j in range(done + 1, k + 1):
+            try:
+                step(j)
+            except (OverflowError, FloatingPointError) as exc:
+                raise at_step(j, exc) from exc
+        done = k
+
+    return advance
 
 
 def record_steps(steps: int, record_every: int = 1, milestones=()) -> list[int]:

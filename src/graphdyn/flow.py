@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._drive import drive, horizon_steps, run_steps
+from ._drive import drive, horizon_steps, stepper
 from .stepkernel import StepKernel, l2_distance
 
 BOUNDARY_TOL = 1e-12
@@ -86,7 +86,6 @@ def run_flow(
     if init.r < 1:
         raise ValueError(f"r must be at least 1, got {init.r}")
     state = FlowState(init, 0.0)
-    done = 0
     energy = h.evaluate(init) if check_descent else None  # tracked only to check descent
 
     def step(j: int) -> None:
@@ -98,15 +97,10 @@ def run_flow(
                 raise RuntimeError(f"energy increased at step {j}: {last_energy} -> "
                                    f"{energy}; reduce dt below 2/(beta L)")
 
-    def advance(k: int) -> None:
-        nonlocal done
-        run_steps(done + 1, k, step)
-        done = k
-
     def record(k: int) -> FlowRecord:
         return FlowRecord(k, state.t, state.w, energy if check_descent else h.evaluate(state.w))
 
-    return drive(steps, advance, record, observers, record_every)
+    return drive(steps, stepper(step), record, observers, record_every)
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ._drive import drive, record_steps
+from ._drive import at_step, drive, record_steps
 from .hamiltonian import Hamiltonian
 from .stepkernel import StepKernel
 
@@ -28,6 +28,8 @@ BLOCK_WORDS = 1 << 17
 SPECULATION_DEPTH = 64
 # a half-word at or above this draws the sign +1
 _SIGN_BIT = np.uint32(1 << 31)
+# empirical_drift starts only where every density lies in [INTERIOR_EPS, 1 - INTERIOR_EPS]
+INTERIOR_EPS = 0.05
 # esbm_sample materializes at most this many edges (64 MiB of int64 pairs)
 EDGE_TOTAL_LIMIT = 1 << 22
 # the largest community size whose n^2 pair capacity fits in int64
@@ -113,10 +115,6 @@ class ChainConfig:
         return math.floor(t * self.r**4 / self.gamma_n + 1e-9)
 
 
-def _upper_indices(r: int) -> tuple[np.ndarray, np.ndarray]:
-    return np.triu_indices(r)
-
-
 @dataclass
 class ChainState:
     """Mutable chain state: symmetric counts, step counter, and its RNG."""
@@ -135,7 +133,7 @@ class ChainState:
         """Every count drawn uniformly from 0..capacity (the base measure)."""
         rng = rng or np.random.default_rng(cfg.seed)
         caps = cfg.capacities()
-        iu = _upper_indices(cfg.r)
+        iu = np.triu_indices(cfg.r)
         counts = np.zeros((cfg.r, cfg.r), dtype=np.int64)
         counts[iu] = rng.integers(0, caps[iu] + 1)
         counts = np.triu(counts) + np.triu(counts, 1).T
@@ -166,7 +164,7 @@ def esbm_sample(cfg: ChainConfig, q, rng: np.random.Generator):
     pairs uniformly without replacement.
     """
     counts = quantize_density(cfg, q)
-    total = sum(int(c) for c in counts[_upper_indices(cfg.r)])  # Python ints cannot wrap
+    total = sum(int(c) for c in counts[np.triu_indices(cfg.r)])  # Python ints cannot wrap
     if total > EDGE_TOTAL_LIMIT:
         raise ValueError(
             f"the quantized density has {total} edges, past the limit of "
@@ -199,12 +197,12 @@ def esbm_sample(cfg: ChainConfig, q, rng: np.random.Generator):
 class _CountWalk:
     """Flattened upper-triangle view of the counts with its reflection rule.
 
-    The one walk of the package: metropolis_step moves a single count
-    vector through it, empirical_drift a (trials, m) stack of them.
+    The one walk of the package: run_chain composes its blocks' segments
+    through it, and empirical_drift and metropolis_step move counts through it.
     """
 
     def __init__(self, cfg: ChainConfig) -> None:
-        self.iu = _upper_indices(cfg.r)
+        self.iu = np.triu_indices(cfg.r)
         self.cap_matrix = cfg.capacities()
         self.caps = self.cap_matrix[self.iu]
         self.m = len(self.caps)
@@ -330,6 +328,28 @@ def _block_draws(bitgen, plan: _DrawPlan, state: dict) -> tuple[np.ndarray, np.n
     return plan.decode(raw, start)
 
 
+def _generator_draws(rng: np.random.Generator, iters: int, s: int,
+                     rl: int) -> tuple[np.ndarray, np.ndarray]:
+    """Signs (iters, s + rl) and uniforms (iters,) of `iters` chain iterations, as
+    metropolis_step draws them and leaving rng where it does: decoded from one
+    random_raw call where _decoder_agrees, else drawn call by call."""
+    if not _decoder_agrees():
+        return _call_draws(rng, iters, s, rl)
+    start = rng.bit_generator.state
+    return _block_draws(rng.bit_generator, _draw_plan(iters, s, rl, start["has_uint32"]), start)
+
+
+def _call_draws(rng: np.random.Generator, iters: int, s: int,
+                rl: int) -> tuple[np.ndarray, np.ndarray]:
+    """_generator_draws' draws made as metropolis_step makes them, one call each."""
+    signs, unif = np.empty((iters, s + rl), dtype=np.int8), np.empty(iters)
+    for i in range(iters):
+        signs[i, :s] = _draw_signs(rng, 1, s)[0]
+        unif[i] = rng.random()
+        signs[i, s:] = _draw_signs(rng, 1, rl)[0]  # rl = 0 draws nothing
+    return signs, unif
+
+
 @functools.cache
 def _decoder_agrees() -> bool:
     """Whether _DrawPlan reads raw words the way this numpy's Generator draws.
@@ -342,15 +362,11 @@ def _decoder_agrees() -> bool:
         g.integers(0, 2, size=3, dtype=np.int64)
     state = blk.bit_generator.state
     try:
-        plan = _DrawPlan(2, 5, 6, state["has_uint32"])
-        signs, unif = _block_draws(blk.bit_generator, plan, state)
+        got = _block_draws(blk.bit_generator, _DrawPlan(2, 5, 6, state["has_uint32"]), state)
     except KeyError:  # a state without the waiting half-word
         return False
-    for row, u in zip(signs, unif.tolist()):
-        if not (np.array_equal(row[:5], _draw_signs(seq, 1, 5)[0]) and u == seq.random()
-                and np.array_equal(row[5:], _draw_signs(seq, 1, 6)[0])):
-            return False
-    return blk.bit_generator.state == seq.bit_generator.state
+    same = all(map(np.array_equal, got, _call_draws(seq, 2, 5, 6)))
+    return same and blk.bit_generator.state == seq.bit_generator.state
 
 
 @dataclass(frozen=True)
@@ -359,6 +375,15 @@ class StepDiagnostics:
     acc_prob: float
     accepted: bool
     energy: float  # energy of the state after accept/reject, before relaxation
+
+
+def _acceptance(beta_nr: float, delta: float) -> float:
+    """exp(-beta_nr delta^+), the probability of accepting an energy change delta."""
+    try:
+        return math.exp(-beta_nr * max(0.0, delta))
+    except OverflowError as exc:
+        raise OverflowError(f"acceptance exp(-beta_nr dH^+) overflows at beta_nr = {beta_nr}, "
+                            f"dH = {delta}: {exc}") from exc
 
 
 def metropolis_step(state: ChainState, cfg: ChainConfig, walk: _CountWalk | None = None,
@@ -381,7 +406,7 @@ def metropolis_step(state: ChainState, cfg: ChainConfig, walk: _CountWalk | None
     _write_symmetric(state.counts, iu, vec)
     prop_energy = cfg.h.evaluate(walk.density(state.counts))
     delta = prop_energy - energy
-    acc_prob = math.exp(-cfg.beta_nr * max(0.0, delta))
+    acc_prob = _acceptance(cfg.beta_nr, delta)
     accepted = state.rng.random() < acc_prob
     if accepted:
         energy = prop_energy
@@ -399,76 +424,63 @@ def metropolis_step(state: ChainState, cfg: ChainConfig, walk: _CountWalk | None
 def _step_block(state: ChainState, cfg: ChainConfig, walk: _CountWalk, signs: np.ndarray,
                 unif: np.ndarray, energy: float, depth: int, marks,
                 snaps: dict) -> tuple[float, int]:
-    """len(unif) iterations of metropolis_step, in place, from their decoded draws.
+    """len(unif) iterations of metropolis_step, in place, from their draws: the
+    same states, energies and acceptances, bit for bit.  Each walk segment is
+    applied as its composed clamp, and each density is built from the
+    upper-triangle vector, which gives the values of counts / capacities.  At
+    each step in marks (record steps, a set), the upper-triangle counts and the
+    energy, acceptance probability and flag of the iteration that reached it
+    are written to snaps[step].
 
-    The same states, energies and acceptances, bit for bit: each walk segment
-    is applied as its composed clamp, and each density is built from the
-    upper-triangle vector, which gives the values of counts / capacities.
-    At each step in marks (record steps, a set), the upper-triangle counts
-    and the energy, acceptance probability and flag of the iteration that
-    reached it are written to snaps[step].
-
-    Where cfg.h evaluates stacks in closed form, iterations run speculatively:
-    a run of `depth` iterations is rolled forward as if every proposal were
-    accepted, and its proposal and relaxed densities are evaluated as one
-    stack.  The acceptances are then checked in order.  At the first
-    rejection the prefix is kept, the rejected iteration relaxes from its
-    pre-proposal counts, and speculation starts again after it on the draws
-    already decoded.  The depth halves after a rejection and doubles after a
-    run without one, up to SPECULATION_DEPTH; at depth 1 an iteration is
-    stepped alone, with one evaluate per density.  The counts are written
-    back once, at the end.  Returns the energy of the last iteration and
-    the depth to start the next block at.
+    Iterations go in runs of up to `depth`, rolled forward as if every proposal
+    were accepted; a run's densities up to its last proposal are evaluated as
+    one stack.  The acceptances are checked in order, and the run ends at its
+    first rejection or at its last proposal: that iteration relaxes from the
+    counts it keeps, with one evaluate, and the next run starts after it.  The
+    depth halves after a rejection and doubles after a run without one, up to
+    SPECULATION_DEPTH, or 1 where cfg.h has no closed forms for stacks: a run
+    of 1 evaluates what metropolis_step does.  Returns the energy of the last
+    iteration and the depth to start the next block at.
     """
     h, iters, s, start = cfg.h, len(unif), cfg.s_n * walk.m, state.step_index
     segs = [walk.compose(signs[:, :s].reshape(iters, cfg.s_n, walk.m))]
     if cfg.l_nr:
         segs.append(walk.compose(signs[:, s:].reshape(iters, cfg.l_nr, walk.m)))
     per = len(segs)  # densities per iteration: the proposal, then the relaxed state
-    speculate = isinstance(h, Hamiltonian) and h.batched(cfg.r)
-    rolled = np.empty((per * min(iters, SPECULATION_DEPTH), walk.m), dtype=np.int64)
+    cap = SPECULATION_DEPTH if isinstance(h, Hamiltonian) and h.batched(cfg.r) else 1
+    rolled = np.empty((per * min(iters, cap), walk.m), dtype=np.int64)
     uniforms = unif.tolist()
     vec = state.counts[walk.iu]
     j = 0
     while j < iters:
-        d = min(depth, iters - j) if speculate else 1
-        if d == 1:
-            prop = _clamp(vec, segs[0], j)
-            prop_energy = h.evaluate(walk.vec_density(prop))
-            acc_prob = math.exp(-cfg.beta_nr * max(0.0, prop_energy - energy))
-            accepted = uniforms[j] < acc_prob
-            if accepted:
-                vec, energy = prop, prop_energy
-            if cfg.l_nr:
-                vec = _clamp(vec, segs[1], j)
-                energy = h.evaluate(walk.vec_density(vec))
-            j, depth = j + 1, 2 if accepted else 1
-            if start + j in marks:
-                snaps[start + j] = (vec.copy(), energy, acc_prob, accepted)
-            continue
-        run = rolled[: per * d]
+        d = min(depth, cap, iters - j)
+        run = rolled[: per * d - per + 1]
         prev = vec
-        for k in range(per * d):
+        for k in range(len(run)):
             prev = _clamp(prev, segs[k % per], j + k // per, out=run[k])
         energies = _energies(h, walk, run)
         for k in range(d):
-            acc_prob = math.exp(-cfg.beta_nr * max(0.0, energies[per * k] - energy))
+            try:
+                acc_prob = _acceptance(cfg.beta_nr, energies[per * k] - energy)
+            except OverflowError as exc:
+                raise at_step(start + j + k + 1, exc) from exc
             accepted = uniforms[j + k] < acc_prob
-            if not accepted:
+            if not accepted or k == d - 1:
                 break
             energy = energies[per * k + per - 1]
             if start + j + k + 1 in marks:
                 snaps[start + j + k + 1] = (run[per * k + per - 1].copy(), energy, acc_prob, True)
-        if accepted:
-            vec, j, depth = run[-1].copy(), j + d, min(2 * depth, SPECULATION_DEPTH)
-            continue
-        vec = run[per * k - 1].copy() if k else vec
+        # the counts kept: the accepted proposal, else the state before it (vec at -1)
+        kept = per * k if accepted else per * k - 1
+        if kept >= 0:
+            vec, energy = run[kept].copy(), energies[kept]
         if cfg.l_nr:
             vec = _clamp(vec, segs[1], j + k)
             energy = h.evaluate(walk.vec_density(vec))
-        j, depth = j + k + 1, max(1, depth // 2)
+        j += k + 1
+        depth = min(2 * depth, SPECULATION_DEPTH) if accepted else max(1, depth // 2)
         if start + j in marks:
-            snaps[start + j] = (vec.copy(), energy, acc_prob, False)
+            snaps[start + j] = (vec, energy, acc_prob, accepted)
     _write_symmetric(state.counts, walk.iu, vec)
     state.step_index += iters
     return energy, depth
@@ -484,9 +496,9 @@ def _clamp(vec: np.ndarray, seg, j: int, out: np.ndarray | None = None) -> np.nd
 
 def _energies(h, walk: _CountWalk, vecs: np.ndarray) -> list[float]:
     """h.evaluate of the density of each count vector in a (k, m) stack: one
-    evaluate_stack call where h is a Hamiltonian, else one evaluate each."""
+    evaluate_stack call for k > 1 where h is a Hamiltonian, else one evaluate each."""
     stack = (vecs / walk.caps)[:, walk.full]
-    if isinstance(h, Hamiltonian):
+    if isinstance(h, Hamiltonian) and len(stack) > 1:
         return h.evaluate_stack(stack).tolist()
     return [h.evaluate(StepKernel._trusted(d)) for d in stack]
 
@@ -519,10 +531,11 @@ def run_chain(
     one-half start.  Records (and notifies observers) on drive's schedule.
     Soft validation warnings for the gamma_n regime are emitted once up front.
 
-    The chain moves in blocks of about BLOCK_WORDS raw words, which run
-    through record steps: each block keeps a snapshot of the state at every
-    record step inside it, and each record is built from its snapshot.  An
-    error inside a block is raised once every record before it is taken.
+    The chain moves in blocks of about BLOCK_WORDS raw words, each stepped
+    by _step_block from _generator_draws.  Blocks run through record steps:
+    each keeps a snapshot of the state at every record step inside it, and
+    each record is built from its snapshot.  An error inside a block is
+    raised once every record before it is taken.
     """
     marks = set(record_steps(cfg.iterations, record_every, milestones))
     for msg in cfg.validation_warnings():
@@ -546,19 +559,9 @@ def run_chain(
 
     def step_block() -> None:
         nonlocal energy, depth
-        iters = min(block, cfg.iterations - state.step_index)
-        # a lone iteration gains nothing from a composed walk, which walks two starts
-        if iters == 1 or not _decoder_agrees():
-            _, accepted, diag = metropolis_step(state, cfg, walk, energy)
-            energy = diag.energy
-            if state.step_index in marks:
-                snaps[state.step_index] = (state.counts[walk.iu], energy, diag.acc_prob, accepted)
-            return
         _check_draws(max(cfg.s_n, cfg.l_nr), walk.m)
-        bitgen = state.rng.bit_generator
-        start = bitgen.state
-        plan = _draw_plan(iters, s, rl, start["has_uint32"])
-        signs, unif = _block_draws(bitgen, plan, start)
+        signs, unif = _generator_draws(state.rng, min(block, cfg.iterations - state.step_index),
+                                       s, rl)
         energy, depth = _step_block(state, cfg, walk, signs, unif, energy, depth, marks, snaps)
 
     def advance(k: int) -> None:
@@ -584,10 +587,7 @@ def _trial_draws(seeds, plan: _DrawPlan, signs: np.ndarray, unif: np.ndarray) ->
     k trials, each drawn from a fresh PCG64 on its own seed sequence."""
     if not _decoder_agrees():
         for i, seed in enumerate(seeds):
-            g = np.random.default_rng(seed)
-            signs[i, : plan.s] = _draw_signs(g, 1, plan.s)[0]
-            unif[i] = g.random()
-            signs[i, plan.s :] = _draw_signs(g, 1, plan.rl)[0]
+            (signs[i],), (unif[i],) = _call_draws(np.random.default_rng(seed), 1, plan.s, plan.rl)
         return
     chunk = max(1, BLOCK_WORDS // plan.words)
     for c in range(0, len(seeds), chunk):
@@ -602,7 +602,6 @@ def empirical_drift(
     cfg: ChainConfig,
     q0,
     trials: int,
-    interior_eps: float = 0.05,
     block: int = 1024,
 ):
     """Mean one-iteration displacement at q0, normalized by gamma_n r^-4.
@@ -611,7 +610,7 @@ def empirical_drift(
     start, each on its own RNG stream split from cfg.seed, and returns the
     (r x r) normalized drift estimate with its per-coordinate standard
     errors.  The start must be interior: every density in
-    [interior_eps, 1 - interior_eps].
+    [INTERIOR_EPS, 1 - INTERIOR_EPS].
 
     Trials run in blocks on the chain's own walk: each trial's draws are
     decoded from its raw words as metropolis_step would draw them, into one
@@ -619,8 +618,8 @@ def empirical_drift(
     whole block at once.
     """
     q0_vals = q0.values if isinstance(q0, StepKernel) else np.asarray(q0, dtype=float)
-    if q0_vals.min() < interior_eps or q0_vals.max() > 1.0 - interior_eps:
-        raise ValueError(f"start must lie in [{interior_eps}, {1 - interior_eps}]")
+    if q0_vals.min() < INTERIOR_EPS or q0_vals.max() > 1.0 - INTERIOR_EPS:
+        raise ValueError(f"start must lie in [{INTERIOR_EPS}, {1 - INTERIOR_EPS}]")
     counts0 = quantize_density(cfg, q0_vals)
     walk = _CountWalk(cfg)
     caps = walk.caps.astype(float)
@@ -642,7 +641,7 @@ def empirical_drift(
         _trial_draws(streams[done : done + k], plan, signs[:k], unif[:k])
         vecs = np.broadcast_to(vec0, (k, walk.m)).copy()
         walk.steps(vecs, signs[:k, :s].reshape(k, cfg.s_n, walk.m).transpose(1, 0, 2))
-        acc = np.array([u < math.exp(-cfg.beta_nr * max(0.0, e - energy0))
+        acc = np.array([u < _acceptance(cfg.beta_nr, e - energy0)
                         for u, e in zip(unif[:k].tolist(), _energies(cfg.h, walk, vecs))])
         vecs[~acc] = vec0
         if cfg.l_nr:
@@ -671,7 +670,7 @@ def empirical_qv(cfg: ChainConfig, horizon_t: float, init: StepKernel | None = N
     if cfg.sigma <= 0:
         raise ValueError("quadratic variation needs sigma > 0")
     run = replace(cfg, iterations=cfg.steps_for_horizon(horizon_t))
-    iu = _upper_indices(cfg.r)
+    iu = np.triu_indices(cfg.r)
     incs = np.diff([rec.density.values[iu] for rec in run_chain(run, init)], axis=0)
     centered = incs - incs.mean(axis=0, keepdims=True) if len(incs) else incs
     qv = (centered**2).sum(axis=0)

@@ -16,7 +16,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.special import erfc
 
-from ._drive import drive, horizon_steps, run_steps
+from ._drive import drive, horizon_steps, stepper
 from .hamiltonian import Hamiltonian
 from .stepkernel import StepKernel, _symmetric_kernel, l2_norm
 
@@ -231,7 +231,6 @@ def run_sde(
     streams = [np.random.default_rng(s) for s in np.random.SeedSequence(cfg.seed).spawn(replicas)]
     shape = (replicas, cfg.r, cfg.r)
     state = SdeState(np.broadcast_to(init.values, shape).copy(), np.zeros(shape), np.zeros(shape))
-    done = 0
 
     def mean(stack: np.ndarray) -> np.ndarray:
         return stack.sum(axis=0) / replicas
@@ -247,14 +246,9 @@ def run_sde(
         state = em_step(state, cfg, None, drift, noise)
         x_mean = StepKernel._trusted(mean(state.x))
 
-    def advance(k: int) -> None:
-        nonlocal done
-        run_steps(done + 1, k, step)
-        done = k
-
     def record(k: int) -> SdeRecord:
         return SdeRecord(k, state.t, x_mean, cfg.h.evaluate(x_mean),
                          float(np.linalg.norm(mean(state.l0))),
                          float(np.linalg.norm(mean(state.l1))))
 
-    return drive(cfg.steps, advance, record, observers, record_every)
+    return drive(cfg.steps, stepper(step), record, observers, record_every)

@@ -206,6 +206,11 @@ def test_overflowing_drifts_exit_with_the_numeric_code(tmp_path, change, message
     # with "config error: values must be exactly symmetric"
     ("flow", "r = 2\nbeta = 1e308\ndt = 10\nhorizon = 20\ninit = {init}\n",
      "numeric guard: step 1: flow step beta * dt = 1e+308 * 10.0 is not finite"),
+    # before, the chain's guard read only "numeric guard: math range error"
+    ("metropolis", "n = 8\nr = 2\nbeta = -1e5\nsigma = 1\ngamma_n = 0.03125\niterations = 40\n"
+     "seed = 3\n",
+     "numeric guard: step 3: acceptance exp(-beta_nr dH^+) overflows at beta_nr = -800000.0, "
+     "dH = 0.005087805211370255: math range error"),
 ])
 def test_numeric_guards_name_the_step_and_the_quantity(tmp_path, mode, fields, guard):
     init = tmp_path / "init.txt"

@@ -681,10 +681,12 @@ def test_speculation_at_the_mantel_shape_keeps_every_iteration(monkeypatch, beta
     assert got_end == end
     if beta == 0.25:
         # blocks of 113 iterations run through the records at 83 and 166.  The
-        # first steps its first iteration alone and stacks the other 112 in
-        # runs of 2, 4, .., 32 and 50; the next blocks start at depth 64, in
-        # runs of 64 and 49, then 24, with nothing evaluated in vain
-        assert stacks == [4, 8, 16, 32, 64, 100, 128, 98, 48]
+        # first goes in runs of 1, 2, 4, .., 32 and 50; the next blocks start
+        # at depth 64, in runs of 64 and 49, then 24.  A run of d > 1 stacks
+        # its 2d - 1 densities up to its last proposal, and the last relaxed
+        # state is one evaluate, so nothing is evaluated in vain; a run of 1
+        # evaluates its one proposal without a stack
+        assert stacks == [3, 7, 15, 31, 63, 99, 127, 97, 47]
 
 
 @pytest.mark.filterwarnings("ignore:gamma_n")
@@ -699,14 +701,18 @@ def test_a_failed_decoder_check_falls_back_to_single_steps(monkeypatch):
     drift = empirical_drift(relaxed, np.full((3, 3), 0.3), 300, block=128)
     monkeypatch.setattr(metropolis, "_decoder_agrees", lambda: False)
     steps = []
-    monkeypatch.setattr(metropolis, "_step_block", lambda *args: steps.append(args))
+    step_block = metropolis._step_block
+    monkeypatch.setattr(metropolis, "_step_block",
+                        lambda state, *args: steps.append(state.step_index)
+                        or step_block(state, *args))
     assert _records_sha256(run_chain(cfg), cfg.capacities()) == MANTEL_300_SHA256
     single = _blocked_chain(odd, "uniform", 50, (7,))
     _assert_same_records(single[0], blocked[0])
     assert single[1] == blocked[1]
     fallback = empirical_drift(relaxed, np.full((3, 3), 0.3), 300, block=128)
     assert all(np.array_equal(a, b) for a, b in zip(fallback, drift))
-    assert steps == []
+    # the draws change, not the iteration: both chains step through _step_block
+    assert steps[:3] == [0, 113, 226] and 0 in steps[3:]
 
 
 @pytest.mark.filterwarnings("ignore:gamma_n")
@@ -716,7 +722,7 @@ def test_blocks_tile_the_run_and_cross_records_and_milestones(monkeypatch, recor
     cfg = ChainConfig(n=8, r=2, beta=0.5, sigma=1.0, gamma_n=1 / 32, h=TRIANGLE_EDGE, seed=3,
                       iterations=91)
     want = _stepped_chain(cfg, None, record_every, milestones)
-    # blocks of at most 6 iterations: 15 of them and a lone last iteration
+    # blocks of at most 6 iterations: 15 of them and a last one of one iteration
     monkeypatch.setattr(metropolis, "BLOCK_WORDS", 6 * ((cfg.s_n + cfg.l_nr) * 3 // 2 + 1))
     spans = []
     step_block = metropolis._step_block
@@ -738,7 +744,29 @@ def test_blocks_tile_the_run_and_cross_records_and_milestones(monkeypatch, recor
     # the spans tile 0..91 in order, sized by BLOCK_WORDS alone: records and
     # milestones such as 7, 20, 33 and 34 fall inside blocks
     assert {7, 20, 33, 34} <= {rec[0] for rec in got[0]}
-    assert spans == [(a, a + 6) for a in range(0, 90, 6)] + [(90, 91, "single")]
+    assert spans == [(a, a + 6) for a in range(0, 90, 6)] + [(90, 91)]
+
+
+@pytest.mark.filterwarnings("ignore:gamma_n")
+@pytest.mark.parametrize("agrees", [True, False], ids=["decoded", "call-by-call"])
+@pytest.mark.parametrize("iterations", [1, 2, 40])
+@pytest.mark.parametrize("stacked", [True, False], ids=["stacks", "duck-typed"])
+def test_run_chain_steps_only_through_step_block(monkeypatch, agrees, iterations, stacked):
+    # one iteration path: decoded or call-by-call draws, one-iteration runs and
+    # an h without evaluate_stack all go through _step_block
+    cfg = ChainConfig(n=8, r=2, beta=0.5, sigma=1.0, gamma_n=1 / 32,
+                      h=TRIANGLE_EDGE if stacked else BlowsUp(math.inf), seed=3,
+                      iterations=iterations)
+    want = _stepped_chain(cfg, "uniform", 1, ())
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("run_chain called metropolis_step")
+
+    monkeypatch.setattr(metropolis, "_decoder_agrees", lambda: agrees)
+    monkeypatch.setattr(metropolis, "metropolis_step", refuse)
+    got = _blocked_chain(cfg, "uniform", 1, ())
+    _assert_same_records(got[0], want[0])
+    assert got[1] == want[1]
 
 
 @pytest.mark.filterwarnings("ignore")
