@@ -13,8 +13,10 @@ import dataclasses
 import hashlib
 import json
 import math
+import re
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -238,6 +240,8 @@ def _upper_values(values: np.ndarray) -> list[float]:
 
 def _trajectory(cfg: ExperimentConfig, out: Path, kernel: str, columns=None, milestones=()):
     """An observer collecting trajectory.csv rows, and the function writing them.
+    A run calls write even when it raises, so that the rows observed before
+    are kept; with no row observed, write leaves no file.
 
     A row holds step, t and H, then the record fields named in `columns`
     (CSV header -> record attribute), then the upper triangle of the
@@ -255,7 +259,8 @@ def _trajectory(cfg: ExperimentConfig, out: Path, kernel: str, columns=None, mil
             save_kernel_pgm(w, out / f"q_{rec.step}.pgm")
 
     def write() -> None:
-        _write_csv(out / "trajectory.csv", [*fields, *_pair_labels(cfg.options["r"])], rows)
+        if rows:
+            _write_csv(out / "trajectory.csv", [*fields, *_pair_labels(cfg.options["r"])], rows)
 
     return observe, write
 
@@ -291,7 +296,8 @@ def _run_metropolis(cfg: ExperimentConfig, out: Path) -> int:
         n=o["n"], r=o["r"], beta=o["beta"], sigma=o["sigma"], gamma_n=o["gamma_n"],
         h=cfg.hamiltonian, seed=o["seed"], iterations=o["iterations"],
     )
-    for msg in chain_cfg.validation_warnings():
+    regime = chain_cfg.validation_warnings()
+    for msg in regime:
         print(f"warning: {msg}")
     print(
         f"derived: beta_nr={chain_cfg.beta_nr!r} s_n={chain_cfg.s_n} "
@@ -303,9 +309,15 @@ def _run_metropolis(cfg: ExperimentConfig, out: Path) -> int:
     start = time.monotonic()
     observe, write = _trajectory(cfg, out, "density",
                                  {"acc_prob": "acc_prob", "accepted": "accepted"}, milestones)
-    run_chain(chain_cfg, init, observers=[observe],
-              record_every=o["record_every"], milestones=milestones)
-    write()
+    with warnings.catch_warnings():
+        # run_chain warns again what is printed above; only that copy is dropped
+        for msg in regime:
+            warnings.filterwarnings("ignore", re.escape(msg) + "$", UserWarning)
+        try:
+            run_chain(chain_cfg, init, observers=[observe],
+                      record_every=o["record_every"], milestones=milestones)
+        finally:
+            write()
     _write_manifest(cfg, out / "manifest.json", start, {
         "seed": o["seed"], "n": o["n"], "r": o["r"], "beta": o["beta"],
         "sigma": o["sigma"], "gamma_n": o["gamma_n"],
@@ -330,9 +342,11 @@ def _run_sde(cfg: ExperimentConfig, out: Path) -> int:
     init = _kernel_init(cfg)
     start = time.monotonic()
     observe, write = _trajectory(cfg, out, "x", {"L0_fro": "l0_norm", "L1_fro": "l1_norm"})
-    run_sde(sde_cfg, init, observers=[observe], replicas=o["replicas"],
-            record_every=o["record_every"])
-    write()
+    try:
+        run_sde(sde_cfg, init, observers=[observe], replicas=o["replicas"],
+                record_every=o["record_every"])
+    finally:
+        write()
     _write_manifest(cfg, out / "manifest.json", start, {
         "seed": o["seed"], "r": o["r"], "beta": o["beta"], "sigma": o["sigma"],
         "dt": o["dt"], "horizon_t": o["horizon_t"], "drift": o["drift"],
@@ -349,10 +363,12 @@ def _run_flow(cfg: ExperimentConfig, out: Path) -> int:
     init = _kernel_init(cfg)
     start = time.monotonic()
     observe, write = _trajectory(cfg, out, "w")
-    records = run_flow(cfg.hamiltonian, o["beta"], init, o["dt"], o["horizon"],
-                       observers=[observe], record_every=o["record_every"])
+    try:
+        records = run_flow(cfg.hamiltonian, o["beta"], init, o["dt"], o["horizon"],
+                           observers=[observe], record_every=o["record_every"])
+    finally:
+        write()
     report = measure_rates(records, beta=o["beta"])
-    write()
     fields = [f.name for f in dataclasses.fields(report)]
     _write_csv(out / "rate_report.csv", fields, [[_cell(getattr(report, f)) for f in fields]])
     _write_manifest(cfg, out / "manifest.json", start, {

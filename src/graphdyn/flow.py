@@ -6,15 +6,18 @@ report fits the exponential approach to the minimizer.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._drive import drive, horizon_steps, stepper
+from ._drive import drive, horizon_steps
 from .stepkernel import StepKernel, l2_distance
 
 BOUNDARY_TOL = 1e-12
+# measure_rates fits log distances to the minimizer only above this floor
+DIST_FLOOR = 1e-13
 
 
 @dataclass(frozen=True)
@@ -85,22 +88,24 @@ def run_flow(
         raise ValueError(f"beta must be finite, got {beta}")
     if init.r < 1:
         raise ValueError(f"r must be at least 1, got {init.r}")
-    state = FlowState(init, 0.0)
-    energy = h.evaluate(init) if check_descent else None  # tracked only to check descent
 
-    def step(j: int) -> None:
-        nonlocal state, energy
-        state = flow_step(state, h, beta, dt)
-        if check_descent:
-            last_energy, energy = energy, h.evaluate(state.w)
-            if energy > last_energy + 1e-12:
-                raise RuntimeError(f"energy increased at step {j}: {last_energy} -> "
-                                   f"{energy}; reduce dt below 2/(beta L)")
+    def states():
+        state = FlowState(init, 0.0)
+        energy = h.evaluate(init) if check_descent else None  # tracked only to check descent
+        for j in itertools.count(1):
+            yield state, energy
+            state = flow_step(state, h, beta, dt)
+            if check_descent:
+                last_energy, energy = energy, h.evaluate(state.w)
+                if energy > last_energy + 1e-12:
+                    raise RuntimeError(f"energy increased at step {j}: {last_energy} -> "
+                                       f"{energy}; reduce dt below 2/(beta L)")
 
-    def record(k: int) -> FlowRecord:
+    def record(k: int, run) -> FlowRecord:
+        state, energy = run
         return FlowRecord(k, state.t, state.w, energy if check_descent else h.evaluate(state.w))
 
-    return drive(steps, stepper(step), record, observers, record_every)
+    return drive(steps, states(), record, observers, record_every)
 
 
 @dataclass(frozen=True)
@@ -118,7 +123,6 @@ def measure_rates(
     trajectory: list[FlowRecord],
     w_star: StepKernel | None = None,
     beta: float = 1.0,
-    dist_floor: float = 1e-13,
 ) -> RateReport:
     """Fit log distance-to-minimizer against time over the trajectory tail.
 
@@ -145,9 +149,9 @@ def measure_rates(
             ok = False
     # slope fit over the final half, excluding numerically dead distances
     half = times >= times[-1] / 2.0
-    usable = half & (dists > dist_floor)
+    usable = half & (dists > DIST_FLOOR)
     if usable.sum() < 2:
-        usable = dists > dist_floor
+        usable = dists > DIST_FLOOR
     if usable.sum() < 2:
         # flat trajectory: nothing to fit
         return RateReport(float(times[0]), float(times[-1]), 0.0, 0.0, 1.0, ok, float(margin))

@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ._drive import at_step, drive, record_steps
+from ._drive import drive
 from .hamiltonian import Hamiltonian
 from .stepkernel import StepKernel
 
@@ -24,12 +24,14 @@ from .stepkernel import StepKernel
 SIGN_DRAW_LIMIT = 1 << 27
 # one block of chain iterations draws about this many raw words at once (1 MiB)
 BLOCK_WORDS = 1 << 17
-# the longest run of chain iterations _step_block evaluates as one stack
+# the longest run of chain iterations _iterations evaluates as one stack
 SPECULATION_DEPTH = 64
 # a half-word at or above this draws the sign +1
 _SIGN_BIT = np.uint32(1 << 31)
 # empirical_drift starts only where every density lies in [INTERIOR_EPS, 1 - INTERIOR_EPS]
 INTERIOR_EPS = 0.05
+# empirical_drift moves up to this many trials through the walk at once
+DRIFT_BLOCK = 1024
 # esbm_sample materializes at most this many edges (64 MiB of int64 pairs)
 EDGE_TOTAL_LIMIT = 1 << 22
 # the largest community size whose n^2 pair capacity fits in int64
@@ -421,69 +423,69 @@ def metropolis_step(state: ChainState, cfg: ChainConfig, walk: _CountWalk | None
     return state, accepted, StepDiagnostics(delta, acc_prob, accepted, energy)
 
 
-def _step_block(state: ChainState, cfg: ChainConfig, walk: _CountWalk, signs: np.ndarray,
-                unif: np.ndarray, energy: float, depth: int, marks,
-                snaps: dict) -> tuple[float, int]:
-    """len(unif) iterations of metropolis_step, in place, from their draws: the
-    same states, energies and acceptances, bit for bit.  Each walk segment is
-    applied as its composed clamp, and each density is built from the
-    upper-triangle vector, which gives the values of counts / capacities.  At
-    each step in marks (record steps, a set), the upper-triangle counts and the
-    energy, acceptance probability and flag of the iteration that reached it
-    are written to snaps[step].
+def _iterations(cfg: ChainConfig, walk: _CountWalk, rng: np.random.Generator,
+                vec: np.ndarray, energy: float):
+    """The chain's states from the upper-triangle counts vec of energy `energy`:
+    (upper-triangle counts, energy, acc_prob, accepted) at step 0 and after each
+    of cfg.iterations iterations, the same as metropolis_step's, bit for bit.
+    A yielded counts vector holds until the next state is pulled.
 
-    Iterations go in runs of up to `depth`, rolled forward as if every proposal
-    were accepted; a run's densities up to its last proposal are evaluated as
-    one stack.  The acceptances are checked in order, and the run ends at its
-    first rejection or at its last proposal: that iteration relaxes from the
-    counts it keeps, with one evaluate, and the next run starts after it.  The
-    depth halves after a rejection and doubles after a run without one, up to
-    SPECULATION_DEPTH, or 1 where cfg.h has no closed forms for stacks: a run
-    of 1 evaluates what metropolis_step does.  Returns the energy of the last
-    iteration and the depth to start the next block at.
+    The iterations go in blocks of about BLOCK_WORDS raw words, drawn by
+    _generator_draws and released before the next block's draws.  Each walk
+    segment is applied as its composed clamp, and each density is built from
+    the upper-triangle vector, which gives the values of counts / capacities.
+
+    Inside a block, iterations go in runs of up to `depth`, rolled forward as if
+    every proposal were accepted; a run's densities up to its last proposal are
+    evaluated as one stack.  The acceptances are checked in order, and the run
+    ends at its first rejection or at its last proposal: that iteration relaxes
+    from the counts it keeps, with one evaluate, and the next run starts after
+    it.  The depth starts at 1, halves after a rejection and doubles after a run
+    without one, up to SPECULATION_DEPTH, or 1 where cfg.h has no closed forms
+    for stacks: a run of 1 evaluates what metropolis_step does.
     """
-    h, iters, s, start = cfg.h, len(unif), cfg.s_n * walk.m, state.step_index
-    segs = [walk.compose(signs[:, :s].reshape(iters, cfg.s_n, walk.m))]
-    if cfg.l_nr:
-        segs.append(walk.compose(signs[:, s:].reshape(iters, cfg.l_nr, walk.m)))
-    per = len(segs)  # densities per iteration: the proposal, then the relaxed state
+    h, m = cfg.h, walk.m
+    s, rl = cfg.s_n * m, cfg.l_nr * m
+    per = 2 if cfg.l_nr else 1  # densities per iteration: the proposal, then the relaxed state
     cap = SPECULATION_DEPTH if isinstance(h, Hamiltonian) and h.batched(cfg.r) else 1
-    rolled = np.empty((per * min(iters, cap), walk.m), dtype=np.int64)
-    uniforms = unif.tolist()
-    vec = state.counts[walk.iu]
-    j = 0
-    while j < iters:
-        d = min(depth, cap, iters - j)
-        run = rolled[: per * d - per + 1]
-        prev = vec
-        for k in range(len(run)):
-            prev = _clamp(prev, segs[k % per], j + k // per, out=run[k])
-        energies = _energies(h, walk, run)
-        for k in range(d):
-            try:
-                acc_prob = _acceptance(cfg.beta_nr, energies[per * k] - energy)
-            except OverflowError as exc:
-                raise at_step(start + j + k + 1, exc) from exc
-            accepted = uniforms[j + k] < acc_prob
-            if not accepted or k == d - 1:
-                break
-            energy = energies[per * k + per - 1]
-            if start + j + k + 1 in marks:
-                snaps[start + j + k + 1] = (run[per * k + per - 1].copy(), energy, acc_prob, True)
-        # the counts kept: the accepted proposal, else the state before it (vec at -1)
-        kept = per * k if accepted else per * k - 1
-        if kept >= 0:
-            vec, energy = run[kept].copy(), energies[kept]
+    block = max(1, BLOCK_WORDS // ((s + rl + 1) // 2 + 1))
+    rolled = np.empty((per * min(block, cap, cfg.iterations), m), dtype=np.int64)
+    depth = 1
+    yield vec, energy, 1.0, True
+    for start in range(0, cfg.iterations, block):
+        iters = min(block, cfg.iterations - start)
+        _check_draws(max(cfg.s_n, cfg.l_nr), m)
+        signs, unif = _generator_draws(rng, iters, s, rl)
+        segs = [walk.compose(signs[:, :s].reshape(iters, cfg.s_n, m))]
         if cfg.l_nr:
-            vec = _clamp(vec, segs[1], j + k)
-            energy = h.evaluate(walk.vec_density(vec))
-        j += k + 1
-        depth = min(2 * depth, SPECULATION_DEPTH) if accepted else max(1, depth // 2)
-        if start + j in marks:
-            snaps[start + j] = (vec, energy, acc_prob, accepted)
-    _write_symmetric(state.counts, walk.iu, vec)
-    state.step_index += iters
-    return energy, depth
+            segs.append(walk.compose(signs[:, s:].reshape(iters, cfg.l_nr, m)))
+        uniforms = unif.tolist()
+        j = 0
+        while j < iters:
+            d = min(depth, cap, iters - j)
+            run = rolled[: per * d - per + 1]
+            prev = vec
+            for k in range(len(run)):
+                prev = _clamp(prev, segs[k % per], j + k // per, out=run[k])
+            energies = _energies(h, walk, run)
+            for k in range(d):
+                acc_prob = _acceptance(cfg.beta_nr, energies[per * k] - energy)
+                accepted = uniforms[j + k] < acc_prob
+                if not accepted or k == d - 1:
+                    break
+                energy = energies[per * k + per - 1]
+                yield run[per * k + per - 1], energy, acc_prob, True
+            # the counts kept: the accepted proposal, else the state before it (vec at -1)
+            kept = per * k if accepted else per * k - 1
+            if kept >= 0:
+                vec, energy = run[kept].copy(), energies[kept]
+            if cfg.l_nr:
+                vec = _clamp(vec, segs[1], j + k)
+                energy = h.evaluate(walk.vec_density(vec))
+            j += k + 1
+            depth = min(2 * depth, SPECULATION_DEPTH) if accepted else max(1, depth // 2)
+            yield vec, energy, acc_prob, accepted
+        del signs, unif, segs, uniforms
 
 
 def _clamp(vec: np.ndarray, seg, j: int, out: np.ndarray | None = None) -> np.ndarray:
@@ -531,13 +533,10 @@ def run_chain(
     one-half start.  Records (and notifies observers) on drive's schedule.
     Soft validation warnings for the gamma_n regime are emitted once up front.
 
-    The chain moves in blocks of about BLOCK_WORDS raw words, each stepped
-    by _step_block from _generator_draws.  Blocks run through record steps:
-    each keeps a snapshot of the state at every record step inside it, and
-    each record is built from its snapshot.  An error inside a block is
-    raised once every record before it is taken.
+    drive pulls the chain's states from _iterations, which draws and steps a
+    block only when drive pulls its first state: an error raised inside a
+    block surfaces once every record before the failing iteration is taken.
     """
-    marks = set(record_steps(cfg.iterations, record_every, milestones))
     for msg in cfg.validation_warnings():
         warnings.warn(msg, stacklevel=2)
     rng = np.random.default_rng(cfg.seed)
@@ -550,36 +549,14 @@ def run_chain(
     else:
         state = ChainState.from_density(cfg, init, rng)
     walk = _CountWalk(cfg)
-    energy, depth, failure = cfg.h.evaluate(walk.density(state.counts)), 1, None
-    # record step -> (upper-triangle counts, energy, acc_prob, accepted), held
-    # from the block that passes the step until its record is taken
-    snaps = {0: (state.counts[walk.iu], energy, 1.0, True)}
-    s, rl = cfg.s_n * walk.m, cfg.l_nr * walk.m
-    block = max(1, BLOCK_WORDS // ((s + rl + 1) // 2 + 1))
+    energy = cfg.h.evaluate(walk.density(state.counts))
 
-    def step_block() -> None:
-        nonlocal energy, depth
-        _check_draws(max(cfg.s_n, cfg.l_nr), walk.m)
-        signs, unif = _generator_draws(state.rng, min(block, cfg.iterations - state.step_index),
-                                       s, rl)
-        energy, depth = _step_block(state, cfg, walk, signs, unif, energy, depth, marks, snaps)
-
-    def advance(k: int) -> None:
-        nonlocal failure
-        while k not in snaps:
-            if failure is not None:
-                raise failure
-            # whatever a block raises waits for the records taken before it
-            try:
-                step_block()
-            except Exception as exc:
-                failure = exc
-
-    def record(k: int) -> ChainRecord:
-        vec, *diagnostics = snaps.pop(k)
+    def record(k: int, it) -> ChainRecord:
+        vec, *diagnostics = it
         return ChainRecord(k, cfg.diffusion_time(k), walk.vec_density(vec), *diagnostics)
 
-    return drive(cfg.iterations, advance, record, observers, record_every, milestones)
+    return drive(cfg.iterations, _iterations(cfg, walk, state.rng, state.counts[walk.iu], energy),
+                 record, observers, record_every, milestones)
 
 
 def _trial_draws(seeds, plan: _DrawPlan, signs: np.ndarray, unif: np.ndarray) -> None:
@@ -598,12 +575,7 @@ def _trial_draws(seeds, plan: _DrawPlan, signs: np.ndarray, unif: np.ndarray) ->
         unif[c : c + chunk] = got_unif[:, 0]
 
 
-def empirical_drift(
-    cfg: ChainConfig,
-    q0,
-    trials: int,
-    block: int = 1024,
-):
+def empirical_drift(cfg: ChainConfig, q0, trials: int):
     """Mean one-iteration displacement at q0, normalized by gamma_n r^-4.
 
     Runs independent single Metropolis iterations from the same quantized
@@ -612,10 +584,10 @@ def empirical_drift(
     errors.  The start must be interior: every density in
     [INTERIOR_EPS, 1 - INTERIOR_EPS].
 
-    Trials run in blocks on the chain's own walk: each trial's draws are
-    decoded from its raw words as metropolis_step would draw them, into one
-    int8 (block, signs per iteration) buffer, and _CountWalk.steps moves the
-    whole block at once.
+    Trials run in blocks of up to DRIFT_BLOCK on the chain's own walk: each
+    trial's draws are decoded from its raw words as metropolis_step would
+    draw them, into one int8 (block, signs per iteration) buffer, and
+    _CountWalk.steps moves the whole block at once.
     """
     q0_vals = q0.values if isinstance(q0, StepKernel) else np.asarray(q0, dtype=float)
     if q0_vals.min() < INTERIOR_EPS or q0_vals.max() > 1.0 - INTERIOR_EPS:
@@ -632,7 +604,7 @@ def empirical_drift(
     done = 0
     s, rl = cfg.s_n * walk.m, cfg.l_nr * walk.m
     # each walk segment's part of the sign buffer holds at most SIGN_DRAW_LIMIT entries
-    block = max(1, min(block, SIGN_DRAW_LIMIT // (max(cfg.s_n, cfg.l_nr, 1) * walk.m)))
+    block = max(1, min(DRIFT_BLOCK, SIGN_DRAW_LIMIT // (max(cfg.s_n, cfg.l_nr, 1) * walk.m)))
     signs = np.empty((block, s + rl), dtype=np.int8)
     unif = np.empty(block)
     plan = _draw_plan(1, s, rl, 0)

@@ -16,7 +16,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.special import erfc
 
-from ._drive import drive, horizon_steps, stepper
+from ._drive import drive, horizon_steps
 from .hamiltonian import Hamiltonian
 from .stepkernel import StepKernel, _symmetric_kernel, l2_norm
 
@@ -230,25 +230,27 @@ def run_sde(
         raise ValueError(f"replicas must be at least 1, got {replicas}")
     streams = [np.random.default_rng(s) for s in np.random.SeedSequence(cfg.seed).spawn(replicas)]
     shape = (replicas, cfg.r, cfg.r)
-    state = SdeState(np.broadcast_to(init.values, shape).copy(), np.zeros(shape), np.zeros(shape))
 
     def mean(stack: np.ndarray) -> np.ndarray:
         return stack.sum(axis=0) / replicas
 
-    x_mean = StepKernel._trusted(mean(state.x))
+    def states():
+        state = SdeState(np.broadcast_to(init.values, shape).copy(), np.zeros(shape),
+                         np.zeros(shape))
+        while True:
+            x_mean = StepKernel._trusted(mean(state.x))
+            yield state, x_mean
+            drift = cfg.drift_kernel(x_mean)
+            noise = None
+            if cfg.sigma:
+                noise = _mirror_upper(np.stack([g.standard_normal((cfg.r, cfg.r))
+                                                for g in streams]))
+            state = em_step(state, cfg, None, drift, noise)
 
-    def step(j: int) -> None:
-        nonlocal state, x_mean
-        drift = cfg.drift_kernel(x_mean)
-        noise = None
-        if cfg.sigma:
-            noise = _mirror_upper(np.stack([g.standard_normal((cfg.r, cfg.r)) for g in streams]))
-        state = em_step(state, cfg, None, drift, noise)
-        x_mean = StepKernel._trusted(mean(state.x))
-
-    def record(k: int) -> SdeRecord:
+    def record(k: int, run) -> SdeRecord:
+        state, x_mean = run
         return SdeRecord(k, state.t, x_mean, cfg.h.evaluate(x_mean),
                          float(np.linalg.norm(mean(state.l0))),
                          float(np.linalg.norm(mean(state.l1))))
 
-    return drive(cfg.steps, stepper(step), record, observers, record_every)
+    return drive(cfg.steps, states(), record, observers, record_every)

@@ -42,6 +42,16 @@ term.edge = -0.25
 """
 
 
+def run_cli(mode, config, out):
+    """`python -m graphdyn mode` in a child process, on this checkout's sources."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(Path(graphdyn.__file__).parents[1]), os.environ.get("PYTHONPATH", "")])}
+    return subprocess.run(
+        [sys.executable, "-m", "graphdyn", mode, "--config", str(config), "--out", str(out)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+
+
 def read_csv(path):
     lines = path.read_text().splitlines()
     return lines[0].split(","), [line.split(",") for line in lines[1:]]
@@ -167,6 +177,7 @@ def test_non_finite_energy_exits_with_the_numeric_code(tmp_path, capsys):
     )
     assert main(["metropolis", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
     assert "numeric guard: non-finite energy at step 0" in capsys.readouterr().err
+    assert not (tmp_path / "o" / "trajectory.csv").exists()  # no record was taken
 
 
 @pytest.mark.parametrize("change, message", [
@@ -185,13 +196,7 @@ def test_overflowing_drifts_exit_with_the_numeric_code(tmp_path, change, message
     path = tmp_path / "run.ini"
     path.write_text("[sde]\n" + "".join(f"{k} = {v}\n" for k, v in fields.items())
                     + "\n[hamiltonian]\n" + "".join(f"{k} = {v}\n" for k, v in terms.items()))
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        [str(Path(graphdyn.__file__).parents[1]), os.environ.get("PYTHONPATH", "")])}
-    proc = subprocess.run(
-        [sys.executable, "-m", "graphdyn", "sde", "--config", str(path),
-         "--out", str(tmp_path / "o")],
-        capture_output=True, text=True, env=env, timeout=120,
-    )
+    proc = run_cli("sde", path, tmp_path / "o")
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
     guards = [line for line in proc.stderr.splitlines() if line.startswith("numeric guard:")]
@@ -218,16 +223,25 @@ def test_numeric_guards_name_the_step_and_the_quantity(tmp_path, mode, fields, g
     path = tmp_path / "run.ini"
     path.write_text(f"[{mode}]\n" + fields.format(init=init)
                     + "\n[hamiltonian]\nterm.triangle = 1.0\nterm.edge = -0.25\n")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        [str(Path(graphdyn.__file__).parents[1]), os.environ.get("PYTHONPATH", "")])}
-    proc = subprocess.run(
-        [sys.executable, "-m", "graphdyn", mode, "--config", str(path),
-         "--out", str(tmp_path / "o")],
-        capture_output=True, text=True, env=env, timeout=120,
-    )
+    proc = run_cli(mode, path, tmp_path / "o")
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
     assert [line for line in proc.stderr.splitlines() if line.startswith("numeric guard:")] == [guard]
+    # the records taken before the guard tripped are kept
+    _, rows = read_csv(tmp_path / "o" / "trajectory.csv")
+    assert [row[0] for row in rows] == {"metropolis": ["0", "1", "2"]}.get(mode, ["0"])
+
+
+def test_a_regime_warning_is_shown_once(tmp_path):
+    # printed on stdout, where the golden stdout pins it; run_chain's own copy
+    # of the warning is not shown again on stderr
+    path = tmp_path / "run.ini"
+    path.write_text("[metropolis]\nn = 8\nr = 2\nbeta = 0.5\nsigma = 1\ngamma_n = 0.03125\n"
+                    "iterations = 3\n\n[hamiltonian]\nterm.edge = 1.0\n")
+    proc = run_cli("metropolis", path, tmp_path / "o")
+    assert proc.returncode == 0 and proc.stderr == ""
+    assert "warning: gamma_n n^2 / log n = 0.962 < 10" in proc.stdout
+    assert (proc.stdout + proc.stderr).count("far from the diffusive regime") == 1
 
 
 @pytest.mark.parametrize("key, value", [
@@ -323,13 +337,7 @@ def test_non_finite_hamiltonian_coefficients_exit_with_the_config_code(
 
 def test_malformed_config_never_prints_a_traceback(tmp_path):
     path = _malformed_config(tmp_path / "bad.ini", "flow", "dt", "0")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        [str(Path(graphdyn.__file__).parents[1]), os.environ.get("PYTHONPATH", "")])}
-    proc = subprocess.run(
-        [sys.executable, "-m", "graphdyn", "flow", "--config", str(path),
-         "--out", str(tmp_path / "o")],
-        capture_output=True, text=True, env=env, timeout=120,
-    )
+    proc = run_cli("flow", path, tmp_path / "o")
     assert proc.returncode == 1
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("config error: dt must be positive and finite")

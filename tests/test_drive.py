@@ -1,5 +1,6 @@
 """The record loop shared by the chain, the diffusion and the flow."""
 
+import itertools
 import math
 
 import numpy as np
@@ -75,16 +76,20 @@ def test_chain_records_each_milestone_once(milestones):
 
 
 class Probe:
-    """A run with nothing to move: logs each advance and records one energy."""
+    """A run with nothing to move: its state at step k is k, and it logs each
+    state drive pulls and records one energy."""
 
     def __init__(self, energy=0.0):
         self.energy = energy
-        self.advanced = []
+        self.pulled = []
 
-    def advance(self, k):
-        self.advanced.append(k)
+    def states(self):
+        for k in itertools.count():
+            self.pulled.append(k)
+            yield k
 
-    def record(self, k):
+    def record(self, k, state):
+        assert state == k
         return type("Record", (), {"step": k, "energy": self.energy})()
 
 
@@ -92,27 +97,41 @@ class Probe:
     (0, 1, ()), (0, 4, (0, 3)), (2, 9, (-1, 1)), (10, 4, (0, 4, 6, 6, 10, 11)), (5, 1, (2,)),
 ])
 def test_drive_advances_once_to_each_record_step_in_order(steps, record_every, milestones):
+    # every state is pulled once, in order, and none past the last step
     probe, seen = Probe(), []
-    recs = drive(steps, probe.advance, probe.record, [lambda rec: seen.append(rec.step)],
+    recs = drive(steps, probe.states(), probe.record, [lambda rec: seen.append(rec.step)],
                  record_every, milestones)
     want = schedule(steps, record_every, milestones)
     assert [rec.step for rec in recs] == seen == want
-    assert probe.advanced == want[1:]
+    assert probe.pulled == list(range(steps + 1))
 
 
 @pytest.mark.parametrize("energy", [math.nan, math.inf, -math.inf])
 def test_drive_refuses_a_non_finite_energy_before_any_observer_sees_it(energy):
     probe, seen = Probe(energy), []
     with pytest.raises(FloatingPointError, match="non-finite energy at step 0"):
-        drive(3, probe.advance, probe.record, [seen.append])
-    assert seen == [] and probe.advanced == []
+        drive(3, probe.states(), probe.record, [seen.append])
+    assert seen == [] and probe.pulled == [0]
 
 
 def test_drive_rejects_a_stride_below_one():
     probe = Probe()
     with pytest.raises(ValueError, match="record_every must be at least 1"):
-        drive(3, probe.advance, probe.record, record_every=0)
-    assert probe.advanced == []
+        drive(3, probe.states(), probe.record, record_every=0)
+    assert probe.pulled == []
+
+
+@pytest.mark.parametrize("kind", [OverflowError, FloatingPointError])
+def test_drive_names_the_step_a_numeric_guard_trips_in(kind):
+    def states():
+        yield 0
+        yield 1
+        raise kind("math range error")
+
+    seen = []
+    with pytest.raises(kind, match=r"^step 2: math range error$"):
+        drive(5, states(), Probe().record, [lambda rec: seen.append(rec.step)])
+    assert seen == [0, 1]
 
 
 def test_horizon_steps_round_up_and_stop_at_zero():

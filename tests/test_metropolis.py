@@ -1,6 +1,7 @@
 """Relaxed Metropolis chain on pair counts: proposals, acceptance, scalings."""
 
 import hashlib
+import itertools
 import math
 import struct
 
@@ -698,21 +699,23 @@ def test_a_failed_decoder_check_falls_back_to_single_steps(monkeypatch):
     assert odd.s_n * 3 % 2 == 1
     blocked = _blocked_chain(odd, "uniform", 50, (7,))
     relaxed = ChainConfig(n=16, r=3, beta=2.0, sigma=1.0, gamma_n=1 / 32, h=TRIANGLE_EDGE, seed=5)
-    drift = empirical_drift(relaxed, np.full((3, 3), 0.3), 300, block=128)
+    monkeypatch.setattr(metropolis, "DRIFT_BLOCK", 128)
+    drift = empirical_drift(relaxed, np.full((3, 3), 0.3), 300)
     monkeypatch.setattr(metropolis, "_decoder_agrees", lambda: False)
-    steps = []
-    step_block = metropolis._step_block
-    monkeypatch.setattr(metropolis, "_step_block",
-                        lambda state, *args: steps.append(state.step_index)
-                        or step_block(state, *args))
+    sizes = []
+    draws = metropolis._generator_draws
+    monkeypatch.setattr(metropolis, "_generator_draws",
+                        lambda rng, iters, *args: sizes.append(iters) or draws(rng, iters, *args))
     assert _records_sha256(run_chain(cfg), cfg.capacities()) == MANTEL_300_SHA256
     single = _blocked_chain(odd, "uniform", 50, (7,))
     _assert_same_records(single[0], blocked[0])
     assert single[1] == blocked[1]
-    fallback = empirical_drift(relaxed, np.full((3, 3), 0.3), 300, block=128)
+    fallback = empirical_drift(relaxed, np.full((3, 3), 0.3), 300)
     assert all(np.array_equal(a, b) for a, b in zip(fallback, drift))
-    # the draws change, not the iteration: both chains step through _step_block
-    assert steps[:3] == [0, 113, 226] and 0 in steps[3:]
+    # the draws change, not the iteration: both chains draw their blocks through
+    # _generator_draws, the first in blocks starting at 0, 113 and 226
+    assert list(itertools.accumulate(sizes[:3], initial=0)) == [0, 113, 226, 300]
+    assert sum(sizes[3:]) == 120
 
 
 @pytest.mark.filterwarnings("ignore:gamma_n")
@@ -725,18 +728,19 @@ def test_blocks_tile_the_run_and_cross_records_and_milestones(monkeypatch, recor
     # blocks of at most 6 iterations: 15 of them and a last one of one iteration
     monkeypatch.setattr(metropolis, "BLOCK_WORDS", 6 * ((cfg.s_n + cfg.l_nr) * 3 // 2 + 1))
     spans = []
-    step_block = metropolis._step_block
+    draws = metropolis._generator_draws
     single = metropolis.metropolis_step
 
-    def spy_block(state, *args):
-        spans.append((state.step_index, state.step_index + len(args[3])))
-        return step_block(state, *args)
+    def spy_draws(rng, iters, *args):
+        start = spans[-1][1] if spans else 0
+        spans.append((start, start + iters))
+        return draws(rng, iters, *args)
 
     def spy_single(state, *args):
         spans.append((state.step_index, state.step_index + 1, "single"))
         return single(state, *args)
 
-    monkeypatch.setattr(metropolis, "_step_block", spy_block)
+    monkeypatch.setattr(metropolis, "_generator_draws", spy_draws)
     monkeypatch.setattr(metropolis, "metropolis_step", spy_single)
     got = _blocked_chain(cfg, None, record_every, milestones)
     _assert_same_records(got[0], want[0])
@@ -753,7 +757,7 @@ def test_blocks_tile_the_run_and_cross_records_and_milestones(monkeypatch, recor
 @pytest.mark.parametrize("stacked", [True, False], ids=["stacks", "duck-typed"])
 def test_run_chain_steps_only_through_step_block(monkeypatch, agrees, iterations, stacked):
     # one iteration path: decoded or call-by-call draws, one-iteration runs and
-    # an h without evaluate_stack all go through _step_block
+    # an h without evaluate_stack all go through _iterations
     cfg = ChainConfig(n=8, r=2, beta=0.5, sigma=1.0, gamma_n=1 / 32,
                       h=TRIANGLE_EDGE if stacked else BlowsUp(math.inf), seed=3,
                       iterations=iterations)
@@ -774,7 +778,7 @@ def test_run_chain_steps_only_through_step_block(monkeypatch, agrees, iterations
 @given(st.data())
 def test_records_inside_blocks_equal_the_single_step_loop(data):
     # records every 1 to 4 iterations and milestones, so that blocks of 3, 13
-    # or BLOCK_WORDS' count of iterations snapshot many steps; s_n and l_nr
+    # or BLOCK_WORDS' count of iterations record many steps; s_n and l_nr
     # vary with n, gamma_n and sigma, and l_nr = 0 at sigma = 0
     n = data.draw(st.integers(2, 5), label="n")
     r = data.draw(st.sampled_from([1, 2, 3, 5, 8]), label="r")
@@ -857,7 +861,7 @@ def _arrays_sha256(*arrays):
     return h.hexdigest()
 
 
-def test_drift_and_quadratic_variation_reproduce_their_recorded_bits():
+def test_drift_and_quadratic_variation_reproduce_their_recorded_bits(monkeypatch):
     # the acceptance-test shapes (07: r = 4 tilt and flat control; 08: the
     # noise-only r = 2 chain), with fewer drift trials; 2500 trials span a
     # partial third block.  One relaxed triangle-energy case covers the
@@ -876,7 +880,8 @@ def test_drift_and_quadratic_variation_reproduce_their_recorded_bits():
     )
     relaxed = ChainConfig(n=16, r=3, beta=2.0, sigma=1.0, gamma_n=1 / 32, h=TRIANGLE_EDGE, seed=5)
     assert (relaxed.s_n, relaxed.l_nr) == (64, 26)
-    assert _arrays_sha256(*empirical_drift(relaxed, np.full((3, 3), 0.3), 1500, block=512)) == (
+    monkeypatch.setattr(metropolis, "DRIFT_BLOCK", 512)
+    assert _arrays_sha256(*empirical_drift(relaxed, np.full((3, 3), 0.3), 1500)) == (
         "0315cf104818c61feaed530346a91d10982934d3e5715fb30fdeaff82867b8f6"
     )
     expected_qv = {
