@@ -17,17 +17,16 @@ from scipy.special import xlogy
 from .stepkernel import (
     SimpleGraph,
     StepKernel,
+    _TERMS,
+    _density_stack,
     _density_stack_agrees,
-    _density_stack_form,
     _pairwise_rows,
     _stack_agrees,
     _symmetric_kernel,
     edge_graph,
     hom_density,
     hom_density_pinned,
-    path_graph,
     triangle_graph,
-    cycle_graph,
 )
 
 # gradient of the entropy term blows up at 0 and 1; entries are clipped here
@@ -75,7 +74,7 @@ class Hamiltonian:
             return np.array([self.evaluate(StepKernel._trusted(v)) for v in values], dtype=float)
         val = np.zeros(b)
         for c, g in self.terms:
-            val += c * _density_stack_form(g)(values, r)
+            val += c * _density_stack(g, values)
         if self.entropy_weight:
             val += self.entropy_weight * _entropy_means(values)
         return val
@@ -139,23 +138,11 @@ def _entropy_stack_agrees(r: int) -> bool:
     return _stack_agrees(r, _entropy_means, lambda p: float(_entropy(p).mean()))
 
 
-_NAMED_GRAPHS = {
-    "edge": edge_graph,
-    "path2": lambda: path_graph(2),
-    "path3": lambda: path_graph(3),
-    "triangle": triangle_graph,
-    "cycle4": lambda: cycle_graph(4),
-    "star3": lambda: SimpleGraph(4, [(0, 1), (0, 2), (0, 3)]),
-}
-
-
 def named_term_graph(name: str) -> SimpleGraph:
     try:
-        return _NAMED_GRAPHS[name]()
+        return _TERMS[name].graph
     except KeyError:
-        raise ValueError(
-            f"unknown term graph {name!r}; known: {sorted(_NAMED_GRAPHS)}"
-        ) from None
+        raise ValueError(f"unknown term graph {name!r}; known: {sorted(_TERMS)}") from None
 
 
 def triangle_edge_hamiltonian(

@@ -150,7 +150,8 @@ def quantize_density(cfg: ChainConfig, q) -> np.ndarray:
     if not np.isfinite(vals).all():
         raise ValueError("density must be finite")
     caps = cfg.capacities()
-    counts = np.rint(vals * caps).astype(np.int64)
+    # clipped before scaling: a product past int64 would cast to 0, not to capacity
+    counts = np.rint(np.clip(vals, 0.0, 1.0) * caps).astype(np.int64)
     counts = np.minimum(np.maximum(counts, 0), caps)
     if not np.array_equal(counts, counts.T):
         raise ValueError("density must be symmetric")

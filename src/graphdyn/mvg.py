@@ -24,8 +24,8 @@ from .stepkernel import (
     _block_count,
     _cut_alignment,
     _cut_norm_exhaustive,
-    _hom_density_matrices,
     _rms_alignment,
+    _weighted_density,
     kernel_from_values,
 )
 
@@ -470,7 +470,7 @@ def decorated_density(graph: SimpleGraph, decorations, w: MvgKernel) -> float:
     if len(decorations) != graph.edge_count:
         raise ValueError("need one decoration per edge")
     mats = [gamma_kernel(f, w).values for f in decorations]
-    return _hom_density_matrices(graph, mats)
+    return _weighted_density(graph, mats)
 
 
 def _locate_blocks(r: int, n: int, rng: np.random.Generator) -> np.ndarray:

@@ -9,7 +9,9 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import string
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -158,34 +160,95 @@ def _symmetric_kernel(values: np.ndarray) -> StepKernel:
     return StepKernel._trusted(values, _bounds_range(values))
 
 
-def hom_density(graph: SimpleGraph, w: StepKernel) -> float:
-    """Homomorphism density t(F, w), averaging edge products over assignments.
-
-    Single edges, 2-paths, triangles, and 4-cycles run through closed matrix
-    forms; everything else goes through one einsum over vertex assignments.
-    """
-    return _hom_density_matrices(graph, [w.values] * graph.edge_count)
+def _rows(a: np.ndarray) -> np.ndarray:
+    return np.einsum("ij->i", a)
 
 
-def _hom_density_matrices(graph: SimpleGraph, mats: list[np.ndarray]) -> float:
-    m, edges = graph.m, graph.edges
-    r = mats[0].shape[0] if mats else 1
-    if not edges:
-        return 1.0
-    same = all(mat is mats[0] for mat in mats)
-    a = mats[0]
-    if same and len(edges) == 1:
-        return float(a.mean())
-    if same and m == 3 and len(edges) == 2:
-        return float((a @ a).sum() / r**3)
-    if same and m == 3 and len(edges) == 3:
-        return float(np.trace(a @ a @ a) / r**3)
-    if same and m == 4 and len(edges) == 4 and graph.degree_sequence() == (2, 2, 2, 2):
-        a2 = a @ a
-        return float(np.trace(a2 @ a2) / r**4)
-    letters = "abcdefgh"[:m]
-    subs = ",".join(letters[u] + letters[v] for u, v in edges) + "->"
-    return float(np.einsum(subs, *mats, optimize=_contraction_path(subs, r)) / r**m)
+def _cols(a: np.ndarray) -> np.ndarray:
+    return np.einsum("ij->j", a)
+
+
+class _Term(NamedTuple):
+    """A named term graph in its canonical labeling and its closed forms, each a
+    sum over the assignments of the vertices to blocks, None where the einsum
+    runs instead: of one r x r matrix; of a C-contiguous (B, r, r) stack and r;
+    and per edge, of the matrix and r with that edge removed and its ends
+    pinned to blocks (i, j), a row, a column, a scalar or a matrix."""
+
+    graph: SimpleGraph
+    density: Callable | None
+    stack: Callable | None
+    pinned: tuple
+
+
+# The pinned forms make the numpy calls that einsum(optimize=True) makes for
+# their contractions (numpy 2.4: the same single-operand sums, and matmuls on
+# the same transposed views; star3's square is einsum's product of the row sums
+# with themselves), so they agree with the einsum path bit for bit; a plain
+# a.sum(1) or a @ a can move the last bit, and with it every trajectory
+# downstream.
+_TERMS = {
+    "edge": _Term(
+        edge_graph(),
+        lambda a: a.sum(),
+        lambda s, r: _pairwise_rows(s.reshape(len(s), r * r)),
+        (lambda a, r: 1.0,),
+    ),
+    "path2": _Term(
+        path_graph(2),
+        lambda a: (a @ a).sum(),
+        lambda s, r: _pairwise_rows((s @ s).reshape(len(s), r * r)),
+        (lambda a, r: _rows(a), lambda a, r: _cols(a)[:, None]),
+    ),
+    "path3": _Term(path_graph(3), None, None, (
+        lambda a, r: _rows(a).reshape(1, r) @ a.T,
+        lambda a, r: _rows(a).reshape(1, r) * _cols(a).reshape(r, 1),
+        lambda a, r: a.T @ _cols(a).reshape(r, 1),
+    )),
+    "triangle": _Term(
+        triangle_graph(),
+        lambda a: np.trace(a @ a @ a),
+        lambda s, r: np.trace(s @ s @ s, axis1=1, axis2=2),
+        (lambda a, r: (a @ a.T).T, lambda a, r: (a.T @ a.T).T, lambda a, r: (a.T @ a).T),
+    ),
+    "cycle4": _Term(
+        cycle_graph(4),
+        lambda a: np.trace((a2 := a @ a) @ a2),
+        lambda s, r: np.trace((s2 := s @ s) @ s2, axis1=1, axis2=2),
+        (
+            lambda a, r: (a @ a.T).T @ a.T,
+            lambda a, r: (a.T @ a.T).T @ a,
+            lambda a, r: (a.T @ a).T @ a.T,
+            lambda a, r: ((a.T @ a) @ a).T,
+        ),
+    ),
+    "star3": _Term(SimpleGraph(4, [(0, 1), (0, 2), (0, 3)]), None, None,
+                   (lambda a, r: np.square(_rows(a))[:, None],) * 3),
+}
+# up to 4 vertices, none isolated, (m, degree sequence) fixes the isomorphism class
+_TERM_CLASSES = {(t.graph.m, t.graph.degree_sequence()): t for t in _TERMS.values()}
+_LETTERS = string.ascii_letters
+
+
+@functools.cache
+def _named_term(graph: SimpleGraph) -> tuple[SimpleGraph, _Term | None]:
+    """graph without its isolated vertices, relabeled in vertex order, and the
+    table's entry for its isomorphism class, or None.  An isolated vertex
+    contributes a factor of 1 to every density."""
+    used = sorted({v for edge in graph.edges for v in edge})
+    if len(used) > len(_LETTERS):
+        raise ValueError(f"{len(used)} non-isolated vertices; the limit is {len(_LETTERS)}")
+    if used and len(used) < graph.m:
+        graph = SimpleGraph(len(used), [(used.index(u), used.index(v)) for u, v in graph.edges])
+    return graph, _TERM_CLASSES.get((graph.m, graph.degree_sequence()))
+
+
+def _assignment_sum(edges, mats: list[np.ndarray], keep=()):
+    """The sum over vertex assignments of the product of mats[k] at edges[k], the
+    vertices in keep left as output axes: one einsum on a _contraction_path."""
+    subs = ",".join(_LETTERS[u] + _LETTERS[v] for u, v in edges)
+    subs += "->" + "".join(_LETTERS[v] for v in keep)
+    return np.einsum(subs, *mats, optimize=_contraction_path(subs, len(mats[0])))
 
 
 @functools.lru_cache(maxsize=64)
@@ -194,6 +257,28 @@ def _contraction_path(subs: str, r: int) -> tuple:
     depends only on the subscripts and the shapes, so it is made once per pair."""
     ops = [np.empty((r, r))] * (subs.count(",") + 1)
     return tuple(np.einsum_path(subs, *ops, optimize=True)[0])
+
+
+def hom_density(graph: SimpleGraph, w: StepKernel) -> float:
+    """Homomorphism density t(F, w), averaging edge products over assignments.
+
+    Isolated vertices are dropped first.  The edge, 2-path, triangle and
+    4-cycle classes, in any labeling, take the named term graphs' closed forms;
+    any other graph, of at most 52 vertices, takes one einsum over assignments.
+    """
+    return _weighted_density(graph, [w.values] * graph.edge_count)
+
+
+def _weighted_density(graph: SimpleGraph, mats: list[np.ndarray]) -> float:
+    """t(graph) with edge k weighted by mats[k]: the table's closed form when
+    every edge has the one matrix, else the einsum."""
+    g, term = _named_term(graph)
+    if not g.edges:
+        return 1.0
+    a = mats[0]
+    closed = term is not None and term.density is not None and all(mat is a for mat in mats)
+    total = term.density(a) if closed else _assignment_sum(g.edges, mats)
+    return float(total / len(a) ** g.m)
 
 
 def _pairwise_rows(x: np.ndarray) -> np.ndarray:
@@ -227,28 +312,14 @@ def _pairwise_rows(x: np.ndarray) -> np.ndarray:
     return _pairwise_rows(x[:, :half]) + _pairwise_rows(x[:, half:])
 
 
-def _cycle4_stack(s: np.ndarray, r: int) -> np.ndarray:
-    s2 = s @ s
-    return np.trace(s2 @ s2, axis1=1, axis2=2) / r**4
-
-
-@functools.cache
-def _density_stack_form(graph: SimpleGraph):
-    """hom_density's closed form for graph as a function of a C-contiguous
-    (B, r, r) stack and r, returning the (B,) densities; dispatched as
-    hom_density dispatches, and None where hom_density takes its einsum."""
-    m, k = graph.m, graph.edge_count
-    if not k:
-        return lambda s, r: np.ones(len(s))
-    if k == 1:
-        return lambda s, r: _pairwise_rows(s.reshape(len(s), r * r)) / r**2
-    if m == 3 and k == 2:
-        return lambda s, r: _pairwise_rows((s @ s).reshape(len(s), r * r)) / r**3
-    if m == 3 and k == 3:
-        return lambda s, r: np.trace(s @ s @ s, axis1=1, axis2=2) / r**3
-    if m == 4 and k == 4 and graph.degree_sequence() == (2, 2, 2, 2):
-        return _cycle4_stack
-    return None
+def _density_stack(graph: SimpleGraph, stack: np.ndarray) -> np.ndarray:
+    """hom_density of each kernel in a C-contiguous (B, r, r) stack, through the
+    table's stacked form: for graphs whose _density_stack_agrees holds."""
+    g, term = _named_term(graph)
+    if not g.edges:
+        return np.ones(len(stack))
+    r = stack.shape[-1]
+    return term.stack(stack, r) / r**g.m
 
 
 def _stack_agrees(r: int, form, single) -> bool:
@@ -264,90 +335,31 @@ def _stack_agrees(r: int, form, single) -> bool:
 def _density_stack_agrees(graph: SimpleGraph, r: int) -> bool:
     """Whether graph has a closed form for stacks, and it gives hom_density's
     floats at r with this numpy: checked once per (graph, r)."""
-    form = _density_stack_form(graph)
-    return form is not None and _stack_agrees(
-        r, lambda s: form(s, r), lambda a: hom_density(graph, StepKernel._trusted(a)))
-
-
-def _rows(a: np.ndarray) -> np.ndarray:
-    return np.einsum("ij->i", a)
-
-
-def _cols(a: np.ndarray) -> np.ndarray:
-    return np.einsum("ij->j", a)
-
-
-# Pinned densities of the six named term graphs, times r^(m-2), keyed by
-# (m, edges) with one form per pinned edge.  A form may return a row, a column
-# or a scalar, to be broadcast to r x r.  Each makes the numpy calls that
-# einsum(optimize=True) makes for its contraction (numpy 2.4: the same
-# single-operand sums, and matmuls on the same transposed views; star3's
-# square is einsum's product of the row sums with themselves), so it agrees
-# with the einsum path bit for bit; a plain a.sum(1) or a @ a can move the
-# last bit, and with it every trajectory downstream.
-_PINNED_FORMS = {
-    (2, ((0, 1),)): (  # edge
-        lambda a, r: 1.0,
-    ),
-    (3, ((0, 1), (1, 2))): (  # path2
-        lambda a, r: _rows(a),
-        lambda a, r: _cols(a)[:, None],
-    ),
-    (4, ((0, 1), (1, 2), (2, 3))): (  # path3
-        lambda a, r: _rows(a).reshape(1, r) @ a.T,
-        lambda a, r: _rows(a).reshape(1, r) * _cols(a).reshape(r, 1),
-        lambda a, r: a.T @ _cols(a).reshape(r, 1),
-    ),
-    (3, ((0, 1), (0, 2), (1, 2))): (  # triangle
-        lambda a, r: (a @ a.T).T,
-        lambda a, r: (a.T @ a.T).T,
-        lambda a, r: (a.T @ a).T,
-    ),
-    (4, ((0, 1), (0, 3), (1, 2), (2, 3))): (  # cycle4
-        lambda a, r: (a @ a.T).T @ a.T,
-        lambda a, r: (a.T @ a.T).T @ a,
-        lambda a, r: (a.T @ a).T @ a.T,
-        lambda a, r: ((a.T @ a) @ a).T,
-    ),
-    (4, ((0, 1), (0, 2), (0, 3))): (  # star3
-        lambda a, r: np.square(_rows(a))[:, None],
-    ) * 3,
-}
+    g, term = _named_term(graph)
+    return (not g.edges or term is not None and term.stack is not None) and _stack_agrees(
+        r, lambda s: _density_stack(graph, s), lambda a: hom_density(graph, StepKernel._trusted(a)))
 
 
 def hom_density_pinned(graph: SimpleGraph, w: StepKernel, pin_edge: int) -> np.ndarray:
     """Density with one edge removed and its endpoints pinned to blocks (i, j).
 
-    Returns the r x r matrix of pinned densities, normalized by r^(m-2).  The
-    named term graphs take closed forms; any other graph (a relabeled copy
+    Returns the r x r matrix of pinned densities, normalized by r^(m-2), m not
+    counting isolated vertices.  The named term graphs in their canonical
+    labelings take the table's closed forms; any other graph (a relabeled copy
     included) takes one einsum over its vertex assignments.
     """
-    m, edges = graph.m, graph.edges
-    a = w.values
-    r = w.r
-    forms = _PINNED_FORMS.get((m, edges))
-    if forms is not None:
-        return np.divide(forms[pin_edge](a, r), r ** (m - 2), out=np.empty((r, r)))
-    u0, v0 = edges[pin_edge]
-    rest = [e for k, e in enumerate(edges) if k != pin_edge]
-    letters = "abcdefgh"[:m]
-    subs = ",".join(letters[u] + letters[v] for u, v in rest)
-    if not subs:
-        return np.ones((r, r)) / r ** (m - 2)
-    # a pinned endpoint may lose all its edges; einsum only over present letters
-    present = set(subs) - {","}
-    out_letters = letters[u0] + letters[v0]
-    eff = "".join(ch for ch in out_letters if ch in present)
-    res = np.einsum(subs + "->" + eff, *([a] * len(rest)), optimize=True)
-    if eff == out_letters:
-        out = res
-    elif not eff:
-        out = np.full((r, r), float(res))
-    elif eff == out_letters[0]:
-        out = np.broadcast_to(res[:, None], (r, r)).copy()
-    else:
-        out = np.broadcast_to(res[None, :], (r, r)).copy()
-    return out / r ** (m - 2)
+    g, term = _named_term(graph)
+    a, r = w.values, w.r
+    if term is not None and g.edges == term.graph.edges:
+        return np.divide(term.pinned[pin_edge](a, r), r ** (g.m - 2), out=np.empty((r, r)))
+    u, v = g.edges[pin_edge]
+    rest = [edge for edge in g.edges if edge != (u, v)]
+    # a pinned end may lose all its edges; the einsum keeps only the ends left
+    ends = {x for edge in rest for x in edge}
+    keep = [x for x in (u, v) if x in ends]
+    total = _assignment_sum(rest, [a] * len(rest), keep) if rest else 1.0
+    shape = (r if u in ends else 1, r if v in ends else 1)
+    return np.broadcast_to(np.reshape(total, shape), (r, r)) / r ** (g.m - 2)
 
 
 @functools.cache

@@ -25,6 +25,16 @@ def hom_density_brute(m: int, edges: list[tuple[int, int]], a: np.ndarray) -> fl
     return total / r**m
 
 
+def labeled_graphs(max_m: int) -> list[tuple[int, tuple[tuple[int, int], ...]]]:
+    """Every edge set on vertices 0..m-1, for m = 1..max_m: 75 graphs up to 4."""
+    return [
+        (m, edges)
+        for m in range(1, max_m + 1)
+        for k in range(m * (m - 1) // 2 + 1)
+        for edges in itertools.combinations(itertools.combinations(range(m), 2), k)
+    ]
+
+
 def decorated_density_brute(
     m: int,
     edges: list[tuple[int, int]],

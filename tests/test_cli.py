@@ -512,6 +512,13 @@ def test_sample_mode_writes_the_edge_list_and_realized_density(tmp_path, capsys)
     realized = load_kernel_text(out / "realized.txt")
     assert np.all(realized.values == 0.5)
     assert json.loads((out / "manifest.json").read_text())["edge_total"] == 14
+    # a density whose count overflows int64 before clipping fills its cell
+    kernel = tmp_path / "huge.txt"
+    kernel.write_text("1 0.0 1e30\n1e20\n")
+    path.write_text(f"[sample]\nwhat = esbm\nn = 4\nkernel = {kernel}\n")
+    assert main(["sample", "--config", str(path), "--out", str(tmp_path / "huge")]) == 0
+    assert "sampled 6 edges" in capsys.readouterr().out
+    assert np.all(load_kernel_text(tmp_path / "huge" / "realized.txt").values == 1.0)
 
 
 # ---------------------------------------------------------------- golden outputs

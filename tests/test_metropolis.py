@@ -4,6 +4,7 @@ import hashlib
 import itertools
 import math
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -143,6 +144,16 @@ def test_quantization_rounds_to_the_capacity_grid():
     cfg = ChainConfig(n=4, r=2, beta=1.0, sigma=0.0, gamma_n=0.1, h=ZERO_H)
     counts = quantize_density(cfg, np.full((2, 2), 0.5))
     assert counts[0, 0] == 3 and counts[0, 1] == 8  # caps 6 and 16
+
+
+def test_quantization_clips_out_of_range_densities_to_the_grid():
+    # a density past about 3.6e15 times a capacity of 16 overflows int64
+    cfg = ChainConfig(n=4, r=2, beta=1.0, sigma=0.0, gamma_n=0.1, h=ZERO_H)
+    q = np.array([[1e20, -1e20], [-1e20, 1.5]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        counts = quantize_density(cfg, q)
+    assert counts.tolist() == [[6, 0], [0, 6]]
 
 
 def test_quantization_rejects_bad_input():

@@ -10,6 +10,7 @@ from graphdyn import (
     DiscreteMeasure,
     MvgKernel,
     PLFunction,
+    SimpleGraph,
     StepKernel,
     build_net,
     cut_norm,
@@ -37,7 +38,7 @@ from graphdyn import (
 )
 import graphdyn.mvg as mvg
 
-from oracles import decorated_density_brute, w1_lp
+from oracles import decorated_density_brute, labeled_graphs, w1_lp
 
 
 def random_measure(rng, max_atoms=3):
@@ -535,15 +536,18 @@ def test_identity_decorations_equal_density_of_first_moment_kernel():
 
 
 def test_decorated_density_matches_nested_summation_oracle():
+    # every labeled graph on up to 4 vertices, isolated vertices included
     rng = np.random.default_rng(73)
     w = random_mvg(rng, 3, max_atoms=2)
-    graph = triangle_graph()
-    decorations = [lambda z: z**2, lambda z: np.abs(z), lambda z: z]
     atoms, weights = cells_as_arrays(w, 2)
-    ref = decorated_density_brute(graph.m, list(graph.edges), decorations, atoms, weights)
-    assert decorated_density(graph, decorations, w) == pytest.approx(ref, abs=1e-12)
+    funcs = [lambda z: z**2, lambda z: np.abs(z), lambda z: z]
+    for m, edges in labeled_graphs(4):
+        decorations = [funcs[k % 3] for k in range(len(edges))]
+        ref = decorated_density_brute(m, list(edges), decorations, atoms, weights)
+        got = decorated_density(SimpleGraph(m, edges), decorations, w)
+        assert got == pytest.approx(ref, abs=1e-12), (m, edges)
     with pytest.raises(ValueError):
-        decorated_density(graph, decorations[:2], w)
+        decorated_density(triangle_graph(), funcs[:2], w)
 
 
 def test_two_squared_edges_and_one_plain_edge_on_a_dirac_embedding():

@@ -29,11 +29,17 @@ from graphdyn import (
     triangle_graph,
 )
 
-from graphdyn import stepkernel
-from graphdyn.hamiltonian import named_term_graph
+from graphdyn import hamiltonian, stepkernel
+from graphdyn.hamiltonian import Hamiltonian, named_term_graph
 from graphdyn.stepkernel import _cut_norm_bound, _cut_norm_exhaustive
 
-from oracles import cut_norm_brute, cut_norm_fractional, hom_density_brute, min_over_perms_brute
+from oracles import (
+    cut_norm_brute,
+    cut_norm_fractional,
+    hom_density_brute,
+    labeled_graphs,
+    min_over_perms_brute,
+)
 
 
 def random_kernel(rng, r, lo=0.0, hi=1.0):
@@ -122,12 +128,24 @@ def test_triangle_density_matches_brute_force_on_random_kernels():
         assert hom_density(g, w) == pytest.approx(brute, abs=1e-12)
 
 
-@pytest.mark.parametrize(
-    "graph",
-    [edge_graph(), path_graph(2), path_graph(3), cycle_graph(4),
-     SimpleGraph(4, [(0, 1), (0, 2), (0, 3)])],
-    ids=["edge", "path2", "path3", "cycle4", "star3"],
-)
+NAMED_TERM_GRAPHS = ("edge", "path2", "path3", "triangle", "cycle4", "star3")
+# every labeled graph on up to 4 vertices, isolated vertices included
+LABELED = [SimpleGraph(m, edges) for m, edges in labeled_graphs(4)]
+
+
+def graph_id(g):
+    for name in NAMED_TERM_GRAPHS:
+        if g == named_term_graph(name):
+            return name
+    return f"m{g.m}" + "".join(f"-{u}{v}" for u, v in g.edges)
+
+
+def without_isolated(g):
+    used = sorted({v for edge in g.edges for v in edge})
+    return SimpleGraph(max(len(used), 1), [(used.index(u), used.index(v)) for u, v in g.edges])
+
+
+@pytest.mark.parametrize("graph", LABELED, ids=graph_id)
 def test_density_fast_paths_match_brute_force(graph):
     rng = np.random.default_rng(11)
     for _ in range(3):
@@ -150,14 +168,22 @@ def test_pinned_density_averages_back_to_density():
     # averaging the pin over all block pairs recovers the plain density
     rng = np.random.default_rng(5)
     w = random_kernel(rng, 4)
-    for graph in (triangle_graph(), path_graph(2), cycle_graph(4)):
-        pinned = hom_density_pinned(graph, w, 0)
-        assert pinned.shape == (4, 4)
-        recovered = float((pinned * w.values).mean())
-        assert recovered == pytest.approx(hom_density(graph, w), abs=1e-12)
+    for graph in LABELED:
+        brute = hom_density_brute(graph.m, list(graph.edges), w.values)
+        for e in range(graph.edge_count):
+            pinned = hom_density_pinned(graph, w, e)
+            assert pinned.shape == (4, 4)
+            recovered = float((pinned * w.values).mean())
+            assert recovered == pytest.approx(brute, abs=1e-12), (graph, e)
 
 
-NAMED_TERM_GRAPHS = ("edge", "path2", "path3", "triangle", "cycle4", "star3")
+def test_densities_take_up_to_52_vertices():
+    w = random_kernel(np.random.default_rng(83), 2)
+    nine = path_graph(8)
+    assert hom_density(nine, w) == pytest.approx(
+        hom_density_brute(nine.m, list(nine.edges), w.values), abs=1e-12)
+    with pytest.raises(ValueError, match="53 non-isolated vertices; the limit is 52"):
+        hom_density(path_graph(52), w)
 
 
 def test_named_graph_pinned_forms_match_the_einsum_path_bit_for_bit(monkeypatch):
@@ -166,7 +192,7 @@ def test_named_graph_pinned_forms_match_the_einsum_path_bit_for_bit(monkeypatch)
     # so the Fortran-ordered ones are wrapped as trusted values)
     rng = np.random.default_rng(29)
     graphs = [named_term_graph(name) for name in NAMED_TERM_GRAPHS]
-    assert all((g.m, g.edges) in stepkernel._PINNED_FORMS for g in graphs)
+    assert all(stepkernel._named_term(g)[1].graph == g for g in graphs)
     kernels = []
     for r in range(1, 41):
         w = random_kernel(rng, r)
@@ -174,7 +200,7 @@ def test_named_graph_pinned_forms_match_the_einsum_path_bit_for_bit(monkeypatch)
     assert kernels[-1].values.flags.f_contiguous and not kernels[-1].values.flags.c_contiguous
     cases = [(g, e, w) for g in graphs for e in range(g.edge_count) for w in kernels]
     forms = [hom_density_pinned(g, w, e) for g, e, w in cases]
-    monkeypatch.setattr(stepkernel, "_PINNED_FORMS", {})
+    monkeypatch.setattr(stepkernel, "_named_term", lambda g: (g, None))
     for (g, e, w), form in zip(cases, forms):
         assert form.shape == (w.r, w.r)
         assert np.array_equal(form, hom_density_pinned(g, w, e)), (g, e, w.r)
@@ -206,10 +232,29 @@ def test_relabeled_term_graphs_take_the_einsum_path(monkeypatch):
     assert calls == [False]  # the row sums of the closed form
     calls.clear()
     relabeled = SimpleGraph(3, [(0, 2), (2, 1)])  # path2 with the middle vertex last
-    assert (relabeled.m, relabeled.edges) not in stepkernel._PINNED_FORMS
+    assert stepkernel._named_term(relabeled)[1].graph != relabeled
     pinned = hom_density_pinned(relabeled, w, 0)
-    assert calls == [True]
+    assert calls == [stepkernel._contraction_path("bc->c", 5)]  # the planned path
     np.testing.assert_allclose(pinned, named, rtol=1e-14)
+    # every labeling on up to 4 vertices, once its isolated vertices are
+    # dropped: the density's closed forms, which call no einsum, run for the
+    # edge, path2, triangle and cycle4 classes, and so do the stacked forms;
+    # the pinned closed forms run on the canonical labelings only
+    closed_classes = {(1, 1), (1, 1, 2), (2, 2, 2), (2, 2, 2, 2)}
+    canonical = {named_term_graph(name) for name in NAMED_TERM_GRAPHS}
+    for g in LABELED:
+        core = without_isolated(g)
+        closed = not g.edges or core.degree_sequence() in closed_classes
+        calls.clear()
+        hom_density(g, w)
+        assert (calls == []) if closed else (len(calls) == 1 and isinstance(calls[0], tuple)), g
+        assert stepkernel._density_stack_agrees(g, 5) == closed, g
+        if hamiltonian._connected(g):
+            assert Hamiltonian(((1.0, g),)).batched(5) == closed, g
+        for e in range(g.edge_count):
+            calls.clear()
+            hom_density_pinned(g, w, e)
+            assert any(isinstance(c, tuple) for c in calls) != (core in canonical), (g, e)
 
 
 def test_cached_contraction_paths_match_einsum_optimize_bit_for_bit():
