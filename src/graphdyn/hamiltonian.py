@@ -20,6 +20,7 @@ from .stepkernel import (
     _TERMS,
     _density_stack,
     _density_stack_agrees,
+    _named_term,
     _pairwise_rows,
     _stack_agrees,
     _symmetric_kernel,
@@ -86,12 +87,20 @@ class Hamiltonian:
             not self.entropy_weight or _entropy_stack_agrees(r))
 
     def frechet_derivative(self, w: StepKernel) -> StepKernel:
-        """Gradient kernel: sum over terms of edge-pinned densities, symmetrized."""
-        g_total = np.zeros((w.r, w.r))
+        """Gradient kernel: over the terms, the edge-pinned densities summed and
+        symmetrized.  A named term graph takes its closed form from a @ a and the
+        row sums, made once per call; any other graph sums pinned einsums."""
+        a, r = w.values, w.r
+        a2, d = a @ a, a.sum(1)
+        g_total = np.zeros((r, r))
         for c, graph in self.terms:
+            term = _named_term(graph)[1]
+            if term is not None:
+                g_total += c * term.gradient(a, a2, d, r)
+                continue
             for e in range(graph.edge_count):
                 g_total += c * hom_density_pinned(graph, w, e)
-        g_total = (g_total + g_total.T) / 2
+        g_total = (g_total + g_total.T) / 2  # pinned densities and a @ a may be asymmetric
         if self.entropy_weight:
             p = np.clip(w.values, ENTROPY_CLIP, 1.0 - ENTROPY_CLIP)
             g_total += self.entropy_weight * np.log(p / (1.0 - p))

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import erfc
+from scipy.special import erfc, erfcx
 
 from ._drive import drive, horizon_steps
 from .hamiltonian import Hamiltonian
@@ -30,24 +30,22 @@ def gaussian_tail(x: float) -> float:
     return 0.5 * erfc(x / math.sqrt(2.0))
 
 
-def drift_b(h, w: StepKernel, beta: float, r: int | None = None) -> StepKernel:
+def drift_b(h, w: StepKernel, beta: float) -> StepKernel:
     """Closed-form drift: a negative scalar multiple of the energy gradient.
 
-    -2 beta g exp(beta^2 r^-2 |g|_2^2) tail(sqrt(2) beta r^-1 |g|_2), with
-    g the gradient kernel and |.|_2 the normalized l2 norm.  The r inside the
-    prefactor is the block count unless overridden.
+    -beta erfcx(beta |g|_2 / r) g, with g the gradient kernel, |.|_2 the
+    normalized l2 norm and r the block count.  erfcx(x) = 2 exp(x^2)
+    tail(sqrt(2) x) stays finite where exp(x^2) overflows.
     """
-    if r is None:
-        r = w.r
     g = h.frechet_derivative(w)
     norm = l2_norm(g)
-    try:
-        growth = math.exp((beta * norm / r) ** 2)
-    except OverflowError as exc:
-        raise OverflowError(f"drift prefactor exp((beta |g|_2 / r)^2) overflows at "
-                            f"beta = {beta}, |g|_2 = {norm}, r = {r}: {exc}") from exc
-    pref = -2.0 * beta * growth * gaussian_tail(math.sqrt(2.0) * beta * norm / r)
-    return _symmetric_kernel(pref * g.values)
+    x = beta * norm / w.r
+    # erfcx(inf) = 0 would make the drift a silent zero; erfcx(x) overflows
+    # below x = -26.6
+    if not (math.isfinite(x) and math.isfinite(pref := erfcx(x))):
+        raise FloatingPointError(f"non-finite drift prefactor erfcx(beta |g|_2 / r) at "
+                                 f"beta = {beta}, |g|_2 = {norm}, r = {w.r}")
+    return _symmetric_kernel(-beta * pref * g.values)
 
 
 def limit_drift(h, w: StepKernel, beta: float) -> StepKernel:
@@ -61,13 +59,14 @@ def explicit_drift_formula(v: np.ndarray, t: float) -> np.ndarray:
 
     Y carries one N(0,1) per off-diagonal unordered pair (mirrored) and
     N(0,2) on the diagonal, so that <v, Y>_F has variance 2 |v|_F^2; the
-    expectation is then -2 t v exp(t^2 |v|_F^2) tail(sqrt(2) t |v|_F).
+    expectation is then -2 t v exp(t^2 |v|_F^2) tail(sqrt(2) t |v|_F),
+    which is -t erfcx(t |v|_F) v.
     """
     v = np.asarray(v, dtype=float)
     if t <= 0:
         raise ValueError("t must be positive")
     fro = math.sqrt(float((v * v).sum()))
-    return -2.0 * t * v * math.exp((t * fro) ** 2) * gaussian_tail(math.sqrt(2.0) * t * fro)
+    return -t * erfcx(t * fro) * v
 
 
 def skorokhod_1d(path, lo: float, hi: float):
@@ -129,7 +128,7 @@ class SdeConfig:
 
     def drift_kernel(self, w: StepKernel) -> StepKernel:
         if self.drift == "closed_form":
-            return drift_b(self.h, w, self.beta, self.r)
+            return drift_b(self.h, w, self.beta)
         return limit_drift(self.h, w, self.beta)
 
 

@@ -160,70 +160,48 @@ def _symmetric_kernel(values: np.ndarray) -> StepKernel:
     return StepKernel._trusted(values, _bounds_range(values))
 
 
-def _rows(a: np.ndarray) -> np.ndarray:
-    return np.einsum("ij->i", a)
-
-
-def _cols(a: np.ndarray) -> np.ndarray:
-    return np.einsum("ij->j", a)
-
-
 class _Term(NamedTuple):
-    """A named term graph in its canonical labeling and its closed forms, each a
-    sum over the assignments of the vertices to blocks, None where the einsum
-    runs instead: of one r x r matrix; of a C-contiguous (B, r, r) stack and r;
-    and per edge, of the matrix and r with that edge removed and its ends
-    pinned to blocks (i, j), a row, a column, a scalar or a matrix."""
+    """A named term graph in its canonical labeling and its closed forms: the
+    sums over the assignments of the vertices to blocks, of one r x r matrix
+    and of a C-contiguous (B, r, r) stack and r, None where the einsum runs;
+    and, from a, a @ a, the row sums d and r, the sum of the pinned densities
+    over the edges up to symmetrization, which holds in any labeling."""
 
     graph: SimpleGraph
     density: Callable | None
     stack: Callable | None
-    pinned: tuple
+    gradient: Callable
 
 
-# The pinned forms make the numpy calls that einsum(optimize=True) makes for
-# their contractions (numpy 2.4: the same single-operand sums, and matmuls on
-# the same transposed views; star3's square is einsum's product of the row sums
-# with themselves), so they agree with the einsum path bit for bit; a plain
-# a.sum(1) or a @ a can move the last bit, and with it every trajectory
-# downstream.
 _TERMS = {
     "edge": _Term(
         edge_graph(),
         lambda a: a.sum(),
         lambda s, r: _pairwise_rows(s.reshape(len(s), r * r)),
-        (lambda a, r: 1.0,),
+        lambda a, a2, d, r: 1.0,
     ),
     "path2": _Term(
         path_graph(2),
         lambda a: (a @ a).sum(),
         lambda s, r: _pairwise_rows((s @ s).reshape(len(s), r * r)),
-        (lambda a, r: _rows(a), lambda a, r: _cols(a)[:, None]),
+        lambda a, a2, d, r: np.add.outer(d, d) / r,
     ),
-    "path3": _Term(path_graph(3), None, None, (
-        lambda a, r: _rows(a).reshape(1, r) @ a.T,
-        lambda a, r: _rows(a).reshape(1, r) * _cols(a).reshape(r, 1),
-        lambda a, r: a.T @ _cols(a).reshape(r, 1),
-    )),
+    "path3": _Term(path_graph(3), None, None,
+                   lambda a, a2, d, r: (np.outer(d, d) + np.add.outer(ad := a @ d, ad)) / r**2),
     "triangle": _Term(
         triangle_graph(),
         lambda a: np.trace(a @ a @ a),
         lambda s, r: np.trace(s @ s @ s, axis1=1, axis2=2),
-        (lambda a, r: (a @ a.T).T, lambda a, r: (a.T @ a.T).T, lambda a, r: (a.T @ a).T),
+        lambda a, a2, d, r: 3 * a2 / r,
     ),
     "cycle4": _Term(
         cycle_graph(4),
         lambda a: np.trace((a2 := a @ a) @ a2),
         lambda s, r: np.trace((s2 := s @ s) @ s2, axis1=1, axis2=2),
-        (
-            lambda a, r: (a @ a.T).T @ a.T,
-            lambda a, r: (a.T @ a.T).T @ a,
-            lambda a, r: (a.T @ a).T @ a.T,
-            lambda a, r: ((a.T @ a) @ a).T,
-        ),
+        lambda a, a2, d, r: 4 * (a2 @ a) / r**2,
     ),
     "star3": _Term(SimpleGraph(4, [(0, 1), (0, 2), (0, 3)]), None, None,
-                   (lambda a, r: np.square(_rows(a))[:, None],) * 3),
+                   lambda a, a2, d, r: 3 * np.add.outer(sq := d * d, sq) / (2 * r**2)),
 }
 # up to 4 vertices, none isolated, (m, degree sequence) fixes the isomorphism class
 _TERM_CLASSES = {(t.graph.m, t.graph.degree_sequence()): t for t in _TERMS.values()}
@@ -344,14 +322,10 @@ def hom_density_pinned(graph: SimpleGraph, w: StepKernel, pin_edge: int) -> np.n
     """Density with one edge removed and its endpoints pinned to blocks (i, j).
 
     Returns the r x r matrix of pinned densities, normalized by r^(m-2), m not
-    counting isolated vertices.  The named term graphs in their canonical
-    labelings take the table's closed forms; any other graph (a relabeled copy
-    included) takes one einsum over its vertex assignments.
+    counting isolated vertices: one einsum over the other vertices' assignments.
     """
-    g, term = _named_term(graph)
+    g = _named_term(graph)[0]
     a, r = w.values, w.r
-    if term is not None and g.edges == term.graph.edges:
-        return np.divide(term.pinned[pin_edge](a, r), r ** (g.m - 2), out=np.empty((r, r)))
     u, v = g.edges[pin_edge]
     rest = [edge for edge in g.edges if edge != (u, v)]
     # a pinned end may lose all its edges; the einsum keeps only the ends left

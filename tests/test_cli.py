@@ -181,18 +181,20 @@ def test_non_finite_energy_exits_with_the_numeric_code(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("change, message", [
-    # the gradient's norm overflows, so the drift prefactor is inf * 0
-    ("term.triangle = 1e308", "non-finite kernel entries"),
-    # exp(beta^2 |g|^2 / r^2) overflows inside math.exp
-    ("beta = 1e6", "math range error"),
+    # the gradient is finite, but its norm overflows, so the drift prefactor
+    # has no finite argument
+    ("term.triangle = 1e308", "non-finite drift prefactor erfcx(beta |g|_2 / r)"),
+    # the gradient itself overflows
+    ("term.triangle = 1e308, term.path2 = 1e308, term.cycle4 = 1e308",
+     "non-finite kernel entries"),
 ])
 def test_overflowing_drifts_exit_with_the_numeric_code(tmp_path, change, message):
-    # before, the first exited 1 as an asymmetric kernel and the second died
-    # in a traceback
+    # before, the first exited 1 as an asymmetric kernel
     fields = {"r": "4", "beta": "1.0", "sigma": "0", "dt": "1e-3", "horizon_t": "0.01"}
     terms = {"term.triangle": "1.0", "term.edge": "-0.25"}
-    key, value = change.split(" = ")
-    (fields if key in fields else terms)[key] = value
+    for item in change.split(", "):
+        key, value = item.split(" = ")
+        (fields if key in fields else terms)[key] = value
     path = tmp_path / "run.ini"
     path.write_text("[sde]\n" + "".join(f"{k} = {v}\n" for k, v in fields.items())
                     + "\n[hamiltonian]\n" + "".join(f"{k} = {v}\n" for k, v in terms.items()))
@@ -203,26 +205,28 @@ def test_overflowing_drifts_exit_with_the_numeric_code(tmp_path, change, message
     assert len(guards) == 1 and message in guards[0]
 
 
-@pytest.mark.parametrize("mode, fields, guard", [
+@pytest.mark.parametrize("mode, fields, guard, triangle", [
+    # a large beta alone leaves the drift finite; an overflowing gradient norm
+    # does not
     ("sde", "r = 4\nbeta = 1e6\nsigma = 0\ndt = 1e-3\nhorizon_t = 0.01\n",
-     "numeric guard: step 1: drift prefactor exp((beta |g|_2 / r)^2) overflows at beta = "
-     "1000000.0, |g|_2 = 0.5, r = 4: math range error"),
+     "numeric guard: step 1: non-finite drift prefactor erfcx(beta |g|_2 / r) at "
+     "beta = 1000000.0, |g|_2 = inf, r = 4", "1e308"),
     # before, the frozen corners became inf * 0 = nan and the run exited 1
     # with "config error: values must be exactly symmetric"
     ("flow", "r = 2\nbeta = 1e308\ndt = 10\nhorizon = 20\ninit = {init}\n",
-     "numeric guard: step 1: flow step beta * dt = 1e+308 * 10.0 is not finite"),
+     "numeric guard: step 1: flow step beta * dt = 1e+308 * 10.0 is not finite", "1.0"),
     # before, the chain's guard read only "numeric guard: math range error"
     ("metropolis", "n = 8\nr = 2\nbeta = -1e5\nsigma = 1\ngamma_n = 0.03125\niterations = 40\n"
      "seed = 3\n",
      "numeric guard: step 3: acceptance exp(-beta_nr dH^+) overflows at beta_nr = -800000.0, "
-     "dH = 0.005087805211370255: math range error"),
+     "dH = 0.005087805211370255: math range error", "1.0"),
 ])
-def test_numeric_guards_name_the_step_and_the_quantity(tmp_path, mode, fields, guard):
+def test_numeric_guards_name_the_step_and_the_quantity(tmp_path, mode, fields, guard, triangle):
     init = tmp_path / "init.txt"
     init.write_text("2 0.0 1.0\n0.0 0.5\n0.5 1.0\n")
     path = tmp_path / "run.ini"
     path.write_text(f"[{mode}]\n" + fields.format(init=init)
-                    + "\n[hamiltonian]\nterm.triangle = 1.0\nterm.edge = -0.25\n")
+                    + f"\n[hamiltonian]\nterm.triangle = {triangle}\nterm.edge = -0.25\n")
     proc = run_cli(mode, path, tmp_path / "o")
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
@@ -548,7 +552,7 @@ GOLDEN_RUNS = {
         "[flow]\nr = 3\nbeta = 1.0\ndt = 0.05\nhorizon = 0.3\ninit = a.txt\nrecord_every = 2\n"
         + TERMS + "entropy_gamma = 0.05\n",
     ),
-    # every named term graph, so every closed-form pinned density is pinned
+    # every named term graph, so every closed-form gradient is pinned
     "flow-six-terms": (
         ["flow"],
         "[flow]\nr = 3\nbeta = 0.5\ndt = 0.02\nhorizon = 0.2\ninit = b.txt\nrecord_every = 2\n"
@@ -586,7 +590,8 @@ def _golden_hashes(name, tmp_path, monkeypatch, capsys):
     return hashes
 
 
-# taken before the config schema and the output writer were folded together
+# taken before the config schema and the output writer were folded together;
+# sde's trajectory.csv re-recorded when the drift prefactor became erfcx
 GOLDEN = {
     "metropolis": {
         "<stdout>": "0bf44c24adb07772e3c3450994614a6632c4b5a83f2ea247d0dc7e90feda7ef2",
@@ -605,7 +610,7 @@ GOLDEN = {
         "q_2.pgm": "caa53e41f97b54e910929c3bac2d441d12cb9ef248e6a6ae4d75c56e6aaa7df6",
         "q_3.pgm": "4ebbbfc9e058fce14236dd3194ad11493d86cf301c8e43e1072184edc3436e65",
         "q_4.pgm": "0f5c70315bf469e3efc05097e8208308e4f2244747f91f7a68bfe34f2a5565b4",
-        "trajectory.csv": "212413b8255ae59f069545d966064806e6674ee18af8f038effed0fd1035c5cd",
+        "trajectory.csv": "9c9478e936826c7a21117d849b5e0ddbc2eacc6c128523e2a6c5190eeb2e720c",
     },
     "flow": {
         "<stdout>": "732235f4c4e43ae5837f5ed18aef8b5e5b2cb58ac95b3f2adcc9278ee44cda91",

@@ -132,6 +132,16 @@ def test_drift_matches_a_gaussian_sample_mean():
     assert np.all(np.abs(mean - target) <= 3.0 * se)
 
 
+def test_drift_stays_finite_at_a_large_prefactor_argument():
+    # beta |g|_2 / r = 1.25e5: exp(x^2) overflows, but erfcx(x) ~ 1 / (x sqrt(pi)),
+    # so the drift tends to -r g / (sqrt(pi) |g|_2)
+    w = StepKernel.constant(4, 0.5)
+    g = TRIANGLE_EDGE.frechet_derivative(w)
+    b = drift_b(TRIANGLE_EDGE, w, 1e6).values
+    assert np.isfinite(b).all()
+    np.testing.assert_allclose(b, -4 * g.values / (math.sqrt(math.pi) * l2_norm(g)), rtol=1e-9)
+
+
 def test_drift_opposes_the_gradient_and_is_bounded():
     rng = np.random.default_rng(19)
     for _ in range(10):
@@ -428,10 +438,11 @@ def _sde_records_sha256(records):
     return h.hexdigest()
 
 
-# taken before the replicas moved as one stack and the gradient took closed forms
+# taken before the replicas moved as one stack; closed_form re-recorded when the
+# drift prefactor became erfcx
 @pytest.mark.parametrize("drift, digest", [
     ("limit", "8b67d61602ed37ef9a965abc7e99abb0ca57d1fe04b08e008d60170e359bcbd0"),
-    ("closed_form", "00a68b3d895883e5c3b12fb81ed56ed124436e42a1050313854cd0e3ec48caa7"),
+    ("closed_form", "d102d0b09e8d36b34cefe469d5650959c1b1c647667d5888e0f094468a9fc1c4"),
 ])
 def test_sixteen_replica_run_reproduces_its_recorded_bits(drift, digest):
     cfg = SdeConfig(r=4, beta=1.0, sigma=0.5, dt=0.004, h=TRIANGLE_EDGE, seed=3,
@@ -442,11 +453,16 @@ def test_sixteen_replica_run_reproduces_its_recorded_bits(drift, digest):
 
 
 def test_overflowing_drift_prefactor_names_its_step_and_quantity():
-    cfg = SdeConfig(r=4, beta=1e6, sigma=0.0, dt=1e-3, h=TRIANGLE_EDGE, horizon_t=0.01)
-    with pytest.raises(OverflowError, match=r"^step 1: drift prefactor exp\(\(beta \|g\|_2 / r\)"
-                                            r"\^2\) overflows at beta = 1000000.0, .*: "
-                                            r"math range error$"):
-        run_sde(cfg, StepKernel.constant(4, 0.5))
+    # first the gradient is finite, but its squared entries overflow the norm,
+    # and erfcx(inf) = 0 would make the drift a silent zero; then erfcx(x) =
+    # 2 exp(x^2) tail(sqrt(2) x) itself overflows, as it does for x below -26.6
+    for triangle, beta, norm in ((1e308, 1.0, "inf"), (1.0, -1e6, "0.5")):
+        h = Hamiltonian(((triangle, triangle_graph()), (-0.25, edge_graph())))
+        cfg = SdeConfig(r=4, beta=beta, sigma=0.0, dt=1e-3, h=h, horizon_t=0.01)
+        with pytest.raises(FloatingPointError, match=rf"^step 1: non-finite drift prefactor "
+                                                     rf"erfcx\(beta \|g\|_2 / r\) at beta = "
+                                                     rf"{beta}, \|g\|_2 = {norm}, r = 4$"):
+            run_sde(cfg, StepKernel.constant(4, 0.5))
 
 
 # ---------------------------------------------------------------- trajectories

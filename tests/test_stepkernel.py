@@ -186,24 +186,29 @@ def test_densities_take_up_to_52_vertices():
         hom_density(path_graph(52), w)
 
 
-def test_named_graph_pinned_forms_match_the_einsum_path_bit_for_bit(monkeypatch):
-    # the closed forms replay einsum's own calls, so not one bit may move,
-    # whatever the memory order of the kernel (a StepKernel stores C order,
-    # so the Fortran-ordered ones are wrapped as trusted values)
+def test_named_graph_gradients_match_the_summed_pinned_einsums():
+    # the closed gradients, from a @ a and the row sums, against the pinned
+    # einsums summed over the edges and symmetrized, for every connected
+    # labeling of the six classes and either memory order of the kernel (a
+    # StepKernel stores C order, so the Fortran-ordered ones are wrapped as
+    # trusted values)
     rng = np.random.default_rng(29)
-    graphs = [named_term_graph(name) for name in NAMED_TERM_GRAPHS]
-    assert all(stepkernel._named_term(g)[1].graph == g for g in graphs)
+    graphs = [g for g in LABELED
+              if hamiltonian._connected(g) and stepkernel._named_term(g)[1] is not None]
+    assert {stepkernel._named_term(g)[1].graph for g in graphs} == {
+        named_term_graph(name) for name in NAMED_TERM_GRAPHS}
     kernels = []
     for r in range(1, 41):
         w = random_kernel(rng, r)
         kernels += [w, StepKernel._trusted(np.asfortranarray(w.values))]
     assert kernels[-1].values.flags.f_contiguous and not kernels[-1].values.flags.c_contiguous
-    cases = [(g, e, w) for g in graphs for e in range(g.edge_count) for w in kernels]
-    forms = [hom_density_pinned(g, w, e) for g, e, w in cases]
-    monkeypatch.setattr(stepkernel, "_named_term", lambda g: (g, None))
-    for (g, e, w), form in zip(cases, forms):
-        assert form.shape == (w.r, w.r)
-        assert np.array_equal(form, hom_density_pinned(g, w, e)), (g, e, w.r)
+    for g in graphs:
+        h = Hamiltonian(((1.0, g),))
+        for w in kernels:
+            pinned = sum(hom_density_pinned(g, w, e) for e in range(g.edge_count))
+            want = (pinned + pinned.T) / 2
+            np.testing.assert_allclose(h.frechet_derivative(w).values, want, rtol=1e-12,
+                                       atol=0, err_msg=f"{g} at r = {w.r}")
 
 
 def test_pairwise_rows_add_each_row_as_a_contiguous_sum_adds():
@@ -229,19 +234,20 @@ def test_relabeled_term_graphs_take_the_einsum_path(monkeypatch):
     monkeypatch.setattr(np, "einsum", spy)
     w = random_kernel(np.random.default_rng(31), 5)
     named = hom_density_pinned(path_graph(2), w, 0)
-    assert calls == [False]  # the row sums of the closed form
+    assert calls == [stepkernel._contraction_path("bc->b", 5)]  # the planned path
     calls.clear()
     relabeled = SimpleGraph(3, [(0, 2), (2, 1)])  # path2 with the middle vertex last
     assert stepkernel._named_term(relabeled)[1].graph != relabeled
     pinned = hom_density_pinned(relabeled, w, 0)
-    assert calls == [stepkernel._contraction_path("bc->c", 5)]  # the planned path
+    assert calls == [stepkernel._contraction_path("bc->c", 5)]
     np.testing.assert_allclose(pinned, named, rtol=1e-14)
     # every labeling on up to 4 vertices, once its isolated vertices are
     # dropped: the density's closed forms, which call no einsum, run for the
     # edge, path2, triangle and cycle4 classes, and so do the stacked forms;
-    # the pinned closed forms run on the canonical labelings only
+    # every pinned density left with an edge takes one planned einsum; the
+    # gradient calls none for the six named classes, and the einsum for the
+    # paw, the diamond and K4
     closed_classes = {(1, 1), (1, 1, 2), (2, 2, 2), (2, 2, 2, 2)}
-    canonical = {named_term_graph(name) for name in NAMED_TERM_GRAPHS}
     for g in LABELED:
         core = without_isolated(g)
         closed = not g.edges or core.degree_sequence() in closed_classes
@@ -249,12 +255,20 @@ def test_relabeled_term_graphs_take_the_einsum_path(monkeypatch):
         hom_density(g, w)
         assert (calls == []) if closed else (len(calls) == 1 and isinstance(calls[0], tuple)), g
         assert stepkernel._density_stack_agrees(g, 5) == closed, g
-        if hamiltonian._connected(g):
-            assert Hamiltonian(((1.0, g),)).batched(5) == closed, g
         for e in range(g.edge_count):
             calls.clear()
             hom_density_pinned(g, w, e)
-            assert any(isinstance(c, tuple) for c in calls) != (core in canonical), (g, e)
+            planned = len(calls) == 1 and isinstance(calls[0], tuple)
+            assert planned if g.edge_count > 1 else calls == [], (g, e)
+        if hamiltonian._connected(g):
+            h = Hamiltonian(((1.0, g),))
+            assert h.batched(5) == closed, g
+            calls.clear()
+            h.frechet_derivative(w)
+            paw_diamond_k4 = core.edge_count > 4 or core.degree_sequence() == (1, 2, 2, 3)
+            assert (stepkernel._named_term(g)[1] is None) == (paw_diamond_k4 or not g.edges), g
+            assert (len(calls) == g.edge_count and all(isinstance(c, tuple) for c in calls)
+                    ) if paw_diamond_k4 else calls == [], g
 
 
 def test_cached_contraction_paths_match_einsum_optimize_bit_for_bit():
