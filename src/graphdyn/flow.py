@@ -26,7 +26,7 @@ class FlowState:
     t: float = 0.0
 
 
-def active_mask(w: StepKernel, g: StepKernel) -> np.ndarray:
+def active_mask(w: np.ndarray, g: np.ndarray) -> np.ndarray:
     """Entries allowed to move: interior ones, and boundary ones pulled inward.
 
     The velocity of an entry is -beta * g, so an entry at the floor moves
@@ -34,11 +34,10 @@ def active_mask(w: StepKernel, g: StepKernel) -> np.ndarray:
     else on the boundary is frozen, which is what keeps the curve in [0, 1]
     without relying on the clamp.
     """
-    wv, gv = w.values, g.values
-    at_zero = wv <= BOUNDARY_TOL
-    at_one = wv >= 1.0 - BOUNDARY_TOL
+    at_zero = w <= BOUNDARY_TOL
+    at_one = w >= 1.0 - BOUNDARY_TOL
     interior = ~at_zero & ~at_one
-    return interior | (at_zero & (gv < 0)) | (at_one & (gv > 0))
+    return interior | (at_zero & (g < 0)) | (at_one & (g > 0))
 
 
 def flow_step(state: FlowState, h, beta: float, dt: float) -> FlowState:
@@ -52,9 +51,9 @@ def flow_step(state: FlowState, h, beta: float, dt: float) -> FlowState:
     rate = beta * dt
     if not math.isfinite(rate):
         raise OverflowError(f"flow step beta * dt = {beta} * {dt} is not finite")
-    g = h.frechet_derivative(state.w)
-    mask = active_mask(state.w, g)
-    new = state.w.values - rate * (g.values * mask)
+    w = state.w.values
+    g = h.frechet_derivative(w)
+    new = w - rate * (g * active_mask(w, g))
     # symmetric by construction: w, g and with them the mask are symmetric
     return FlowState(StepKernel._trusted(np.clip(new, 0.0, 1.0)), state.t + dt)
 

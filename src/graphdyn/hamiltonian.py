@@ -20,13 +20,13 @@ from .stepkernel import (
     _TERMS,
     _density_stack,
     _density_stack_agrees,
+    _finite_entries,
     _named_term,
     _pairwise_rows,
+    _pinned_density,
     _stack_agrees,
-    _symmetric_kernel,
     edge_graph,
     hom_density,
-    hom_density_pinned,
     triangle_graph,
 )
 
@@ -86,11 +86,12 @@ class Hamiltonian:
         return all(_density_stack_agrees(g, r) for _, g in self.terms) and (
             not self.entropy_weight or _entropy_stack_agrees(r))
 
-    def frechet_derivative(self, w: StepKernel) -> StepKernel:
-        """Gradient kernel: over the terms, the edge-pinned densities summed and
-        symmetrized.  A named term graph takes its closed form from a @ a and the
-        row sums, made once per call; any other graph sums pinned einsums."""
-        a, r = w.values, w.r
+    def frechet_derivative(self, a: np.ndarray) -> np.ndarray:
+        """Gradient at the kernel values a, an exactly symmetric r x r array: over
+        the terms, the edge-pinned densities summed and symmetrized.  A named term
+        graph takes its closed form from a @ a and the row sums, made once per
+        call; any other graph sums pinned einsums.  Non-finite entries raise."""
+        r = len(a)
         a2, d = a @ a, a.sum(1)
         g_total = np.zeros((r, r))
         for c, graph in self.terms:
@@ -99,12 +100,12 @@ class Hamiltonian:
                 g_total += c * term.gradient(a, a2, d, r)
                 continue
             for e in range(graph.edge_count):
-                g_total += c * hom_density_pinned(graph, w, e)
+                g_total += c * _pinned_density(graph, a, e)
         g_total = (g_total + g_total.T) / 2  # pinned densities and a @ a may be asymmetric
         if self.entropy_weight:
-            p = np.clip(w.values, ENTROPY_CLIP, 1.0 - ENTROPY_CLIP)
+            p = np.clip(a, ENTROPY_CLIP, 1.0 - ENTROPY_CLIP)
             g_total += self.entropy_weight * np.log(p / (1.0 - p))
-        return _symmetric_kernel(g_total)
+        return _finite_entries(g_total)
 
     @property
     def semiconvexity_lower(self) -> float:

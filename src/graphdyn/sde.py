@@ -18,7 +18,7 @@ from scipy.special import erfc, erfcx
 
 from ._drive import drive, horizon_steps
 from .hamiltonian import Hamiltonian
-from .stepkernel import StepKernel, _symmetric_kernel, l2_norm
+from .stepkernel import StepKernel, _finite_entries, l2_norm
 
 # one-step clamp displacement above this fraction of the box suggests dt is
 # too coarse for the drift magnitude
@@ -30,28 +30,27 @@ def gaussian_tail(x: float) -> float:
     return 0.5 * erfc(x / math.sqrt(2.0))
 
 
-def drift_b(h, w: StepKernel, beta: float) -> StepKernel:
-    """Closed-form drift: a negative scalar multiple of the energy gradient.
+def drift_b(h, x: np.ndarray, beta: float) -> np.ndarray:
+    """Closed-form drift at kernel values x: a negative multiple of the gradient.
 
-    -beta erfcx(beta |g|_2 / r) g, with g the gradient kernel, |.|_2 the
+    -beta erfcx(beta |g|_2 / r) g, with g the gradient, |.|_2 the
     normalized l2 norm and r the block count.  erfcx(x) = 2 exp(x^2)
     tail(sqrt(2) x) stays finite where exp(x^2) overflows.
     """
-    g = h.frechet_derivative(w)
-    norm = l2_norm(g)
-    x = beta * norm / w.r
+    g = h.frechet_derivative(x)
+    norm, r = l2_norm(g), len(x)
+    arg = beta * norm / r
     # erfcx(inf) = 0 would make the drift a silent zero; erfcx(x) overflows
     # below x = -26.6
-    if not (math.isfinite(x) and math.isfinite(pref := erfcx(x))):
+    if not (math.isfinite(arg) and math.isfinite(pref := erfcx(arg))):
         raise FloatingPointError(f"non-finite drift prefactor erfcx(beta |g|_2 / r) at "
-                                 f"beta = {beta}, |g|_2 = {norm}, r = {w.r}")
-    return _symmetric_kernel(-beta * pref * g.values)
+                                 f"beta = {beta}, |g|_2 = {norm}, r = {r}")
+    return _finite_entries(-beta * pref * g)
 
 
-def limit_drift(h, w: StepKernel, beta: float) -> StepKernel:
+def limit_drift(h, x: np.ndarray, beta: float) -> np.ndarray:
     """Large-r limit of drift_b: -beta times the gradient."""
-    g = h.frechet_derivative(w)
-    return _symmetric_kernel(-beta * g.values)
+    return _finite_entries(-beta * h.frechet_derivative(x))
 
 
 def explicit_drift_formula(v: np.ndarray, t: float) -> np.ndarray:
@@ -126,22 +125,22 @@ class SdeConfig:
         """Euler-Maruyama steps to reach the horizon."""
         return horizon_steps(self.dt, self.horizon_t)
 
-    def drift_kernel(self, w: StepKernel) -> StepKernel:
+    def drift_kernel(self, x: np.ndarray) -> np.ndarray:
         if self.drift == "closed_form":
-            return drift_b(self.h, w, self.beta)
-        return limit_drift(self.h, w, self.beta)
+            return drift_b(self.h, x, self.beta)
+        return limit_drift(self.h, x, self.beta)
 
 
 @dataclass
 class SdeState:
-    x: StepKernel | np.ndarray  # one kernel, or an (R, r, r) stack of replicas
+    x: np.ndarray  # one (r, r) kernel's values, or an (R, r, r) stack of replicas
     l0: np.ndarray
     l1: np.ndarray
     t: float = 0.0
 
     @classmethod
-    def initial(cls, x: StepKernel) -> "SdeState":
-        return cls(x, np.zeros((x.r, x.r)), np.zeros((x.r, x.r)), 0.0)
+    def initial(cls, init: StepKernel) -> "SdeState":
+        return cls(init.values, np.zeros((init.r, init.r)), np.zeros((init.r, init.r)), 0.0)
 
 
 @lru_cache(maxsize=None)
@@ -162,26 +161,23 @@ def _symmetric_noise(rng: np.random.Generator, r: int) -> np.ndarray:
 
 
 def em_step(state: SdeState, cfg: SdeConfig, rng: np.random.Generator | None,
-            drift: StepKernel | None = None,
+            drift: np.ndarray | None = None,
             noise: np.ndarray | None = None) -> SdeState:
     """One projected Euler-Maruyama step with local-time bookkeeping.
 
     An explicit symmetric noise matrix may be supplied in place of a draw
     from rng (used when several integrations must share one noise stream).
     A state holding an (R, r, r) replica stack moves every replica by the
-    one given drift, with the given (R, r, r) noise when sigma > 0.
+    one given (r, r) drift, with the given (R, r, r) noise when sigma > 0.
     """
-    if drift is None:
-        drift = cfg.drift_kernel(state.x)
-    b = drift.values
+    b = cfg.drift_kernel(state.x) if drift is None else drift
     if np.abs(b).max(initial=0.0) * cfg.dt > DT_STABILITY_FRACTION:
         warnings.warn(
             f"dt * max|drift| = {np.abs(b).max() * cfg.dt:.3g} exceeds "
             f"{DT_STABILITY_FRACTION}; step size is coarse for this drift",
             stacklevel=2,
         )
-    x = state.x.values if isinstance(state.x, StepKernel) else state.x
-    y = x + b * cfg.dt
+    y = state.x + b * cfg.dt
     if cfg.sigma:
         if noise is None:
             noise = _symmetric_noise(rng, cfg.r)
@@ -189,13 +185,7 @@ def em_step(state: SdeState, cfg: SdeConfig, rng: np.random.Generator | None,
     below = np.maximum(0.0, -y)
     above = np.maximum(0.0, y - 1.0)
     # symmetric and in [0, 1] by construction: x, b and noise are symmetric
-    clamped = np.clip(y, 0.0, 1.0)
-    return SdeState(
-        clamped if clamped.ndim == 3 else StepKernel._trusted(clamped),
-        state.l0 + below,
-        state.l1 + above,
-        state.t + cfg.dt,
-    )
+    return SdeState(np.clip(y, 0.0, 1.0), state.l0 + below, state.l1 + above, state.t + cfg.dt)
 
 
 @dataclass(frozen=True)
@@ -236,19 +226,21 @@ def run_sde(
     def states():
         state = SdeState(np.broadcast_to(init.values, shape).copy(), np.zeros(shape),
                          np.zeros(shape))
+        noise = np.empty(shape) if cfg.sigma else None
         while True:
-            x_mean = StepKernel._trusted(mean(state.x))
+            x_mean = mean(state.x)
             yield state, x_mean
             drift = cfg.drift_kernel(x_mean)
-            noise = None
             if cfg.sigma:
-                noise = _mirror_upper(np.stack([g.standard_normal((cfg.r, cfg.r))
-                                                for g in streams]))
+                for g, buf in zip(streams, noise):
+                    g.standard_normal(out=buf)
+                _mirror_upper(noise)
             state = em_step(state, cfg, None, drift, noise)
 
     def record(k: int, run) -> SdeRecord:
         state, x_mean = run
-        return SdeRecord(k, state.t, x_mean, cfg.h.evaluate(x_mean),
+        x = StepKernel._trusted(x_mean)
+        return SdeRecord(k, state.t, x, cfg.h.evaluate(x),
                          float(np.linalg.norm(mean(state.l0))),
                          float(np.linalg.norm(mean(state.l1))))
 

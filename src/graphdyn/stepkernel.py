@@ -103,8 +103,8 @@ class StepKernel:
         object.__setattr__(self, "values", v)
 
     @classmethod
-    def _trusted(cls, values: np.ndarray, range: tuple[float, float] = UNIT) -> "StepKernel":
-        """Wrap a float square array the caller guarantees symmetric and within range.
+    def _trusted(cls, values: np.ndarray) -> "StepKernel":
+        """Wrap a float square array the caller guarantees symmetric and in [0, 1].
 
         No copy and no checks: the array is only set read-only.  For values a
         caller built itself from already validated state, such as chain counts
@@ -113,7 +113,7 @@ class StepKernel:
         values.setflags(write=False)
         kernel = object.__new__(cls)
         object.__setattr__(kernel, "values", values)
-        object.__setattr__(kernel, "range", range)
+        object.__setattr__(kernel, "range", UNIT)
         return kernel
 
     @property
@@ -135,11 +135,20 @@ class StepKernel:
         return StepKernel(np.kron(self.values, np.ones((factor, factor))), self.range)
 
 
+def _finite_entries(values: np.ndarray) -> np.ndarray:
+    """values, if every entry is finite; else FloatingPointError naming the first
+    non-finite entry in C order, its coordinate and their count."""
+    bad = ~np.isfinite(values)
+    if bad.any():
+        at = np.unravel_index(np.argmax(bad), bad.shape)
+        raise FloatingPointError(f"non-finite kernel entries: {float(values[at])} at "
+                                 f"{tuple(map(int, at))}, {np.count_nonzero(bad)} of {bad.size}")
+    return values
+
+
 def _bounds_range(values: np.ndarray) -> tuple[float, float]:
     """Smallest canonical range containing the entries, else tight bounds; none if not finite."""
-    lo, hi = float(values.min(initial=0.0)), float(values.max(initial=0.0))
-    if not (math.isfinite(lo) and math.isfinite(hi)):
-        raise FloatingPointError(f"non-finite kernel entries (min {lo}, max {hi})")
+    lo, hi = float(_finite_entries(values).min(initial=0.0)), float(values.max(initial=0.0))
     if 0.0 <= lo and hi <= 1.0:
         return UNIT
     if -1.0 <= lo and hi <= 1.0:
@@ -151,13 +160,6 @@ def kernel_from_values(values: np.ndarray) -> StepKernel:
     """Wrap a symmetric matrix, inferring the tightest admissible range."""
     values = np.asarray(values, dtype=float)
     return StepKernel(values, _bounds_range(values))
-
-
-def _symmetric_kernel(values: np.ndarray) -> StepKernel:
-    """kernel_from_values for a float array its caller built exactly symmetric,
-    such as a gradient or a drift: no copy and no symmetry check, but the range
-    is inferred and non-finite entries are refused all the same."""
-    return StepKernel._trusted(values, _bounds_range(values))
 
 
 class _Term(NamedTuple):
@@ -324,8 +326,13 @@ def hom_density_pinned(graph: SimpleGraph, w: StepKernel, pin_edge: int) -> np.n
     Returns the r x r matrix of pinned densities, normalized by r^(m-2), m not
     counting isolated vertices: one einsum over the other vertices' assignments.
     """
+    return _pinned_density(graph, w.values, pin_edge)
+
+
+def _pinned_density(graph: SimpleGraph, a: np.ndarray, pin_edge: int) -> np.ndarray:
+    """hom_density_pinned of the r x r kernel values a."""
     g = _named_term(graph)[0]
-    a, r = w.values, w.r
+    r = len(a)
     u, v = g.edges[pin_edge]
     rest = [edge for edge in g.edges if edge != (u, v)]
     # a pinned end may lose all its edges; the einsum keeps only the ends left

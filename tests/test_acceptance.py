@@ -56,15 +56,15 @@ class LinearTilt:
     def evaluate(self, w):
         return float((self.c * w.values).mean())
 
-    def frechet_derivative(self, w):
-        return kernel_from_values(self.c)
+    def frechet_derivative(self, a):
+        return self.c
 
 
 class QuadraticWell:
     """H(w) = (1/2) mean((w - 1/2)^2), minimized at the constant one half."""
 
-    def frechet_derivative(self, w):
-        return kernel_from_values(w.values - 0.5)
+    def frechet_derivative(self, a):
+        return a - 0.5
 
     def evaluate(self, w):
         return 0.5 * float(((w.values - 0.5) ** 2).mean())
@@ -167,7 +167,7 @@ def test_06_gradient_identity_with_block_scaling():
         r = int(rng.integers(2, 6))
         vals = rng.uniform(0.1, 0.9, (r, r))
         w = StepKernel((vals + vals.T) / 2)
-        g = TRI_EDGE.frechet_derivative(w).values
+        g = TRI_EDGE.frechet_derivative(w.values)
 
         def f(x):
             return TRI_EDGE.evaluate(StepKernel((x + x.T) / 2, (-10.0, 10.0)))
@@ -182,7 +182,7 @@ def test_07_chain_drift_matches_the_closed_form():
     rng = np.random.default_rng(2024)
     c = rng.uniform(-0.6, 0.6, (4, 4))
     stub = LinearTilt((c + c.T) / 2)
-    ref = drift_b(stub, StepKernel.constant(4, 0.5), 0.5).values
+    ref = drift_b(stub, np.full((4, 4), 0.5), 0.5)
 
     cfg = ChainConfig(n=32, r=4, beta=0.5, sigma=0.0, gamma_n=1 / 32, h=stub, seed=11)
     mean, se = empirical_drift(cfg, np.full((4, 4), 0.5), 20_000)

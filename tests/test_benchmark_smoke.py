@@ -5,6 +5,7 @@ reference outputs are the benchmark's own, so an output it would call
 incorrect fails here first.
 """
 
+import functools
 import importlib
 import json
 import warnings
@@ -33,3 +34,13 @@ def test_workload_passes_its_checks_at_the_default_seed(name, perfbench, tmp_pat
     wl.check(ck, REFERENCE[name])
     assert ck.attempted > 0
     assert ck.failed == 0, ck.messages
+
+
+def test_every_traced_name_resolves(monkeypatch):
+    # --trace 1 wraps each TARGETS name by getattr; a rename under src/ would
+    # otherwise break the traced run alone.  The tracer is imported, not installed.
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    tracing = importlib.import_module("tracing")
+    for module, attr, span in tracing.TARGETS:
+        owner = importlib.import_module(module)
+        assert callable(functools.reduce(getattr, attr.split("."), owner)), span

@@ -9,16 +9,18 @@ from graphdyn import (
     Hamiltonian,
     SimpleGraph,
     StepKernel,
+    drift_b,
     edge_graph,
     hom_density,
     l2_distance,
+    limit_drift,
     named_term_graph,
     triangle_edge_hamiltonian,
     triangle_graph,
 )
 
 import graphdyn.hamiltonian as hamiltonian
-from oracles import fd_gradient
+from oracles import fd_gradient, labeled_graphs
 
 
 def random_kernel(rng, r, lo=0.05, hi=0.95):
@@ -168,24 +170,37 @@ def test_named_term_graphs_cover_the_config_vocabulary():
 def test_edge_term_derivative_is_the_constant_coefficient():
     h = Hamiltonian(((1.0, edge_graph()),))
     w = random_kernel(np.random.default_rng(3), 4)
-    assert np.allclose(h.frechet_derivative(w).values, 1.0, atol=1e-12)
+    assert np.allclose(h.frechet_derivative(w.values), 1.0, atol=1e-12)
     h3 = Hamiltonian(((-0.25, edge_graph()),))
-    assert np.allclose(h3.frechet_derivative(w).values, -0.25, atol=1e-12)
+    assert np.allclose(h3.frechet_derivative(w.values), -0.25, atol=1e-12)
 
 
 def test_triangle_edge_derivative_at_constant_kernels():
     h = triangle_edge_hamiltonian()
     for p in (0.1, 0.5, 0.9):
-        g = h.frechet_derivative(StepKernel.constant(4, p))
-        assert np.allclose(g.values, 3 * p**2 - 0.25, atol=1e-12)
+        g = h.frechet_derivative(StepKernel.constant(4, p).values)
+        assert np.allclose(g, 3 * p**2 - 0.25, atol=1e-12)
 
 
 def test_derivative_output_is_symmetric():
     rng = np.random.default_rng(5)
     h = Hamiltonian(((1.0, triangle_graph()), (0.5, SimpleGraph(4, [(0, 1), (0, 2), (0, 3)]))),
                     entropy_weight=0.3)
-    g = h.frechet_derivative(random_kernel(rng, 5))
-    assert np.array_equal(g.values, g.values.T)
+    g = h.frechet_derivative(random_kernel(rng, 5).values)
+    assert np.array_equal(g, g.T)
+    # em_step and flow_step add and clip these arrays with no symmetry check, so
+    # every connected term graph, in every labeling, keeps them exactly symmetric
+    kernels = [random_kernel(rng, r).values for r in (1, 2, 3, 5, 8, 17)]
+    kernels += [np.asfortranarray(a) for a in kernels]
+    for m, edges in labeled_graphs(4):
+        graph = SimpleGraph(m, edges)
+        if not hamiltonian._connected(graph):
+            continue
+        for entropy_weight in (0.0, 0.3):
+            h = Hamiltonian(((0.7, graph),), entropy_weight)
+            for a in kernels:
+                for out in (h.frechet_derivative(a), drift_b(h, a, 1.3), limit_drift(h, a, 1.3)):
+                    assert np.array_equal(out, out.T)
 
 
 def test_derivative_matches_finite_differences_with_r_squared_scaling():
@@ -193,7 +208,7 @@ def test_derivative_matches_finite_differences_with_r_squared_scaling():
     rng = np.random.default_rng(7)
     h = Hamiltonian(((1.0, triangle_graph()), (-0.25, edge_graph())), entropy_weight=0.8)
     w = random_kernel(rng, 5)
-    g = h.frechet_derivative(w).values
+    g = h.frechet_derivative(w.values)
 
     def f(x):
         return h.evaluate(StepKernel((x + x.T) / 2, (-10.0, 10.0)))
@@ -223,7 +238,7 @@ def test_linear_terms_contribute_no_curvature():
 
 
 def bregman_remainder(h, u, v):
-    g = h.frechet_derivative(u).values
+    g = h.frechet_derivative(u.values)
     return h.evaluate(v) - h.evaluate(u) - inner(g, v.values - u.values)
 
 

@@ -31,6 +31,7 @@ from graphdyn import (
 
 from graphdyn import hamiltonian, stepkernel
 from graphdyn.hamiltonian import Hamiltonian, named_term_graph
+from graphdyn.sde import limit_drift
 from graphdyn.stepkernel import _cut_norm_bound, _cut_norm_exhaustive
 
 from oracles import (
@@ -104,6 +105,30 @@ def test_kernel_from_values_infers_canonical_ranges():
     assert kernel_from_values(np.array([[0.2]])).range == (0.0, 1.0)
     assert kernel_from_values(np.array([[-0.2]])).range == (-1.0, 1.0)
     assert kernel_from_values(np.array([[3.0]])).range == (0.0, 3.0)
+
+
+def test_non_finite_entries_are_named_by_value_coordinate_and_count():
+    # the entry itself is named: a range taken with min(initial=0.0) would
+    # read "min 0.0" for a matrix that is inf everywhere
+    with pytest.raises(FloatingPointError,
+                       match=r"^non-finite kernel entries: inf at \(0, 0\), 16 of 16$"):
+        kernel_from_values(np.full((4, 4), math.inf))
+    vals = np.full((3, 3), 0.5)
+    vals[1, 2] = vals[2, 1] = math.nan
+    vals[2, 0] = vals[0, 2] = -math.inf
+    with pytest.raises(FloatingPointError,
+                       match=r"^non-finite kernel entries: -inf at \(0, 2\), 4 of 9$"):
+        kernel_from_values(vals)
+    # the gradient's and the drift's checks give the same message
+    big = Hamiltonian(((1e308, triangle_graph()), (1e308, path_graph(2)),
+                       (1e308, cycle_graph(4))))
+    with pytest.raises(FloatingPointError,
+                       match=r"^non-finite kernel entries: inf at \(0, 0\), 16 of 16$"):
+        big.frechet_derivative(np.full((4, 4), 0.5))
+    tri = Hamiltonian(((1e308, triangle_graph()),))
+    with pytest.raises(FloatingPointError,
+                       match=r"^non-finite kernel entries: -inf at \(0, 0\), 16 of 16$"):
+        limit_drift(tri, np.full((4, 4), 0.5), 10.0)
 
 
 # ---------------------------------------------------------------- hom_density
@@ -207,7 +232,7 @@ def test_named_graph_gradients_match_the_summed_pinned_einsums():
         for w in kernels:
             pinned = sum(hom_density_pinned(g, w, e) for e in range(g.edge_count))
             want = (pinned + pinned.T) / 2
-            np.testing.assert_allclose(h.frechet_derivative(w).values, want, rtol=1e-12,
+            np.testing.assert_allclose(h.frechet_derivative(w.values), want, rtol=1e-12,
                                        atol=0, err_msg=f"{g} at r = {w.r}")
 
 
@@ -264,7 +289,7 @@ def test_relabeled_term_graphs_take_the_einsum_path(monkeypatch):
             h = Hamiltonian(((1.0, g),))
             assert h.batched(5) == closed, g
             calls.clear()
-            h.frechet_derivative(w)
+            h.frechet_derivative(w.values)
             paw_diamond_k4 = core.edge_count > 4 or core.degree_sequence() == (1, 2, 2, 3)
             assert (stepkernel._named_term(g)[1] is None) == (paw_diamond_k4 or not g.edges), g
             assert (len(calls) == g.edge_count and all(isinstance(c, tuple) for c in calls)
