@@ -86,6 +86,9 @@ class Hamiltonian:
         return all(_density_stack_agrees(g, r) for _, g in self.terms) and (
             not self.entropy_weight or _entropy_stack_agrees(r))
 
+    # an overflow is named by the finite-check at the end, not warned of first;
+    # as a decorator errstate costs a third of what a with-block does
+    @np.errstate(over="ignore", invalid="ignore")
     def frechet_derivative(self, a: np.ndarray) -> np.ndarray:
         """Gradient at the kernel values a, an exactly symmetric r x r array: over
         the terms, the edge-pinned densities summed and symmetrized.  A named term

@@ -30,6 +30,7 @@ def gaussian_tail(x: float) -> float:
     return 0.5 * erfc(x / math.sqrt(2.0))
 
 
+@np.errstate(over="ignore", invalid="ignore")  # the guards name an overflow
 def drift_b(h, x: np.ndarray, beta: float) -> np.ndarray:
     """Closed-form drift at kernel values x: a negative multiple of the gradient.
 
@@ -48,6 +49,7 @@ def drift_b(h, x: np.ndarray, beta: float) -> np.ndarray:
     return _finite_entries(-beta * pref * g)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # the guards name an overflow
 def limit_drift(h, x: np.ndarray, beta: float) -> np.ndarray:
     """Large-r limit of drift_b: -beta times the gradient."""
     return _finite_entries(-beta * h.frechet_derivative(x))

@@ -292,6 +292,29 @@ def _pairwise_rows(x: np.ndarray) -> np.ndarray:
     return _pairwise_rows(x[:, :half]) + _pairwise_rows(x[:, half:])
 
 
+def _pairwise_sum(x: np.ndarray) -> np.ndarray:
+    """x.sum(axis=0) of an (n, ...) array of slabs, bit for bit as numpy's
+    pairwise sum adds a contiguous row of n <= 128 entries (see _pairwise_rows):
+    below 8 slabs one by one; else in 8 accumulators over strides of 8, joined
+    as ((0+1)+(2+3))+((4+5)+(6+7)), then the rest one by one.  Overwrites x's
+    leading slabs."""
+    n = len(x)
+    if n < 8:
+        for k in range(1, n):
+            np.add(x[0], x[k], out=x[0])
+        return x[0]
+    acc = x[:8]
+    for i in range(8, n - n % 8, 8):
+        np.add(acc, x[i:i + 8], out=acc)
+    # interleaved slabs written in place would overlap, and numpy would copy them
+    pairs = acc[0::2] + acc[1::2]
+    quads = pairs[0::2] + pairs[1::2]
+    total = np.add(quads[0], quads[1], out=quads[0])
+    for i in range(n - n % 8, n):
+        np.add(total, x[i], out=total)
+    return total
+
+
 def _density_stack(graph: SimpleGraph, stack: np.ndarray) -> np.ndarray:
     """hom_density of each kernel in a C-contiguous (B, r, r) stack, through the
     table's stacked form: for graphs whose _density_stack_agrees holds."""
@@ -345,11 +368,11 @@ def _pinned_density(graph: SimpleGraph, a: np.ndarray, pin_edge: int) -> np.ndar
 
 @functools.cache
 def _subset_block(r: int) -> np.ndarray:
-    """The first 2^b rows of the 0/1 subset matrix, row k holding the bits of k:
-    b = r while 2^r rows of r entries fit the budget, else as many as fit."""
+    """The first 2^b columns of the r x 2^r 0/1 subset matrix, column k holding
+    the bits of k: b = r while 2^r columns of r entries fit the budget, else as
+    many as fit."""
     bits = min(r, (_CUT_NORM_BUDGET // r).bit_length() - 1)
-    rows = np.arange(1 << bits, dtype=np.int64)
-    s = ((rows[:, None] >> np.arange(r)) & 1).astype(float)
+    s = ((np.arange(1 << bits) >> np.arange(r)[:, None]) & 1).astype(float)
     s.setflags(write=False)
     return s
 
@@ -357,10 +380,11 @@ def _subset_block(r: int) -> np.ndarray:
 def _cut_norm_exhaustive(a: np.ndarray) -> np.ndarray:
     """Exact cut norm of an r x r matrix, or of every matrix in a (..., r, r) stack.
 
-    The matrices are laid side by side as one r x (n r) matrix, so one gemm
-    with a block of subset rows s gives s^T A for several matrices A at once.
-    Past the cached block (r >= 11), a copy of it has its high bits refilled
-    for each further block of subsets.
+    The columns of the matrices are stacked as the rows of one (r n) x r matrix,
+    so one gemm with a block of subset columns s gives A^T s for several
+    matrices A at once, each column's subset sums one contiguous slab.  Past the
+    cached block (r >= 11), a copy of it has its high bits refilled for each
+    further block of subsets.
     """
     r = a.shape[-1]
     if r > CUT_NORM_EXHAUSTIVE_LIMIT:
@@ -369,23 +393,28 @@ def _cut_norm_exhaustive(a: np.ndarray) -> np.ndarray:
             f"{CUT_NORM_EXHAUSTIVE_LIMIT} use method='heuristic'"
         )
     n = math.prod(a.shape[:-2])
-    cols = np.ascontiguousarray(np.moveaxis(a.reshape(n, r, r), 0, 1)).reshape(r, n * r)
+    cols = np.ascontiguousarray(a.reshape(n, r, r).transpose(2, 0, 1))
     s = _subset_block(r)
-    low = len(s).bit_length() - 1
+    low = s.shape[1].bit_length() - 1
     if low < r:
         s = s.copy()
-    per = max(1, _CUT_NORM_BUDGET // (len(s) * r))
+    per = max(1, _CUT_NORM_BUDGET // (s.shape[1] * r))
     best = np.zeros(n)
     for block in range(1 << (r - low)):
         if block:
-            s[:, low:] = (block >> np.arange(r - low)) & 1
+            s[low:] = (block >> np.arange(r - low))[:, None] & 1
         for lo in range(0, n, per):
-            v = (s @ cols[:, lo * r:(lo + per) * r]).reshape(len(s), -1, r)
-            # best t for fixed s picks the positive (or negative) part of s^T A
-            pos = np.maximum(v, 0.0).sum(axis=-1)
-            neg = np.maximum(np.negative(v, out=v), 0.0, out=v).sum(axis=-1)
             part = best[lo:lo + per]
-            np.maximum(part, np.maximum(pos, neg, out=pos).max(axis=0, initial=0.0), out=part)
+            v = (cols[:, lo:lo + per].reshape(-1, r) @ s).reshape(r, -1)
+            # best t for fixed s picks the positive (or negative) part of s^T A;
+            # the slab sums add the r columns as sum(axis=-1) adds a row of s^T A
+            pos = _pairwise_sum(np.maximum(v, 0.0))
+            neg = _pairwise_sum(np.maximum(np.negative(v, out=v), 0.0, out=v))
+            top = np.maximum(pos, neg, out=pos).reshape(len(part), -1).max(axis=1, initial=0.0)
+            np.maximum(part, top, out=part)
+            # pos and neg may be views of the chunk's two buffers: let them go
+            # before the next gemm, so that no more than two are ever held
+            del v, pos, neg
     return (best / r**2).reshape(a.shape[:-2])
 
 
@@ -460,7 +489,10 @@ def minimize_over_permutations(
     chunks in itertools.permutations order; the first strict minimum wins and
     a NaN is never chosen.  Beyond that, seeded simulated annealing over
     transpositions, one relabeling per call, starting from the identity; the
-    result is an upper bound for the true minimum.
+    result is an upper bound for the true minimum.  The annealer draws its
+    acceptance uniform only on an uphill proposal (val >= cur_val), so its
+    path, and the RNG stream after it, follow the last bits of every value:
+    a faster objective must give the same bits, not just close values.
     """
     if r <= PERM_EXHAUSTIVE_LIMIT:
         best, best_p = math.inf, None

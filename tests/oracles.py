@@ -2,7 +2,8 @@
 
 Everything here is deliberately written the slow, obvious way (nested loops,
 exhaustive enumeration, generic LP solvers) and shares no code with the
-package under test.
+package under test.  The one exception is cut_norm_rowsum, an earlier form of
+the package's cut-norm kernel kept as its bit-for-bit reference.
 """
 from __future__ import annotations
 
@@ -69,6 +70,34 @@ def cut_norm_brute(a: np.ndarray) -> float:
             t = np.array(t_bits, dtype=float)
             best = max(best, abs(s @ a @ t))
     return best / r**2
+
+
+def cut_norm_rowsum(a: np.ndarray) -> np.ndarray:
+    """Exact cut norm of an r x r matrix or of each matrix in a (..., r, r) stack,
+    frozen as a bit-for-bit reference for the package's cut-norm kernel.
+
+    Up to 2^14 entries per gemm, subset rows s (2^r of them, or blocks of 2^b
+    whose high bits are refilled) times the matrices laid side by side give
+    rows of s^T A; the positive and the negative part of each row are summed
+    with numpy's sum(axis=-1).
+    """
+    budget = 1 << 14
+    r = a.shape[-1]
+    n = math.prod(a.shape[:-2])
+    cols = np.ascontiguousarray(np.moveaxis(a.reshape(n, r, r), 0, 1)).reshape(r, n * r)
+    low = min(r, (budget // r).bit_length() - 1)
+    s = ((np.arange(1 << low)[:, None] >> np.arange(r)) & 1).astype(float)
+    per = max(1, budget // (len(s) * r))
+    best = np.zeros(n)
+    for block in range(1 << (r - low)):
+        s[:, low:] = (block >> np.arange(r - low)) & 1
+        for lo in range(0, n, per):
+            v = (s @ cols[:, lo * r:(lo + per) * r]).reshape(len(s), -1, r)
+            pos = np.maximum(v, 0.0).sum(axis=-1)
+            neg = np.maximum(np.negative(v, out=v), 0.0, out=v).sum(axis=-1)
+            part = best[lo:lo + per]
+            np.maximum(part, np.maximum(pos, neg, out=pos).max(axis=0, initial=0.0), out=part)
+    return (best / r**2).reshape(a.shape[:-2])
 
 
 def min_over_perms_brute(r: int, objective) -> float:

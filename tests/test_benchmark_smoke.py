@@ -36,6 +36,15 @@ def test_workload_passes_its_checks_at_the_default_seed(name, perfbench, tmp_pat
     assert ck.failed == 0, ck.messages
 
 
+def test_metrics_summary_equals_the_reference_exactly(perfbench, tmp_path):
+    # the benchmark compares within 1e-9, which a last-bit change of the cut norm
+    # passes even where it reroutes no search; the stored values are exact
+    workloads, _ = perfbench
+    wl = workloads.WORKLOADS["metrics"](0, tmp_path)
+    wl.run()
+    assert wl.summary() == REFERENCE["metrics"]
+
+
 def test_every_traced_name_resolves(monkeypatch):
     # --trace 1 wraps each TARGETS name by getattr; a rename under src/ would
     # otherwise break the traced run alone.  The tracer is imported, not installed.

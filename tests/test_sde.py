@@ -452,6 +452,7 @@ def test_sixteen_replica_run_reproduces_its_recorded_bits(drift, digest):
     assert _sde_records_sha256(records) == digest
 
 
+@pytest.mark.filterwarnings("error")  # the guard names the overflow; numpy does not warn first
 def test_overflowing_drift_prefactor_names_its_step_and_quantity():
     # first the gradient is finite, but its squared entries overflow the norm,
     # and erfcx(inf) = 0 would make the drift a silent zero; then erfcx(x) =

@@ -37,6 +37,7 @@ from graphdyn.stepkernel import _cut_norm_bound, _cut_norm_exhaustive
 from oracles import (
     cut_norm_brute,
     cut_norm_fractional,
+    cut_norm_rowsum,
     hom_density_brute,
     labeled_graphs,
     min_over_perms_brute,
@@ -107,6 +108,7 @@ def test_kernel_from_values_infers_canonical_ranges():
     assert kernel_from_values(np.array([[3.0]])).range == (0.0, 3.0)
 
 
+@pytest.mark.filterwarnings("error")  # the guards name an overflow; numpy does not warn first
 def test_non_finite_entries_are_named_by_value_coordinate_and_count():
     # the entry itself is named: a range taken with min(initial=0.0) would
     # read "min 0.0" for a matrix that is inf everywhere
@@ -248,6 +250,16 @@ def test_pairwise_rows_add_each_row_as_a_contiguous_sum_adds():
         assert stepkernel._pairwise_rows(np.asfortranarray(x)).tobytes() == want.tobytes(), n
 
 
+def test_pairwise_sum_of_slabs_adds_as_a_row_sum_adds():
+    # magnitudes from 1e-8 to 1e8 of both signs: any other order of the
+    # additions shows in the last bits
+    rng = np.random.default_rng(61)
+    for n in range(1, 41):
+        x = rng.choice([-1.0, 1.0], (50, n)) * 10.0 ** rng.uniform(-8, 8, (50, n))
+        got = stepkernel._pairwise_sum(np.ascontiguousarray(x.T))
+        assert got.tobytes() == x.sum(axis=-1).tobytes(), n
+
+
 def test_relabeled_term_graphs_take_the_einsum_path(monkeypatch):
     calls = []
     einsum = np.einsum
@@ -352,6 +364,37 @@ def test_cut_norm_exhaustive_across_subset_blocks(r):
     batched = _cut_norm_exhaustive(stack)
     assert batched[0] == batched[2] == nonneg.mean()
     assert batched.tolist() == [cut_norm(a, method="exhaustive") for a in stack]
+
+
+def mixed_stack(rng, r, n):
+    """n random r x r matrices whose entry scales cycle through 1e-3, 1 and 1e3
+    and which are, in turn, symmetric and not."""
+    a = rng.standard_normal((n, r, r)) * np.resize([1e-3, 1.0, 1e3], n)[:, None, None]
+    a[::2] = (a[::2] + a[::2].swapaxes(1, 2)) / 2
+    return a
+
+
+@pytest.mark.parametrize("r", range(1, 17))
+def test_cut_norm_exhaustive_gives_the_row_sum_kernels_bits(r):
+    # the slab sums must add each row of s^T A as numpy's sum(axis=-1) did:
+    # the annealer's path follows the last bits of every value.  Stacks of 3,
+    # 37 and 256 split into chunks of several matrices up to r = 9; from
+    # r = 11 the subsets come in blocks whose high bits are refilled
+    rng = np.random.default_rng(300 + r)
+    singles = list(mixed_stack(rng, r, 6))
+    for a in singles + [mixed_stack(rng, r, n) for n in (3, 37, 256)]:
+        assert np.array_equal(_cut_norm_exhaustive(a), cut_norm_rowsum(a)), a.shape
+
+
+def test_cut_norm_exhaustive_overflows_to_inf_not_nan():
+    # a column sum overflows to +inf and another to -inf; each part is clipped
+    # from its own sign, so no inf - inf makes a NaN
+    a = np.full((4, 4), 1e308)
+    a[1::2] *= -1.0
+    a[:, 1] *= -1.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        got, want = _cut_norm_exhaustive(a), cut_norm_rowsum(a)
+    assert got == want == math.inf
 
 
 def test_cut_norm_heuristic_never_exceeds_exhaustive():
