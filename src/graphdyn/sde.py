@@ -190,6 +190,14 @@ def em_step(state: SdeState, cfg: SdeConfig, rng: np.random.Generator | None,
     return SdeState(np.clip(y, 0.0, 1.0), state.l0 + below, state.l1 + above, state.t + cfg.dt)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # run_sde's guard names an overflow
+def _fro_norm(x: np.ndarray) -> float:
+    """np.linalg.norm(x) of a C-contiguous array, bit for bit, without its
+    call overhead or its overflow warning."""
+    x = x.ravel()
+    return math.sqrt(float(x.dot(x)))
+
+
 @dataclass(frozen=True)
 class SdeRecord:
     step: int
@@ -242,8 +250,10 @@ def run_sde(
     def record(k: int, run) -> SdeRecord:
         state, x_mean = run
         x = StepKernel._trusted(x_mean)
-        return SdeRecord(k, state.t, x, cfg.h.evaluate(x),
-                         float(np.linalg.norm(mean(state.l0))),
-                         float(np.linalg.norm(mean(state.l1))))
+        norms = [_fro_norm(mean(local)) for local in (state.l0, state.l1)]
+        for name, norm in zip(("L0_fro", "L1_fro"), norms):
+            if not math.isfinite(norm):
+                raise FloatingPointError(f"step {k}: local-time norm {name} = {norm} is not finite")
+        return SdeRecord(k, state.t, x, cfg.h.evaluate(x), *norms)
 
     return drive(cfg.steps, states(), record, observers, record_every)

@@ -2,8 +2,9 @@
 
 Everything here is deliberately written the slow, obvious way (nested loops,
 exhaustive enumeration, generic LP solvers) and shares no code with the
-package under test.  The one exception is cut_norm_rowsum, an earlier form of
-the package's cut-norm kernel kept as its bit-for-bit reference.
+package under test.  The exceptions are cut_norm_rowsum and
+anneal_call_by_call, earlier forms of the package's cut-norm kernel and of its
+annealed permutation search, kept as their bit-for-bit references.
 """
 from __future__ import annotations
 
@@ -98,6 +99,40 @@ def cut_norm_rowsum(a: np.ndarray) -> np.ndarray:
             part = best[lo:lo + per]
             np.maximum(part, np.maximum(pos, neg, out=pos).max(axis=0, initial=0.0), out=part)
     return (best / r**2).reshape(a.shape[:-2])
+
+
+def anneal_call_by_call(objective, r: int, seed: int, anneal_evals: int, draws=None):
+    """The annealed branch of minimize_over_permutations as it drew from its
+    Generator one call at a time, frozen as a bit-for-bit reference.
+
+    draws, if given, gets "pair" or "uniform" for each draw, in order.
+    """
+    rng = np.random.default_rng(seed)
+    cur = np.arange(r)
+    cur_val = float(objective(cur[None])[0])
+    best, best_p = cur_val, cur.copy()
+    temp = max(cur_val, 1e-3)
+    decay = 0.01 ** (1.0 / max(anneal_evals, 1))
+
+    def draw(kind: str, call):
+        if draws is not None:
+            draws.append(kind)
+        return call()
+
+    for _ in range(anneal_evals):
+        i, j = draw("pair", lambda: rng.integers(0, r, size=2))
+        if i == j:
+            continue
+        cand = cur.copy()
+        cand[i], cand[j] = cand[j], cand[i]
+        val = float(objective(cand[None])[0])
+        if val < cur_val or draw("uniform", rng.random) < math.exp(
+                -(val - cur_val) / max(temp, 1e-12)):
+            cur, cur_val = cand, val
+            if val < best:
+                best, best_p = val, cand.copy()
+        temp *= decay
+    return best, best_p
 
 
 def min_over_perms_brute(r: int, objective) -> float:

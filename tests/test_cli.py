@@ -205,35 +205,41 @@ def test_overflowing_drifts_exit_with_the_numeric_code(tmp_path, change, message
     assert len(guards) == 1 and message in guards[0]
 
 
-@pytest.mark.parametrize("mode, fields, guard, triangle", [
+@pytest.mark.parametrize("mode, fields, guard, terms, kept", [
     # a large beta alone leaves the drift finite; an overflowing gradient norm
     # does not
     ("sde", "r = 4\nbeta = 1e6\nsigma = 0\ndt = 1e-3\nhorizon_t = 0.01\n",
      "numeric guard: step 1: non-finite drift prefactor erfcx(beta |g|_2 / r) at "
-     "beta = 1000000.0, |g|_2 = inf, r = 4", "1e308"),
+     "beta = 1000000.0, |g|_2 = inf, r = 4", "term.triangle = 1e308\nterm.edge = -0.25\n", 1),
+    # a finite but huge drift: every step clamps the entries to 1 and the local
+    # time grows by about 4.6e153; before, L1_fro was written as inf from step 4
+    # on and the run exited 0
+    ("sde", "r = 16\nbeta = -1e6\nsigma = 0\ndt = 1e-3\nhorizon_t = 0.01\n",
+     "numeric guard: step 4: local-time norm L1_fro = inf is not finite",
+     "term.triangle = 1e-4\n", 4),
     # before, the frozen corners became inf * 0 = nan and the run exited 1
     # with "config error: values must be exactly symmetric"
     ("flow", "r = 2\nbeta = 1e308\ndt = 10\nhorizon = 20\ninit = {init}\n",
-     "numeric guard: step 1: flow step beta * dt = 1e+308 * 10.0 is not finite", "1.0"),
+     "numeric guard: step 1: flow step beta * dt = 1e+308 * 10.0 is not finite",
+     "term.triangle = 1.0\nterm.edge = -0.25\n", 1),
     # before, the chain's guard read only "numeric guard: math range error"
     ("metropolis", "n = 8\nr = 2\nbeta = -1e5\nsigma = 1\ngamma_n = 0.03125\niterations = 40\n"
      "seed = 3\n",
      "numeric guard: step 3: acceptance exp(-beta_nr dH^+) overflows at beta_nr = -800000.0, "
-     "dH = 0.005087805211370255: math range error", "1.0"),
+     "dH = 0.005087805211370255: math range error", "term.triangle = 1.0\nterm.edge = -0.25\n", 3),
 ])
-def test_numeric_guards_name_the_step_and_the_quantity(tmp_path, mode, fields, guard, triangle):
+def test_numeric_guards_name_the_step_and_the_quantity(tmp_path, mode, fields, guard, terms, kept):
     init = tmp_path / "init.txt"
     init.write_text("2 0.0 1.0\n0.0 0.5\n0.5 1.0\n")
     path = tmp_path / "run.ini"
-    path.write_text(f"[{mode}]\n" + fields.format(init=init)
-                    + f"\n[hamiltonian]\nterm.triangle = {triangle}\nterm.edge = -0.25\n")
+    path.write_text(f"[{mode}]\n" + fields.format(init=init) + "\n[hamiltonian]\n" + terms)
     proc = run_cli(mode, path, tmp_path / "o")
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr and "RuntimeWarning" not in proc.stderr
     assert [line for line in proc.stderr.splitlines() if line.startswith("numeric guard:")] == [guard]
     # the records taken before the guard tripped are kept
     _, rows = read_csv(tmp_path / "o" / "trajectory.csv")
-    assert [row[0] for row in rows] == {"metropolis": ["0", "1", "2"]}.get(mode, ["0"])
+    assert [row[0] for row in rows] == [str(k) for k in range(kept)]
 
 
 def test_a_regime_warning_is_shown_once(tmp_path):

@@ -32,9 +32,10 @@ from graphdyn import (
 from graphdyn import hamiltonian, stepkernel
 from graphdyn.hamiltonian import Hamiltonian, named_term_graph
 from graphdyn.sde import limit_drift
-from graphdyn.stepkernel import _cut_norm_bound, _cut_norm_exhaustive
+from graphdyn.stepkernel import _AnnealDraws, _cut_norm_bound, _cut_norm_exhaustive, _decode_words
 
 from oracles import (
+    anneal_call_by_call,
     cut_norm_brute,
     cut_norm_fractional,
     cut_norm_rowsum,
@@ -557,6 +558,155 @@ def test_exhaustive_search_does_not_depend_on_the_chunking(r, monkeypatch):
         assert v1 == value and p1.tolist() == perm.tolist()
     # one relabeling per difference stack
     assert cut_metric_upper(StepKernel(a), StepKernel(b)) == metric == default[0][0]
+
+
+def _anneal_objective(kind: str, r: int, calls: list):
+    """A cheap batched objective that appends each relabeling it scores to calls:
+    a linear assignment cost, the same rounded so that many values tie, all NaN,
+    or constant."""
+    # not default_rng, whose calls the fallback test counts
+    table = np.random.Generator(np.random.PCG64(r)).uniform(0.0, 1.0, (r, r))
+    rows = np.arange(r)
+    value = {"assignment": lambda perms: table[rows, perms].sum(axis=1),
+             "rounded": lambda perms: np.round(table[rows, perms].sum(axis=1), 1),
+             "nan": lambda perms: np.full(len(perms), np.nan),
+             "constant": lambda perms: np.full(len(perms), 0.25)}[kind]
+
+    def objective(perms):
+        calls.extend(perms.tolist())
+        return value(perms)
+
+    return objective
+
+
+def _same_search(r: int, seed: int, evals: int, kind: str) -> None:
+    """The annealer scores the call-by-call search's relabelings, in its order,
+    and returns its (best, best_p)."""
+    want_calls, got_calls = [], []
+    want = anneal_call_by_call(_anneal_objective(kind, r, want_calls), r, seed, evals)
+    got = minimize_over_permutations(_anneal_objective(kind, r, got_calls), r, seed, evals)
+    assert got_calls == want_calls
+    assert (np.float64(got[0]).tobytes(), got[1].tolist()) == (
+        np.float64(want[0]).tobytes(), want[1].tolist())
+
+
+@pytest.mark.parametrize("kind", ["assignment", "rounded", "nan", "constant"])
+@pytest.mark.parametrize("r", [9, 10, 12, 16, 24])
+def test_annealer_searches_as_the_call_by_call_annealer(r, kind):
+    for seed in range(5):
+        for evals in (0, 1, 7, 4000):
+            _same_search(r, seed, evals, kind)
+
+
+def test_the_anneal_decoder_agrees_with_this_numpy():
+    # else every annealed search runs one Generator call per draw
+    assert stepkernel._anneal_decoder_agrees()
+
+
+@pytest.fixture
+def default_rng_calls(monkeypatch):
+    """The seeds np.random.default_rng is called with, once the decoder check is cached."""
+    stepkernel._anneal_decoder_agrees()
+    calls, real = [], np.random.default_rng
+    monkeypatch.setattr(np.random, "default_rng", lambda seed: calls.append(seed) or real(seed))
+    return calls
+
+
+@pytest.mark.parametrize("where", ["nowhere", "decoder", "first", "middle", "last"])
+@pytest.mark.parametrize("r, seed", [(9, 3), (12, 4)])
+def test_annealer_falls_back_to_the_generator_at_any_word(monkeypatch, default_rng_calls, r,
+                                                           seed, where):
+    # the last pair word lies well past the first chunk of 7 words
+    monkeypatch.setattr(stepkernel, "_PERM_CHUNK", 7)
+    kinds = []
+    anneal_call_by_call(_anneal_objective("assignment", r, []), r, seed, 4000, kinds)
+    pair_words = [k for k, kind in enumerate(kinds) if kind == "pair"]
+    if where == "decoder":
+        monkeypatch.setattr(stepkernel, "_anneal_decoder_agrees", lambda: False)
+    elif where != "nowhere":
+        target = {"first": 0, "middle": pair_words[len(pair_words) // 2],
+                  "last": pair_words[-1]}[where]
+        decode, seen = stepkernel._decode_words, [0]
+
+        def reject_target(raw, r):
+            pairs, unif = decode(raw, r)
+            if seen[0] <= target < seen[0] + len(raw):
+                pairs[target - seen[0]] = None
+            seen[0] += len(raw)
+            return pairs, unif
+
+        monkeypatch.setattr(stepkernel, "_decode_words", reject_target)
+    default_rng_calls.clear()
+    _same_search(r, seed, 4000, "assignment")
+    # the call-by-call search's generator, then the annealer's: one for the
+    # raw words and, if it falls back, one for the draws from there on
+    assert default_rng_calls == [seed] * (2 if where == "nowhere" else 3)
+
+
+_PCG64_MULTIPLIER = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _pcg64_first_word(word: int) -> np.random.Generator:
+    """A Generator on a PCG64 whose first raw word is `word`: the state after
+    one step has high half 1, so its XSL-RR output rotates by 0 and is
+    (1 ^ low half)."""
+    inc = np.random.PCG64(0).state["state"]["inc"]
+    after = (1 << 64) | (word ^ 1)
+    state = (after - inc) * pow(_PCG64_MULTIPLIER, -1, 2**128) % 2**128
+    bitgen = np.random.PCG64()
+    bitgen.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                    "has_uint32": 0, "uinteger": 0}
+    return np.random.Generator(bitgen)
+
+
+@pytest.mark.parametrize("r", [9, 10, 12, 16, 24, 40])
+def test_a_half_the_generator_would_reject_is_flagged(r):
+    threshold = (2**32 - r) % r
+    top = 2**32 - 1  # (top r) mod 2^32 = 2^32 - r, never below the threshold
+    halves = [(top, top), (0, top), (top, 0)]
+    if r % 2:  # the halves just at and just below the threshold
+        at = threshold * pow(r, -1, 2**32) % 2**32
+        halves += [(at, top), (top, (at - pow(r, -1, 2**32)) % 2**32)]
+    raw = np.array([low | high << 32 for low, high in halves], dtype=np.uint64)
+    pairs, _ = _decode_words(raw, r)
+    assert pairs[0] == (r - 1, r - 1)
+    if threshold:
+        assert pairs[1] is None and pairs[2] is None
+    else:  # a power of two has threshold 0: Lemire's method never rejects it
+        assert pairs[1:3] == [(0, r - 1), (r - 1, 0)]
+    if r % 2:
+        assert pairs[3] == (at * r >> 32, r - 1) and pairs[4] is None
+
+
+@pytest.mark.parametrize("r", [9, 12, 24])
+def test_a_rejected_half_is_drawn_again_as_the_generator_draws_it(monkeypatch, r):
+    # the first word's low half is rejected: Generator.integers reads on into
+    # the high half and the next word, and leaves a half-word waiting.  The
+    # decoder check runs, and is cached, before default_rng is replaced
+    assert stepkernel._anneal_decoder_agrees()
+    monkeypatch.setattr(np.random, "default_rng", lambda seed: _pcg64_first_word(0xABCDEF << 32))
+    assert np.random.default_rng(0).bit_generator.random_raw(1)[0] == 0xABCDEF << 32
+    assert _decode_words(np.random.default_rng(0).bit_generator.random_raw(1), r)[0] == [None]
+    kinds = [True, False, True, True, False, False, True] * 3
+    draws, gen = _AnnealDraws(0, r), np.random.default_rng(0)
+    for pair in kinds:
+        got = draws.pair() if pair else draws.uniform()
+        want = gen.integers(0, r, size=2) if pair else gen.random()
+        assert np.array_equal(got, want)
+    _same_search(r, 0, 4000, "assignment")
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**64 - 1), st.integers(2, 40) | st.sampled_from([2, 4, 8, 16, 32]),
+       st.lists(st.booleans(), max_size=600))
+def test_decoded_draws_are_the_generators_draws(seed, r, kinds):
+    # up to 600 draws, across two chunk boundaries
+    draws, gen = _AnnealDraws(seed, r), np.random.default_rng(seed)
+    for pair in kinds:
+        if pair:
+            assert tuple(map(int, draws.pair())) == tuple(gen.integers(0, r, size=2).tolist())
+        else:
+            assert draws.uniform() == gen.random()
 
 
 # r = 7 and 9 were recorded before the batched permutation search, where the
