@@ -9,13 +9,13 @@ difference, then walks l_nr further unconditional relaxation steps.
 """
 from __future__ import annotations
 
-import functools
 import math
 import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
 
+from . import _draws
 from ._drive import drive
 from .hamiltonian import Hamiltonian
 from .stepkernel import StepKernel
@@ -26,8 +26,6 @@ SIGN_DRAW_LIMIT = 1 << 27
 BLOCK_WORDS = 1 << 17
 # the longest run of chain iterations _iterations evaluates as one stack
 SPECULATION_DEPTH = 64
-# a half-word at or above this draws the sign +1
-_SIGN_BIT = np.uint32(1 << 31)
 # empirical_drift starts only where every density lies in [INTERIOR_EPS, 1 - INTERIOR_EPS]
 INTERIOR_EPS = 0.05
 # empirical_drift moves up to this many trials through the walk at once
@@ -158,6 +156,17 @@ def quantize_density(cfg: ChainConfig, q) -> np.ndarray:
     return counts
 
 
+def _diagonal_pairs(k: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The pairs a < b of n members at flat indices k of their C(n, 2) pairs in
+    row order, row a starting at a (2n - a - 1) / 2.  The float root may land
+    one row off and is corrected in int64, where no product passes n^2."""
+    start = lambda a: a * (2 * n - a - 1) // 2
+    a = n - 2 - ((np.sqrt(8.0 * (n * (n - 1) // 2 - 1 - k) + 1) - 1) // 2).astype(np.int64)
+    a += start(a + 1) <= k
+    a -= start(a) > k
+    return a, k + a + 1 - start(a)
+
+
 def esbm_sample(cfg: ChainConfig, q, rng: np.random.Generator):
     """Materialize one block-model graph at the quantized density.
 
@@ -183,12 +192,7 @@ def esbm_sample(cfg: ChainConfig, q, rng: np.random.Generator):
                 continue
             picks = rng.choice(int(caps[i, j]), size=m, replace=False)
             if i == j:
-                # decode C(n,2) flat index to a within-community pair a < b
-                a = (
-                    n - 2
-                    - np.floor(np.sqrt(-8 * picks + 4 * n * (n - 1) - 7) / 2.0 - 0.5)
-                ).astype(np.int64)
-                b = picks + a + 1 - a * (2 * n - a - 1) // 2
+                a, b = _diagonal_pairs(picks, n)
             else:
                 a, b = picks // n, picks % n
             chunks.append(np.column_stack([i * n + a, j * n + b]))
@@ -272,106 +276,6 @@ def _draw_signs(rng: np.random.Generator, k: int, m: int) -> np.ndarray:
     return rng.integers(0, 2, size=(k, m), dtype=np.int64) * 2 - 1
 
 
-class _DrawPlan:
-    """Where the draws of `iters` chain iterations sit in the raw words of a PCG64.
-
-    An iteration draws s signs, one uniform, then rl signs (none when rl is 0).
-    Generator.integers(0, 2, dtype=int64) takes each sign as bit 31 of a 32-bit
-    half-word, low half first (Lemire's bounded method never rejects on range
-    2), and keeps the unused high half of an odd-length draw as a carry that the
-    next sign draw reads first, even across a uniform; Generator.random takes a
-    whole word w as (w >> 11) * 2^-53.  So the words a run of iterations draws
-    one call at a time are random_raw(words) taken at once, and this plan knows
-    which half of which word each draw reads, given whether a carry is waiting.
-    """
-
-    def __init__(self, iters: int, s: int, rl: int, carry: int) -> None:
-        self.s, self.rl, self.shape, self.carry = s, rl, (iters, s + rl), carry
-        i = np.arange(iters)
-        # iteration i's uniform follows ceil((signs so far - carry) / 2) sign words
-        self.unif = (i * (s + rl) + s - carry + 1) // 2 + i
-        self.words = (iters * (s + rl) - carry + 1) // 2 + iters
-        # a sign half left unread is the carry at the end; the generator also keeps
-        # the high half of the last sign word it drew, read or not
-        self.end_carry = carry + 2 * (self.words - iters) - iters * (s + rl)
-        sign_words = np.ones(self.words, dtype=bool)
-        sign_words[self.unif] = False
-        last = np.flatnonzero(sign_words)[-1:]
-        self.last_high = 2 * int(last[0]) + 1 if len(last) else None
-
-    def decode(self, raw: np.ndarray, carry: int = 0) -> tuple[np.ndarray, np.ndarray]:
-        """int8 +-1 signs (..., iters, s + rl) and uniforms (..., iters) from raw
-        words (..., words); carry is the waiting half-word, if any."""
-        # one flag per half-word, after a spare slot and the waiting carry, so that
-        # the two halves of a word are one uint16 and a uniform's word drops out whole
-        bits = np.empty(raw.shape[:-1] + (2 * self.words + 2,), dtype=bool)
-        bits[..., 1] = carry >= _SIGN_BIT
-        np.greater_equal(raw.view(np.uint32), _SIGN_BIT, out=bits[..., 2:])
-        stream = np.delete(bits.view(np.uint16), self.unif + 1, axis=-1).view(bool)
-        first = 2 - self.carry
-        signs = stream[..., first : first + self.shape[0] * self.shape[1]]
-        signs = signs.reshape(raw.shape[:-1] + self.shape).view(np.int8) * 2 - 1
-        return signs, (raw[..., self.unif] >> np.uint64(11)) * 2.0**-53
-
-
-# a run of equal blocks needs two plans, one for each carry
-_draw_plan = functools.lru_cache(maxsize=4)(_DrawPlan)
-
-
-def _block_draws(bitgen, plan: _DrawPlan, state: dict) -> tuple[np.ndarray, np.ndarray]:
-    """Decode plan's draws from bitgen, whose state before the draw was `state`,
-    and leave its carry where drawing them one call at a time leaves it."""
-    start = state["uinteger"] if state["has_uint32"] else 0
-    raw = bitgen.random_raw(plan.words)
-    after = bitgen.state
-    after["has_uint32"] = plan.end_carry
-    if plan.last_high is not None:
-        after["uinteger"] = int(raw.view(np.uint32)[plan.last_high])
-    bitgen.state = after
-    return plan.decode(raw, start)
-
-
-def _generator_draws(rng: np.random.Generator, iters: int, s: int,
-                     rl: int) -> tuple[np.ndarray, np.ndarray]:
-    """Signs (iters, s + rl) and uniforms (iters,) of `iters` chain iterations, as
-    metropolis_step draws them and leaving rng where it does: decoded from one
-    random_raw call where _decoder_agrees, else drawn call by call."""
-    if not _decoder_agrees():
-        return _call_draws(rng, iters, s, rl)
-    start = rng.bit_generator.state
-    return _block_draws(rng.bit_generator, _draw_plan(iters, s, rl, start["has_uint32"]), start)
-
-
-def _call_draws(rng: np.random.Generator, iters: int, s: int,
-                rl: int) -> tuple[np.ndarray, np.ndarray]:
-    """_generator_draws' draws made as metropolis_step makes them, one call each."""
-    signs, unif = np.empty((iters, s + rl), dtype=np.int8), np.empty(iters)
-    for i in range(iters):
-        signs[i, :s] = _draw_signs(rng, 1, s)[0]
-        unif[i] = rng.random()
-        signs[i, s:] = _draw_signs(rng, 1, rl)[0]  # rl = 0 draws nothing
-    return signs, unif
-
-
-@functools.cache
-def _decoder_agrees() -> bool:
-    """Whether _DrawPlan reads raw words the way this numpy's Generator draws.
-
-    Checked once per process, on an odd-length sign draw, then a uniform, then
-    a sign draw that starts on the carry, from a start that has a carry waiting.
-    """
-    seq, blk = np.random.default_rng(0), np.random.default_rng(0)
-    for g in (seq, blk):
-        g.integers(0, 2, size=3, dtype=np.int64)
-    state = blk.bit_generator.state
-    try:
-        got = _block_draws(blk.bit_generator, _DrawPlan(2, 5, 6, state["has_uint32"]), state)
-    except KeyError:  # a state without the waiting half-word
-        return False
-    same = all(map(np.array_equal, got, _call_draws(seq, 2, 5, 6)))
-    return same and blk.bit_generator.state == seq.bit_generator.state
-
-
 @dataclass(frozen=True)
 class StepDiagnostics:
     delta_h: float
@@ -432,7 +336,7 @@ def _iterations(cfg: ChainConfig, walk: _CountWalk, rng: np.random.Generator,
     A yielded counts vector holds until the next state is pulled.
 
     The iterations go in blocks of about BLOCK_WORDS raw words, drawn by
-    _generator_draws and released before the next block's draws.  Each walk
+    _draws.chain_draws and released before the next block's draws.  Each walk
     segment is applied as its composed clamp, and each density is built from
     the upper-triangle vector, which gives the values of counts / capacities.
 
@@ -456,7 +360,7 @@ def _iterations(cfg: ChainConfig, walk: _CountWalk, rng: np.random.Generator,
     for start in range(0, cfg.iterations, block):
         iters = min(block, cfg.iterations - start)
         _check_draws(max(cfg.s_n, cfg.l_nr), m)
-        signs, unif = _generator_draws(rng, iters, s, rl)
+        signs, unif = _draws.chain_draws(rng, iters, s, rl)
         segs = [walk.compose(signs[:, :s].reshape(iters, cfg.s_n, m))]
         if cfg.l_nr:
             segs.append(walk.compose(signs[:, s:].reshape(iters, cfg.l_nr, m)))
@@ -560,22 +464,6 @@ def run_chain(
                  record, observers, record_every, milestones)
 
 
-def _trial_draws(seeds, plan: _DrawPlan, signs: np.ndarray, unif: np.ndarray) -> None:
-    """Fill signs (k, s + rl) and unif (k,) with one iteration's draws for each of
-    k trials, each drawn from a fresh PCG64 on its own seed sequence."""
-    if not _decoder_agrees():
-        for i, seed in enumerate(seeds):
-            (signs[i],), (unif[i],) = _call_draws(np.random.default_rng(seed), 1, plan.s, plan.rl)
-        return
-    chunk = max(1, BLOCK_WORDS // plan.words)
-    for c in range(0, len(seeds), chunk):
-        raw = np.stack([np.random.PCG64(seed).random_raw(plan.words)
-                        for seed in seeds[c : c + chunk]])
-        got, got_unif = plan.decode(raw)
-        signs[c : c + chunk] = got[:, 0]
-        unif[c : c + chunk] = got_unif[:, 0]
-
-
 def empirical_drift(cfg: ChainConfig, q0, trials: int):
     """Mean one-iteration displacement at q0, normalized by gamma_n r^-4.
 
@@ -587,9 +475,11 @@ def empirical_drift(cfg: ChainConfig, q0, trials: int):
 
     Trials run in blocks of up to DRIFT_BLOCK on the chain's own walk: each
     trial's draws are decoded from its raw words as metropolis_step would
-    draw them, into one int8 (block, signs per iteration) buffer, and
-    _CountWalk.steps moves the whole block at once.
+    draw them (_draws.trial_draws), into one int8 (block, signs per
+    iteration) buffer, and _CountWalk.steps moves the whole block at once.
     """
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
     q0_vals = q0.values if isinstance(q0, StepKernel) else np.asarray(q0, dtype=float)
     if q0_vals.min() < INTERIOR_EPS or q0_vals.max() > 1.0 - INTERIOR_EPS:
         raise ValueError(f"start must lie in [{INTERIOR_EPS}, {1 - INTERIOR_EPS}]")
@@ -608,10 +498,9 @@ def empirical_drift(cfg: ChainConfig, q0, trials: int):
     block = max(1, min(DRIFT_BLOCK, SIGN_DRAW_LIMIT // (max(cfg.s_n, cfg.l_nr, 1) * walk.m)))
     signs = np.empty((block, s + rl), dtype=np.int8)
     unif = np.empty(block)
-    plan = _draw_plan(1, s, rl, 0)
     while done < trials:
         k = min(block, trials - done)
-        _trial_draws(streams[done : done + k], plan, signs[:k], unif[:k])
+        _draws.trial_draws(streams[done : done + k], s, rl, signs[:k], unif[:k], BLOCK_WORDS)
         vecs = np.broadcast_to(vec0, (k, walk.m)).copy()
         walk.steps(vecs, signs[:k, :s].reshape(k, cfg.s_n, walk.m).transpose(1, 0, 2))
         acc = np.array([u < _acceptance(cfg.beta_nr, e - energy0)

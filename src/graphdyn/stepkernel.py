@@ -15,6 +15,8 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
+from . import _draws
+
 UNIT = (0.0, 1.0)
 SIGNED = (-1.0, 1.0)
 
@@ -498,11 +500,8 @@ def minimize_over_permutations(
     The annealer's draws are those of np.random.default_rng(seed), one
     integers(0, r, size=2) per proposal and one random() per uphill step,
     but no Generator call makes them: each draw is decoded from the next raw
-    word of that generator's stream, taken _PERM_CHUNK words at a time (see
-    _AnnealDraws).  Where Generator.integers would reject a half-word and
-    draw again, or where this numpy draws otherwise (_anneal_decoder_agrees),
-    the search goes on one call per draw, from a default_rng(seed) advanced
-    past the words read.
+    word of that generator's stream, taken _PERM_CHUNK words at a time, by
+    _draws.AnnealDraws, which falls back to Generator calls by _draws' rule.
     """
     if r <= PERM_EXHAUSTIVE_LIMIT:
         best, best_p = math.inf, None
@@ -514,7 +513,7 @@ def minimize_over_permutations(
             if vals[k] < best:
                 best, best_p = float(vals[k]), ps[k].copy()
         return best, best_p
-    draws = _AnnealDraws(seed, r)
+    draws = _draws.AnnealDraws(seed, r, _PERM_CHUNK)
     cur = np.arange(r)
     cur_val = float(objective(cur[None])[0])
     best, best_p = cur_val, cur.copy()
@@ -533,94 +532,6 @@ def minimize_over_permutations(
                 best, best_p = val, cand.copy()
         temp *= decay
     return best, best_p
-
-
-def _decode_words(raw: np.ndarray, r: int) -> tuple[list, list]:
-    """Each raw PCG64 word read both ways the annealer may read it.
-
-    As a proposal, Generator.integers(0, r, size=2) takes the low, then the
-    high 32-bit half h of the word and maps each to (h r) >> 32 (Lemire's
-    method); it would reject a half, and draw again, where (h r) mod 2^32 is
-    below (2^32 - r) mod r: that word's pair is None.  As a uniform,
-    Generator.random takes the whole word w as (w >> 11) 2^-53.
-    """
-    low, high = raw & np.uint64(0xFFFFFFFF), raw >> np.uint64(32)
-    m = np.stack([low, high]) * np.uint64(r)
-    rejected = ((m & np.uint64(0xFFFFFFFF)) < np.uint64((2**32 - r) % r)).any(axis=0)
-    pairs = list(zip(*(m >> np.uint64(32)).tolist()))
-    for k in np.flatnonzero(rejected).tolist():
-        pairs[k] = None
-    return pairs, ((raw >> np.uint64(11)) * 2.0**-53).tolist()
-
-
-class _AnnealDraws:
-    """The annealer's draws from np.random.default_rng(seed): pair() gives
-    integers(0, r, size=2), uniform() gives random(), in the order called.
-
-    Without a rejection no draw leaves a half-word waiting, so each draw reads
-    one whole word of the stream: they are decoded from the generator's raw
-    words, _PERM_CHUNK at a time.  At a word whose pair would be rejected, or
-    from the start where _anneal_decoder_agrees fails, the draws are made one
-    call each from a fresh default_rng(seed) advanced past the words read,
-    which is where drawing one call each from the start would stand.
-    """
-
-    def __init__(self, seed: int, r: int) -> None:
-        self.seed, self.r = seed, r
-        self.bitgen = np.random.default_rng(seed).bit_generator
-        self.rng = None if _anneal_decoder_agrees() else np.random.default_rng(seed)
-        self.pairs, self.unif = [], []
-        self.read = self.start = 0  # words read; stream index of the chunk's first word
-
-    def _word(self) -> int:
-        """The next word's index in the decoded chunk; the next chunk past its end."""
-        k = self.read - self.start
-        if k == len(self.unif):
-            self.start = self.read
-            self.pairs, self.unif = _decode_words(self.bitgen.random_raw(_PERM_CHUNK), self.r)
-            k = 0
-        return k
-
-    def pair(self):
-        if self.rng is None:
-            k = self._word()  # may decode the next chunk into self.pairs
-            pair = self.pairs[k]
-            if pair is not None:
-                self.read += 1
-                return pair
-            self.rng = np.random.default_rng(self.seed)
-            self.rng.bit_generator.advance(self.read)
-        return self.rng.integers(0, self.r, size=2)
-
-    def uniform(self) -> float:
-        if self.rng is None:
-            k = self._word()
-            self.read += 1
-            return self.unif[k]
-        return self.rng.random()
-
-
-@functools.cache
-def _anneal_decoder_agrees() -> bool:
-    """Whether _decode_words reads raw words as this numpy's Generator draws,
-    and an advanced default_rng stands where those draws leave the stream.
-
-    Checked once per process from seed 0, on a proposal at r = 9, 16 and 40,
-    each followed by a uniform.
-    """
-    seq = np.random.default_rng(0)
-    raw = np.random.default_rng(0).bit_generator.random_raw(6)
-    for k, r in zip(range(0, 6, 2), (9, 16, 40)):
-        pairs, unif = _decode_words(raw[k:k + 2], r)
-        if pairs[0] != tuple(seq.integers(0, r, size=2).tolist()) or unif[1] != seq.random():
-            return False
-    resumed = np.random.default_rng(0)
-    try:
-        resumed.bit_generator.advance(len(raw))
-    except AttributeError:  # a bit generator that cannot jump ahead
-        return False
-    # an odd count reads a waiting half-word, if either side kept one
-    return resumed.integers(0, 9, size=3).tolist() == seq.integers(0, 9, size=3).tolist()
 
 
 def _relabeled(b: np.ndarray, perms: np.ndarray) -> np.ndarray:

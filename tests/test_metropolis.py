@@ -3,8 +3,10 @@
 import hashlib
 import itertools
 import math
+import re
 import struct
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,12 +22,13 @@ from graphdyn import (
 )
 import graphdyn.hamiltonian as hamiltonian
 import graphdyn.metropolis as metropolis
+from graphdyn import _draws
+from graphdyn._draws import block_draws, lemire
 from graphdyn.metropolis import (
     ChainConfig,
     ChainState,
     _CountWalk,
-    _DrawPlan,
-    _block_draws,
+    _diagonal_pairs,
     _draw_signs,
     empirical_drift,
     empirical_qv,
@@ -190,6 +193,26 @@ def test_block_model_sample_is_exact_at_the_quantized_density():
     assert len({tuple(sorted(e)) for e in edges.tolist()}) == len(edges)
     assert np.all(edges[:, 0] != edges[:, 1])
     assert edges.min() >= 0 and edges.max() < cfg.n * cfg.r
+
+
+@pytest.mark.parametrize("n", [2, 10, 150_000_000, metropolis.N_LIMIT])
+def test_diagonal_pairs_decode_exactly_at_row_starts_and_ends(n):
+    # row a of the C(n, 2) pairs a < b holds (a, a + 1) .. (a, n - 1); past
+    # n = 1.5e8 a float root sent row starts to the row before, and past about
+    # 1.52e9 the old decode's 4 n (n - 1) overflowed int64
+    rows = {0, (n - 2) // 2, n - 2}
+    rows |= set(np.random.default_rng(n).integers(0, n - 1, 2000).tolist())
+    want = {}
+    for a in rows:
+        start = a * (2 * n - a - 1) // 2
+        want[start], want[start + n - 2 - a] = (a, a + 1), (a, n - 1)
+    a, b = _diagonal_pairs(np.array(list(want), dtype=np.int64), n)
+    assert list(zip(a.tolist(), b.tolist())) == list(want.values())
+    cfg = ChainConfig(n=n, r=1, beta=1.0, sigma=0.0, gamma_n=0.1, h=ZERO_H)
+    q = np.full((1, 1), min(1.0, 20 / cfg.capacities()[0, 0]))
+    edges, _ = esbm_sample(cfg, q, np.random.default_rng(0))
+    assert len(edges) == quantize_density(cfg, q)[0, 0]
+    assert np.all(edges[:, 0] < edges[:, 1]) and edges.min() >= 0 and edges.max() < n
 
 
 def test_block_model_sample_past_the_edge_limit_is_refused(monkeypatch):
@@ -526,8 +549,50 @@ def test_mantel_shaped_block_path_reproduces_its_recorded_bits():
 
 
 def test_the_draw_decoder_agrees_with_this_numpy():
-    # otherwise every chain test below runs the metropolis_step fallback only
-    assert metropolis._decoder_agrees()
+    # otherwise every chain, drift trial and annealed search draws one
+    # Generator call at a time, and the decoder tests test only the fallback
+    assert _draws.decoder_agrees()
+
+
+class _NoAdvance(np.random.PCG64):
+    def __getattribute__(self, name):
+        if name == "advance":
+            raise AttributeError(name)
+        return super().__getattribute__(name)
+
+
+class _NoCarry(np.random.PCG64):
+    state = property(lambda self: {k: v for k, v in np.random.PCG64.state.__get__(self).items()
+                                   if k != "has_uint32"}, np.random.PCG64.state.__set__)
+
+
+@pytest.mark.parametrize("bitgen", [_NoAdvance, _NoCarry], ids=["no-advance", "no-carry"])
+def test_the_decoder_check_fails_without_advance_or_a_carry_in_the_state(monkeypatch, bitgen):
+    monkeypatch.setattr(np.random, "default_rng", lambda seed: np.random.Generator(bitgen(seed)))
+    assert _draws.decoder_agrees.__wrapped__() is False
+
+
+def test_raw_words_are_read_only_in_the_draws_module():
+    # one module knows how the Generator maps raw words to draws
+    readers = {path.name for path in Path(metropolis.__file__).parent.glob("*.py")
+               if re.search(r"\b(random_raw|advance)\s*\(", path.read_text())}
+    assert readers == {"_draws.py"}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**64 - 1), st.integers(1, 40),
+       st.lists(st.integers(0, 2**32 - 1), max_size=40), st.integers(1, 31))
+def test_the_half_word_decode_gives_the_chains_signs_and_a_power_of_two_never_rejects(
+        seed, words, halves, k):
+    # a sign is integers(0, 2) of one half-word, low half first: its top bit
+    raw = np.random.default_rng(seed).bit_generator.random_raw(words)
+    signs, rejected = lemire(raw.view(np.uint32), 2)
+    want = np.random.default_rng(seed).integers(0, 2, size=2 * words, dtype=np.int64)
+    assert signs.tolist() == want.tolist() and not rejected.any()
+    # at r = 2^k Lemire's threshold (2^32 - r) mod r is 0; 2^31 is the first +1 sign
+    halves += [0, 2**31 - 1, 2**31, 2**32 - 1]
+    values, rejected = lemire(np.array(halves, dtype=np.uint32), 2**k)
+    assert values.tolist() == [h >> (32 - k) for h in halves] and not rejected.any()
 
 
 @pytest.mark.parametrize("pre", [0, 3], ids=["no-carry", "carry"])
@@ -538,9 +603,8 @@ def test_decoded_draws_match_the_generator_calls(pre, s, rl, iters):
     seq, blk = np.random.default_rng(7), np.random.default_rng(7)
     for g in (seq, blk):
         g.integers(0, 2, size=pre, dtype=np.int64)
-    state = blk.bit_generator.state
-    assert state["has_uint32"] == pre % 2
-    signs, unif = _block_draws(blk.bit_generator, _DrawPlan(iters, s, rl, pre % 2), state)
+    assert blk.bit_generator.state["has_uint32"] == pre % 2
+    signs, unif = block_draws(blk.bit_generator, iters, s, rl)
     assert signs.dtype == np.int8 and signs.shape == (iters, s + rl)
     for j in range(iters):
         assert np.array_equal(signs[j, :s], seq.integers(0, 2, size=s, dtype=np.int64) * 2 - 1)
@@ -711,10 +775,10 @@ def test_a_failed_decoder_check_falls_back_to_single_steps(monkeypatch):
     relaxed = ChainConfig(n=16, r=3, beta=2.0, sigma=1.0, gamma_n=1 / 32, h=TRIANGLE_EDGE, seed=5)
     monkeypatch.setattr(metropolis, "DRIFT_BLOCK", 128)
     drift = empirical_drift(relaxed, np.full((3, 3), 0.3), 300)
-    monkeypatch.setattr(metropolis, "_decoder_agrees", lambda: False)
+    monkeypatch.setattr(_draws, "decoder_agrees", lambda: False)
     sizes = []
-    draws = metropolis._generator_draws
-    monkeypatch.setattr(metropolis, "_generator_draws",
+    draws = _draws.chain_draws
+    monkeypatch.setattr(_draws, "chain_draws",
                         lambda rng, iters, *args: sizes.append(iters) or draws(rng, iters, *args))
     assert _records_sha256(run_chain(cfg), cfg.capacities()) == MANTEL_300_SHA256
     single = _blocked_chain(odd, "uniform", 50, (7,))
@@ -723,7 +787,7 @@ def test_a_failed_decoder_check_falls_back_to_single_steps(monkeypatch):
     fallback = empirical_drift(relaxed, np.full((3, 3), 0.3), 300)
     assert all(np.array_equal(a, b) for a, b in zip(fallback, drift))
     # the draws change, not the iteration: both chains draw their blocks through
-    # _generator_draws, the first in blocks starting at 0, 113 and 226
+    # chain_draws, the first in blocks starting at 0, 113 and 226
     assert list(itertools.accumulate(sizes[:3], initial=0)) == [0, 113, 226, 300]
     assert sum(sizes[3:]) == 120
 
@@ -738,7 +802,7 @@ def test_blocks_tile_the_run_and_cross_records_and_milestones(monkeypatch, recor
     # blocks of at most 6 iterations: 15 of them and a last one of one iteration
     monkeypatch.setattr(metropolis, "BLOCK_WORDS", 6 * ((cfg.s_n + cfg.l_nr) * 3 // 2 + 1))
     spans = []
-    draws = metropolis._generator_draws
+    draws = _draws.chain_draws
     single = metropolis.metropolis_step
 
     def spy_draws(rng, iters, *args):
@@ -750,7 +814,7 @@ def test_blocks_tile_the_run_and_cross_records_and_milestones(monkeypatch, recor
         spans.append((state.step_index, state.step_index + 1, "single"))
         return single(state, *args)
 
-    monkeypatch.setattr(metropolis, "_generator_draws", spy_draws)
+    monkeypatch.setattr(_draws, "chain_draws", spy_draws)
     monkeypatch.setattr(metropolis, "metropolis_step", spy_single)
     got = _blocked_chain(cfg, None, record_every, milestones)
     _assert_same_records(got[0], want[0])
@@ -776,7 +840,7 @@ def test_run_chain_steps_only_through_step_block(monkeypatch, agrees, iterations
     def refuse(*args, **kwargs):
         raise AssertionError("run_chain called metropolis_step")
 
-    monkeypatch.setattr(metropolis, "_decoder_agrees", lambda: agrees)
+    monkeypatch.setattr(_draws, "decoder_agrees", lambda: agrees)
     monkeypatch.setattr(metropolis, "metropolis_step", refuse)
     got = _blocked_chain(cfg, "uniform", 1, ())
     _assert_same_records(got[0], want[0])
@@ -955,6 +1019,14 @@ def test_drift_estimation_rejects_boundary_starts():
     cfg = ChainConfig(n=16, r=2, beta=1.0, sigma=0.0, gamma_n=1 / 32, h=ZERO_H)
     with pytest.raises(ValueError):
         empirical_drift(cfg, np.full((2, 2), 0.01), 10)
+
+
+@pytest.mark.parametrize("trials", [0, -1])
+def test_drift_estimation_needs_a_trial(trials):
+    # 0 trials divided 0 by 0, and -1 failed inside SeedSequence.spawn
+    cfg = ChainConfig(n=16, r=2, beta=1.0, sigma=0.0, gamma_n=1 / 32, h=ZERO_H)
+    with pytest.raises(ValueError, match=f"trials must be at least 1, got {trials}"):
+        empirical_drift(cfg, np.full((2, 2), 0.5), trials)
 
 
 def test_quadratic_variation_over_zero_horizon_is_zero():

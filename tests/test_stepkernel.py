@@ -32,7 +32,9 @@ from graphdyn import (
 from graphdyn import hamiltonian, stepkernel
 from graphdyn.hamiltonian import Hamiltonian, named_term_graph
 from graphdyn.sde import limit_drift
-from graphdyn.stepkernel import _AnnealDraws, _cut_norm_bound, _cut_norm_exhaustive, _decode_words
+from graphdyn import _draws
+from graphdyn._draws import AnnealDraws, lemire
+from graphdyn.stepkernel import _cut_norm_bound, _cut_norm_exhaustive
 
 from oracles import (
     anneal_call_by_call,
@@ -598,15 +600,10 @@ def test_annealer_searches_as_the_call_by_call_annealer(r, kind):
             _same_search(r, seed, evals, kind)
 
 
-def test_the_anneal_decoder_agrees_with_this_numpy():
-    # else every annealed search runs one Generator call per draw
-    assert stepkernel._anneal_decoder_agrees()
-
-
 @pytest.fixture
 def default_rng_calls(monkeypatch):
     """The seeds np.random.default_rng is called with, once the decoder check is cached."""
-    stepkernel._anneal_decoder_agrees()
+    _draws.decoder_agrees()
     calls, real = [], np.random.default_rng
     monkeypatch.setattr(np.random, "default_rng", lambda seed: calls.append(seed) or real(seed))
     return calls
@@ -622,20 +619,21 @@ def test_annealer_falls_back_to_the_generator_at_any_word(monkeypatch, default_r
     anneal_call_by_call(_anneal_objective("assignment", r, []), r, seed, 4000, kinds)
     pair_words = [k for k, kind in enumerate(kinds) if kind == "pair"]
     if where == "decoder":
-        monkeypatch.setattr(stepkernel, "_anneal_decoder_agrees", lambda: False)
+        monkeypatch.setattr(_draws, "decoder_agrees", lambda: False)
     elif where != "nowhere":
         target = {"first": 0, "middle": pair_words[len(pair_words) // 2],
                   "last": pair_words[-1]}[where]
-        decode, seen = stepkernel._decode_words, [0]
+        decode, seen = _draws.lemire, [0]
 
-        def reject_target(raw, r):
-            pairs, unif = decode(raw, r)
-            if seen[0] <= target < seen[0] + len(raw):
-                pairs[target - seen[0]] = None
-            seen[0] += len(raw)
-            return pairs, unif
+        def reject_target(halves, r):
+            # flags the low half of the target word, as integers would reject it
+            values, rejected = decode(halves, r)
+            if seen[0] <= 2 * target < seen[0] + len(halves):
+                rejected[2 * target - seen[0]] = True
+            seen[0] += len(halves)
+            return values, rejected
 
-        monkeypatch.setattr(stepkernel, "_decode_words", reject_target)
+        monkeypatch.setattr(_draws, "lemire", reject_target)
     default_rng_calls.clear()
     _same_search(r, seed, 4000, "assignment")
     # the call-by-call search's generator, then the annealer's: one for the
@@ -659,6 +657,14 @@ def _pcg64_first_word(word: int) -> np.random.Generator:
     return np.random.Generator(bitgen)
 
 
+def _decoded_pairs(raw: np.ndarray, r: int) -> list:
+    """Each raw word's integers(0, r, size=2) as AnnealDraws decodes it: None
+    where either half would be rejected."""
+    values, rejected = lemire(raw.view(np.uint32), r)
+    return [None if rej else tuple(pair) for pair, rej in
+            zip(values.reshape(-1, 2).tolist(), rejected.reshape(-1, 2).any(axis=1))]
+
+
 @pytest.mark.parametrize("r", [9, 10, 12, 16, 24, 40])
 def test_a_half_the_generator_would_reject_is_flagged(r):
     threshold = (2**32 - r) % r
@@ -668,7 +674,7 @@ def test_a_half_the_generator_would_reject_is_flagged(r):
         at = threshold * pow(r, -1, 2**32) % 2**32
         halves += [(at, top), (top, (at - pow(r, -1, 2**32)) % 2**32)]
     raw = np.array([low | high << 32 for low, high in halves], dtype=np.uint64)
-    pairs, _ = _decode_words(raw, r)
+    pairs = _decoded_pairs(raw, r)
     assert pairs[0] == (r - 1, r - 1)
     if threshold:
         assert pairs[1] is None and pairs[2] is None
@@ -683,12 +689,12 @@ def test_a_rejected_half_is_drawn_again_as_the_generator_draws_it(monkeypatch, r
     # the first word's low half is rejected: Generator.integers reads on into
     # the high half and the next word, and leaves a half-word waiting.  The
     # decoder check runs, and is cached, before default_rng is replaced
-    assert stepkernel._anneal_decoder_agrees()
+    assert _draws.decoder_agrees()
     monkeypatch.setattr(np.random, "default_rng", lambda seed: _pcg64_first_word(0xABCDEF << 32))
     assert np.random.default_rng(0).bit_generator.random_raw(1)[0] == 0xABCDEF << 32
-    assert _decode_words(np.random.default_rng(0).bit_generator.random_raw(1), r)[0] == [None]
+    assert _decoded_pairs(np.random.default_rng(0).bit_generator.random_raw(1), r) == [None]
     kinds = [True, False, True, True, False, False, True] * 3
-    draws, gen = _AnnealDraws(0, r), np.random.default_rng(0)
+    draws, gen = AnnealDraws(0, r, stepkernel._PERM_CHUNK), np.random.default_rng(0)
     for pair in kinds:
         got = draws.pair() if pair else draws.uniform()
         want = gen.integers(0, r, size=2) if pair else gen.random()
@@ -701,7 +707,7 @@ def test_a_rejected_half_is_drawn_again_as_the_generator_draws_it(monkeypatch, r
        st.lists(st.booleans(), max_size=600))
 def test_decoded_draws_are_the_generators_draws(seed, r, kinds):
     # up to 600 draws, across two chunk boundaries
-    draws, gen = _AnnealDraws(seed, r), np.random.default_rng(seed)
+    draws, gen = AnnealDraws(seed, r, stepkernel._PERM_CHUNK), np.random.default_rng(seed)
     for pair in kinds:
         if pair:
             assert tuple(map(int, draws.pair())) == tuple(gen.integers(0, r, size=2).tolist())
