@@ -600,6 +600,12 @@ def test_annealer_searches_as_the_call_by_call_annealer(r, kind):
             _same_search(r, seed, evals, kind)
 
 
+def test_the_anneal_decoder_agrees_with_this_numpy():
+    # else every annealed search runs one Generator call per draw
+    assert _draws.decoder_agrees()
+    assert AnnealDraws(0, 9, stepkernel._PERM_CHUNK).rng is None
+
+
 @pytest.fixture
 def default_rng_calls(monkeypatch):
     """The seeds np.random.default_rng is called with, once the decoder check is cached."""
