@@ -77,15 +77,17 @@ class ChainConfig:
 
     @property
     def s_n(self) -> int:
-        """Base steps per proposal: ceil(gamma_n^2 n^4)."""
-        return math.ceil(self.gamma_n**2 * self.n**4 - 1e-9)
+        """Base steps per proposal: ceil(gamma_n^2 n^4), at least 1 (the slack
+        only keeps an exact integer from rounding up)."""
+        return max(1, math.ceil(self.gamma_n**2 * self.n**4 - 1e-9))
 
     @property
     def l_nr(self) -> int:
-        """Relaxation steps per iteration: ceil(r^-4 sigma^2 gamma_n n^4)."""
+        """Relaxation steps per iteration: ceil(r^-4 sigma^2 gamma_n n^4), at least
+        1 where sigma > 0."""
         if self.sigma == 0:
             return 0
-        return math.ceil(self.sigma**2 * self.gamma_n * self.n**4 / self.r**4 - 1e-9)
+        return max(1, math.ceil(self.sigma**2 * self.gamma_n * self.n**4 / self.r**4 - 1e-9))
 
     def capacities(self) -> np.ndarray:
         """Pair capacity per cell: n^2 off-diagonal, C(n, 2) on the diagonal."""
@@ -221,17 +223,14 @@ class _CountWalk:
         """Walk every coordinate through the sign rows in place, reflecting lazily.
 
         vec is (m,) with (rows, m) signs, or (k, m) with (rows, k, m) signs;
-        signs may be any integer dtype.  A drawn move that would exit
-        [0, capacity] is a stay, which is exactly clamping the one-step
-        update.  Rows go one at a time, so boundary behavior is exact; the
-        clamp is two in-place ufuncs, which give a clip's integers without
-        its per-call Python overhead.
+        signs are -1, 0 or +1 of any signed integer dtype.  A drawn move that
+        would exit [0, capacity] is a stay, which is exactly clamping the
+        one-step update; the rows compose to one clamp (see compose).
         """
-        caps = self.caps
-        for row in signs:
-            np.add(vec, row, out=vec)
-            np.maximum(vec, 0, out=vec)
-            np.minimum(vec, caps, out=vec)
+        a, lo, hi = self.compose(signs)
+        np.add(vec, a, out=vec)
+        np.maximum(vec, lo, out=vec)
+        np.minimum(vec, hi, out=vec)
 
     def density(self, counts: np.ndarray) -> StepKernel:
         """Density kernel of symmetric in-range counts, without re-validation."""
@@ -243,18 +242,39 @@ class _CountWalk:
         return StepKernel._trusted((vec / self.caps)[self.full])
 
     def compose(self, signs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The walk of each of k segments as one clamp: (a, lo, hi), each (k, m).
+        """The sign rows (rows, ...) composed into x -> min(max(x + a, lo), hi) on
+        [0, capacity], with a, lo and hi int64 of the shape of one row.
 
-        signs is (k, rows, m).  Reflected steps compose to
-        x -> min(max(x + a, lo), hi) on [0, capacity], with a the sum of the
-        signs and lo, hi the walk started from 0 and from capacity, so one
-        (2, k, m) walk gives every segment's map at once.
+        Reflected steps compose to that clamp with a the sum of the signs and lo,
+        hi the walk's ends from 0 and from capacity.  One pass over the rows keeps
+        the partial sum S (S_0 = 0) and its running minimum and maximum, in int16
+        (int32 past 32767 rows, where S may not fit), or in the signs' dtype where
+        that is wider, so no row is cast.  Where max S - min S is at most the
+        capacity the walk touches at most one face, so from 0 it ends at
+        S_N - min S and from capacity at capacity + S_N - max S.  Only the
+        coordinates whose range exceeds their capacity walk row by row from both
+        faces.  run_chain passes (rows, k, m) signs, one segment per iteration.
         """
-        ends = np.empty((2,) + signs[:, 0].shape, dtype=np.int64)
-        ends[0] = 0
-        ends[1] = self.caps
-        self.steps(ends, signs.transpose(1, 0, 2))
-        return signs.sum(axis=1, dtype=np.int64), ends[0], ends[1]
+        width = np.int16 if len(signs) <= np.iinfo(np.int16).max else np.int32
+        total = np.zeros(signs.shape[1:], dtype=np.promote_types(signs.dtype, width))
+        low, high = total.copy(), total.copy()
+        for row in signs:
+            np.add(total, row, out=total)
+            np.minimum(low, total, out=low)
+            np.maximum(high, total, out=high)
+        a = total.astype(np.int64)
+        lo, hi = a - low, a + self.caps - high
+        wide = high - low > self.caps
+        if wide.any():
+            cols = np.nonzero(wide)
+            caps = np.broadcast_to(self.caps, wide.shape)[cols]
+            ends = np.stack([np.zeros_like(caps), caps])
+            for row in signs[(slice(None),) + cols]:
+                np.add(ends, row, out=ends)
+                np.maximum(ends, 0, out=ends)
+                np.minimum(ends, caps, out=ends)
+            lo[cols], hi[cols] = ends
+        return a, lo, hi
 
 
 def _check_draws(rows: int, m: int) -> None:
@@ -361,9 +381,9 @@ def _iterations(cfg: ChainConfig, walk: _CountWalk, rng: np.random.Generator,
         iters = min(block, cfg.iterations - start)
         _check_draws(max(cfg.s_n, cfg.l_nr), m)
         signs, unif = _draws.chain_draws(rng, iters, s, rl)
-        segs = [walk.compose(signs[:, :s].reshape(iters, cfg.s_n, m))]
+        segs = [walk.compose(signs[:, :s].reshape(iters, cfg.s_n, m).transpose(1, 0, 2))]
         if cfg.l_nr:
-            segs.append(walk.compose(signs[:, s:].reshape(iters, cfg.l_nr, m)))
+            segs.append(walk.compose(signs[:, s:].reshape(iters, cfg.l_nr, m).transpose(1, 0, 2)))
         uniforms = unif.tolist()
         j = 0
         while j < iters:
@@ -473,10 +493,11 @@ def empirical_drift(cfg: ChainConfig, q0, trials: int):
     errors.  The start must be interior: every density in
     [INTERIOR_EPS, 1 - INTERIOR_EPS].
 
-    Trials run in blocks of up to DRIFT_BLOCK on the chain's own walk: each
-    trial's draws are decoded from its raw words as metropolis_step would
-    draw them (_draws.trial_draws), into one int8 (block, signs per
-    iteration) buffer, and _CountWalk.steps moves the whole block at once.
+    Trials run in blocks of up to DRIFT_BLOCK on the chain's own walk: a block
+    spawns its trials' seed sequences when it starts, each trial's draws are
+    decoded from its raw words as metropolis_step would draw them
+    (_draws.trial_draws), into one int8 (block, signs per iteration) buffer,
+    and _CountWalk.steps moves the whole block at once.
     """
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
@@ -489,7 +510,7 @@ def empirical_drift(cfg: ChainConfig, q0, trials: int):
     vec0 = counts0[walk.iu]
     energy0 = cfg.h.evaluate(walk.density(counts0))
     scale = cfg.r**4 / cfg.gamma_n
-    streams = np.random.SeedSequence(cfg.seed).spawn(trials)
+    root = np.random.SeedSequence(cfg.seed)
     sum_x = np.zeros(walk.m)
     sum_x2 = np.zeros(walk.m)
     done = 0
@@ -500,7 +521,8 @@ def empirical_drift(cfg: ChainConfig, q0, trials: int):
     unif = np.empty(block)
     while done < trials:
         k = min(block, trials - done)
-        _draws.trial_draws(streams[done : done + k], s, rl, signs[:k], unif[:k], BLOCK_WORDS)
+        # spawn continues root's child count, so block by block gives spawn(trials)
+        _draws.trial_draws(root.spawn(k), s, rl, signs[:k], unif[:k], BLOCK_WORDS)
         vecs = np.broadcast_to(vec0, (k, walk.m)).copy()
         walk.steps(vecs, signs[:k, :s].reshape(k, cfg.s_n, walk.m).transpose(1, 0, 2))
         acc = np.array([u < _acceptance(cfg.beta_nr, e - energy0)

@@ -214,6 +214,13 @@ def skorokhod_brute(path: np.ndarray, lo: float, hi: float):
     return np.array(x), np.array(l_lo), np.array(l_hi)
 
 
+def clip_walk(vec: np.ndarray, signs, caps) -> None:
+    """The lazily reflected count walk in place: one np.clip per sign row."""
+    for row in signs:
+        np.add(vec, row, out=vec)
+        np.clip(vec, 0, caps, out=vec)
+
+
 def fd_gradient(f, x0: np.ndarray, h: float = 1e-5) -> np.ndarray:
     """Central-difference gradient of a scalar function of a matrix."""
     g = np.zeros_like(x0)

@@ -6,6 +6,7 @@ import math
 import re
 import struct
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -38,6 +39,7 @@ from graphdyn.metropolis import (
     run_chain,
 )
 from graphdyn.sde import drift_b
+from oracles import clip_walk
 
 TRIANGLE_EDGE = Hamiltonian(((1.0, triangle_graph()), (-0.25, edge_graph())))
 ZERO_H = Hamiltonian(((0.0, edge_graph()),))
@@ -72,6 +74,16 @@ def test_derived_scalings_on_the_reference_configuration():
 def test_noiseless_runs_skip_relaxation():
     cfg = ChainConfig(n=16, r=2, beta=1.0, sigma=0.0, gamma_n=1 / 32, h=ZERO_H)
     assert cfg.l_nr == 0
+
+
+def test_step_counts_below_one_step_round_up_to_one():
+    # gamma^2 n^4 = 1.6e-11 and sigma^2 gamma n^4 / r^4 = 1.6e-11 are within the
+    # rounding slack, which only keeps an exact integer from rounding up
+    cfg = ChainConfig(n=2, r=1, beta=1.0, sigma=1e-3, gamma_n=1e-6, h=ZERO_H)
+    assert (cfg.s_n, cfg.l_nr) == (1, 1)
+    assert replace(cfg, sigma=0.0).l_nr == 0
+    exact = ChainConfig(n=4, r=2, beta=1.0, sigma=1.0, gamma_n=1 / 16, h=ZERO_H)
+    assert (exact.s_n, exact.l_nr) == (1, 1)
 
 
 def test_capacities_are_pairs_with_smaller_diagonal():
@@ -271,13 +283,6 @@ def test_counts_respect_their_bounds_under_heavy_fuzz():
         assert np.all(vec >= 0) and np.all(vec <= walk.caps)
 
 
-def _clip_walk(vec, signs, caps):
-    """Reference walk: one np.clip per sign row."""
-    for row in signs:
-        np.add(vec, row, out=vec)
-        np.clip(vec, 0, caps, out=vec)
-
-
 @pytest.mark.parametrize("rows", [1, 16, 1024])
 @pytest.mark.parametrize("dtype", [np.int64, np.int8])
 @pytest.mark.parametrize("batch", [None, 7])
@@ -298,35 +303,64 @@ def test_walk_matches_the_clip_loop_exactly(rows, dtype, batch):
             vec = rng.integers(0, walk.caps + 1, size=shape)
         signs = (rng.integers(0, 2, size=(rows, *shape)) * 2 - 1).astype(dtype)
         ref = vec.copy()
-        _clip_walk(ref, signs, walk.caps)
+        clip_walk(ref, signs, walk.caps)
         walk.steps(vec, signs)
         assert vec.dtype == np.int64
         assert np.array_equal(vec, ref)
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=40, deadline=None)
 @given(st.data())
 def test_walk_stays_in_range_and_matches_the_clip_loop(data):
-    n = data.draw(st.integers(2, 6), label="n")
+    # capacities at the range of the first segment's walk, above it, one under
+    # it (the row-loop fallback) and far under it; the other segments' ranges
+    # land on either side, so compose mixes closed-form and fallback columns
     r = data.draw(st.integers(1, 3), label="r")
-    cfg = ChainConfig(n=n, r=r, beta=0.0, sigma=0.0, gamma_n=1.0, h=ZERO_H)
-    walk = _CountWalk(cfg)
-    start = np.array([data.draw(st.integers(0, int(c))) for c in walk.caps], dtype=np.int64)
-    rows = data.draw(st.integers(0, 40), label="rows")
-    signs = np.array(
-        data.draw(st.lists(st.lists(st.sampled_from([-1, 1]), min_size=walk.m, max_size=walk.m),
-                           min_size=rows, max_size=rows)),
-        dtype=np.int64,
-    ).reshape(rows, walk.m)
-    vec, ref = start.copy(), start.copy()
-    walk.steps(vec, signs)
-    _clip_walk(ref, signs, walk.caps)
+    k = data.draw(st.integers(1, 4), label="segments")
+    rows = data.draw(st.integers(0, 2000), label="rows")
+    dtype = data.draw(st.sampled_from([np.int8, np.int64]), label="dtype")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    walk = _CountWalk(ChainConfig(n=2, r=r, beta=0.0, sigma=0.0, gamma_n=1.0, h=ZERO_H))
+    signs = (rng.integers(0, 2, size=(k, rows, walk.m)) * 2 - 1).astype(dtype)
+    path = np.zeros((k, rows + 1, walk.m), dtype=np.int64)
+    np.cumsum(signs, axis=1, out=path[:, 1:])
+    ranges = path.max(axis=1) - path.min(axis=1)
+    offsets = data.draw(st.lists(st.sampled_from([-5, -1, 0, 1, 7]), min_size=walk.m,
+                                 max_size=walk.m), label="cap - range")
+    walk.caps = np.maximum(ranges[0] + offsets, 1)
+    # from the floor, from capacity and from a random start: (3, k, m)
+    starts = np.stack([np.zeros((k, walk.m), dtype=np.int64),
+                       np.broadcast_to(walk.caps, (k, walk.m)),
+                       rng.integers(0, walk.caps + 1, size=(k, walk.m))])
+    ref = starts.copy()
+    clip_walk(ref, signs.transpose(1, 0, 2), walk.caps)
+    a, lo, hi = walk.compose(signs.transpose(1, 0, 2))
+    assert np.array_equal(a, path[:, -1])
+    assert np.array_equal(lo, ref[0]) and np.array_equal(hi, ref[1])
+    assert np.array_equal(np.minimum(np.maximum(starts + a, lo), hi), ref)
+    i = data.draw(st.integers(0, 2), label="start")
+    vec, one = starts[i].copy(), starts[i, 0].copy()
+    walk.steps(vec, signs.transpose(1, 0, 2))
+    walk.steps(one, signs[0])
     assert np.all(vec >= 0) and np.all(vec <= walk.caps)
-    assert np.array_equal(vec, ref)
-    if rows:
-        # the rows composed into one clamp move every start the same way
-        a, lo, hi = walk.compose(signs[None])
-        assert np.array_equal(np.minimum(np.maximum(start + a[0], lo[0]), hi[0]), ref)
+    assert vec.dtype == np.int64 and np.array_equal(vec, ref[i])
+    assert np.array_equal(one, ref[i, 0])
+
+
+@pytest.mark.parametrize("rows", [32767, 32768])
+def test_walk_partial_sums_widen_past_the_int16_range(rows):
+    # a climb from the floor and a descent from capacity 40000, every row one
+    # step: the partial sums reach +-rows, and 32768 wraps in int16
+    walk = _CountWalk(ChainConfig(n=2, r=1, beta=0.0, sigma=0.0, gamma_n=1.0, h=ZERO_H))
+    walk.caps = np.array([40000])
+    signs = np.ones((rows, 2, 1), dtype=np.int8)
+    signs[:, 1] = -1
+    vec = np.array([[0], [40000]])
+    walk.steps(vec, signs)
+    assert vec.tolist() == [[rows], [40000 - rows]]
+    a, lo, hi = walk.compose(signs)
+    assert (a.tolist(), lo.tolist(), hi.tolist()) == (
+        [[rows], [-rows]], [[rows], [0]], [[40000], [40000 - rows]])
 
 
 def test_single_coordinate_transition_function_is_symmetric():
@@ -965,6 +999,29 @@ def test_drift_and_quadratic_variation_reproduce_their_recorded_bits(monkeypatch
     for seed, digest in expected_qv.items():
         cfg = ChainConfig(n=32, r=2, beta=0.0, sigma=1.0, gamma_n=1 / 2048, h=ZERO_H, seed=seed)
         assert _arrays_sha256(empirical_qv(cfg, 0.05)) == digest
+
+
+def test_drift_blocks_spawn_the_trials_of_one_spawn(monkeypatch):
+    # blocks of 5 over 23 trials spawn their seed sequences as each block
+    # starts; drawing every block from one spawn(23) gives the same bits
+    cfg = ChainConfig(n=16, r=3, beta=2.0, sigma=1.0, gamma_n=1 / 32, h=TRIANGLE_EDGE, seed=5)
+    start = np.full((3, 3), 0.3)
+    monkeypatch.setattr(metropolis, "DRIFT_BLOCK", 5)
+    blocked = empirical_drift(cfg, start, 23)
+    streams = np.random.SeedSequence(cfg.seed).spawn(23)
+    keys = []
+    draws = _draws.trial_draws
+
+    def one_spawn(seeds, *args):
+        keys.append([seq.spawn_key for seq in seeds])
+        done = sum(map(len, keys[:-1]))
+        return draws(streams[done : done + len(seeds)], *args)
+
+    monkeypatch.setattr(_draws, "trial_draws", one_spawn)
+    spawned = empirical_drift(cfg, start, 23)
+    assert list(map(len, keys)) == [5, 5, 5, 5, 3]
+    assert sum(keys, []) == [seq.spawn_key for seq in streams]
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(blocked, spawned))
 
 
 def test_drift_blocks_shrink_to_keep_the_sign_buffer_under_the_limit(monkeypatch):
