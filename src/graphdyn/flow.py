@@ -141,7 +141,8 @@ def measure_rates(
     for rec in trajectory[1:]:
         if rec.t <= 0:
             continue
-        bound = d0_sq / (2.0 * beta * rec.t)
+        # at beta = 0 the bound is +inf, and 0 / 0 would warn and give nan
+        bound = d0_sq / (2.0 * beta * rec.t) if beta else math.inf
         gap = rec.energy - h_star
         margin = min(margin, bound - gap)
         if gap > bound + 1e-12:

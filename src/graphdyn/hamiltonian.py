@@ -7,7 +7,6 @@ inner product <u, v> = mean(u * v), so that evaluate(w + s u) has derivative
 """
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -19,14 +18,10 @@ from .stepkernel import (
     StepKernel,
     _TERMS,
     _density_stack,
-    _density_stack_agrees,
     _finite_entries,
     _named_term,
-    _pairwise_rows,
     _pinned_density,
-    _stack_agrees,
     edge_graph,
-    hom_density,
     triangle_graph,
 )
 
@@ -56,35 +51,22 @@ class Hamiltonian:
             raise ValueError("entropy weight must be finite and nonnegative")
 
     def evaluate(self, w: StepKernel) -> float:
-        val = sum(c * hom_density(g, w) for c, g in self.terms)
-        if self.entropy_weight:
-            val += self.entropy_weight * float(_entropy(w.values).mean())
-        return float(val)
+        return float(self.evaluate_stack(w.values[None])[0])
 
+    # a non-finite energy is named by the caller's guard, not warned of first
+    @np.errstate(over="ignore", invalid="ignore")
     def evaluate_stack(self, values: np.ndarray) -> np.ndarray:
-        """evaluate of every kernel in a (B, r, r) stack of symmetric values, read
-        in C order, as a (B,) array of the same floats, bit for bit.
-
-        Where batched(r) holds, each term takes its closed form over the whole
-        stack and the terms are added in evaluate's order from 0; otherwise each
-        kernel goes through evaluate.
-        """
+        """The energy of every kernel in a (B, r, r) stack of symmetric values,
+        read in C order, as a (B,) array: each term's density over the whole
+        stack, the terms added in order from 0, then the entropy's mean."""
         values = np.ascontiguousarray(values, dtype=float)
         b, r = len(values), values.shape[-1]
-        if not self.batched(r):
-            return np.array([self.evaluate(StepKernel._trusted(v)) for v in values], dtype=float)
         val = np.zeros(b)
         for c, g in self.terms:
             val += c * _density_stack(g, values)
         if self.entropy_weight:
-            val += self.entropy_weight * _entropy_means(values)
+            val += self.entropy_weight * (_entropy(values).reshape(b, r * r).sum(axis=1) / r**2)
         return val
-
-    def batched(self, r: int) -> bool:
-        """Whether evaluate_stack takes closed forms over r x r stacks: every term
-        and the entropy have one, and each passed its one-time check at r."""
-        return all(_density_stack_agrees(g, r) for _, g in self.terms) and (
-            not self.entropy_weight or _entropy_stack_agrees(r))
 
     # an overflow is named by the finite-check at the end, not warned of first;
     # as a decorator errstate costs a third of what a with-block does
@@ -136,19 +118,6 @@ class Hamiltonian:
 
 def _entropy(p: np.ndarray) -> np.ndarray:
     return xlogy(p, p) + xlogy(1.0 - p, 1.0 - p)
-
-
-def _entropy_means(stack: np.ndarray) -> np.ndarray:
-    """The mean of _entropy over each kernel of a C-contiguous (B, r, r) stack,
-    added as ndarray.mean adds one kernel's entries."""
-    r = stack.shape[-1]
-    return _pairwise_rows(_entropy(stack).reshape(len(stack), r * r)) / r**2
-
-
-@functools.cache
-def _entropy_stack_agrees(r: int) -> bool:
-    """Whether _entropy_means gives evaluate's entropy means at r: checked once per r."""
-    return _stack_agrees(r, _entropy_means, lambda p: float(_entropy(p).mean()))
 
 
 def named_term_graph(name: str) -> SimpleGraph:

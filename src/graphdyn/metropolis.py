@@ -212,8 +212,7 @@ class _CountWalk:
 
     def __init__(self, cfg: ChainConfig) -> None:
         self.iu = np.triu_indices(cfg.r)
-        self.cap_matrix = cfg.capacities()
-        self.caps = self.cap_matrix[self.iu]
+        self.caps = cfg.capacities()[self.iu]
         self.m = len(self.caps)
         # cell (i, j) of the r x r matrix reads upper-triangle coordinate full[i, j]
         self.full = np.empty((cfg.r, cfg.r), dtype=np.intp)
@@ -232,14 +231,10 @@ class _CountWalk:
         np.maximum(vec, lo, out=vec)
         np.minimum(vec, hi, out=vec)
 
-    def density(self, counts: np.ndarray) -> StepKernel:
-        """Density kernel of symmetric in-range counts, without re-validation."""
-        return StepKernel._trusted(counts / self.cap_matrix)
-
-    def vec_density(self, vec: np.ndarray) -> StepKernel:
-        """density() of the counts whose upper triangle is vec: the same values, bit
-        for bit, without writing the symmetric matrix first."""
-        return StepKernel._trusted((vec / self.caps)[self.full])
+    def density(self, vecs: np.ndarray) -> np.ndarray:
+        """The densities of upper-triangle counts vecs, (..., m), as C-contiguous
+        (..., r, r) values: counts over capacities, written symmetric."""
+        return (vecs / self.caps).take(self.full, axis=-1)
 
     def compose(self, signs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The sign rows (rows, ...) composed into x -> min(max(x + a, lo), hi) on
@@ -327,11 +322,11 @@ def metropolis_step(state: ChainState, cfg: ChainConfig, walk: _CountWalk | None
     iu = walk.iu
     vec = state.counts[iu]
     if energy is None:
-        energy = cfg.h.evaluate(walk.density(state.counts))
+        energy = cfg.h.evaluate(StepKernel._trusted(walk.density(vec)))
     before = vec.copy()
     walk.steps(vec, _draw_signs(state.rng, cfg.s_n, walk.m))
     _write_symmetric(state.counts, iu, vec)
-    prop_energy = cfg.h.evaluate(walk.density(state.counts))
+    prop_energy = cfg.h.evaluate(StepKernel._trusted(walk.density(vec)))
     delta = prop_energy - energy
     acc_prob = _acceptance(cfg.beta_nr, delta)
     accepted = state.rng.random() < acc_prob
@@ -343,7 +338,7 @@ def metropolis_step(state: ChainState, cfg: ChainConfig, walk: _CountWalk | None
     if cfg.l_nr:
         walk.steps(vec, _draw_signs(state.rng, cfg.l_nr, walk.m))
         _write_symmetric(state.counts, iu, vec)
-        energy = cfg.h.evaluate(walk.density(state.counts))
+        energy = cfg.h.evaluate(StepKernel._trusted(walk.density(vec)))
     state.step_index += 1
     return state, accepted, StepDiagnostics(delta, acc_prob, accepted, energy)
 
@@ -366,13 +361,14 @@ def _iterations(cfg: ChainConfig, walk: _CountWalk, rng: np.random.Generator,
     ends at its first rejection or at its last proposal: that iteration relaxes
     from the counts it keeps, with one evaluate, and the next run starts after
     it.  The depth starts at 1, halves after a rejection and doubles after a run
-    without one, up to SPECULATION_DEPTH, or 1 where cfg.h has no closed forms
-    for stacks: a run of 1 evaluates what metropolis_step does.
+    without one, up to SPECULATION_DEPTH, or 1 where cfg.h is not a
+    Hamiltonian and has no evaluate_stack: a run of 1 evaluates what
+    metropolis_step does.
     """
     h, m = cfg.h, walk.m
     s, rl = cfg.s_n * m, cfg.l_nr * m
     per = 2 if cfg.l_nr else 1  # densities per iteration: the proposal, then the relaxed state
-    cap = SPECULATION_DEPTH if isinstance(h, Hamiltonian) and h.batched(cfg.r) else 1
+    cap = SPECULATION_DEPTH if isinstance(h, Hamiltonian) else 1
     block = max(1, BLOCK_WORDS // ((s + rl + 1) // 2 + 1))
     rolled = np.empty((per * min(block, cap, cfg.iterations), m), dtype=np.int64)
     depth = 1
@@ -406,7 +402,7 @@ def _iterations(cfg: ChainConfig, walk: _CountWalk, rng: np.random.Generator,
                 vec, energy = run[kept].copy(), energies[kept]
             if cfg.l_nr:
                 vec = _clamp(vec, segs[1], j + k)
-                energy = h.evaluate(walk.vec_density(vec))
+                energy = h.evaluate(StepKernel._trusted(walk.density(vec)))
             j += k + 1
             depth = min(2 * depth, SPECULATION_DEPTH) if accepted else max(1, depth // 2)
             yield vec, energy, acc_prob, accepted
@@ -423,9 +419,9 @@ def _clamp(vec: np.ndarray, seg, j: int, out: np.ndarray | None = None) -> np.nd
 
 def _energies(h, walk: _CountWalk, vecs: np.ndarray) -> list[float]:
     """h.evaluate of the density of each count vector in a (k, m) stack: one
-    evaluate_stack call for k > 1 where h is a Hamiltonian, else one evaluate each."""
-    stack = (vecs / walk.caps)[:, walk.full]
-    if isinstance(h, Hamiltonian) and len(stack) > 1:
+    evaluate_stack call where h is a Hamiltonian, else one evaluate each."""
+    stack = walk.density(vecs)
+    if isinstance(h, Hamiltonian):
         return h.evaluate_stack(stack).tolist()
     return [h.evaluate(StepKernel._trusted(d)) for d in stack]
 
@@ -474,13 +470,15 @@ def run_chain(
     else:
         state = ChainState.from_density(cfg, init, rng)
     walk = _CountWalk(cfg)
-    energy = cfg.h.evaluate(walk.density(state.counts))
+    vec = state.counts[walk.iu]
+    energy = cfg.h.evaluate(StepKernel._trusted(walk.density(vec)))
 
     def record(k: int, it) -> ChainRecord:
         vec, *diagnostics = it
-        return ChainRecord(k, cfg.diffusion_time(k), walk.vec_density(vec), *diagnostics)
+        return ChainRecord(k, cfg.diffusion_time(k), StepKernel._trusted(walk.density(vec)),
+                           *diagnostics)
 
-    return drive(cfg.iterations, _iterations(cfg, walk, state.rng, state.counts[walk.iu], energy),
+    return drive(cfg.iterations, _iterations(cfg, walk, state.rng, vec, energy),
                  record, observers, record_every, milestones)
 
 
@@ -508,7 +506,7 @@ def empirical_drift(cfg: ChainConfig, q0, trials: int):
     walk = _CountWalk(cfg)
     caps = walk.caps.astype(float)
     vec0 = counts0[walk.iu]
-    energy0 = cfg.h.evaluate(walk.density(counts0))
+    energy0 = cfg.h.evaluate(StepKernel._trusted(walk.density(vec0)))
     scale = cfg.r**4 / cfg.gamma_n
     root = np.random.SeedSequence(cfg.seed)
     sum_x = np.zeros(walk.m)

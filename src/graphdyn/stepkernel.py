@@ -166,46 +166,29 @@ def kernel_from_values(values: np.ndarray) -> StepKernel:
 
 
 class _Term(NamedTuple):
-    """A named term graph in its canonical labeling and its closed forms: the
-    sums over the assignments of the vertices to blocks, of one r x r matrix
-    and of a C-contiguous (B, r, r) stack and r, None where the einsum runs;
-    and, from a, a @ a, the row sums d and r, the sum of the pinned densities
-    over the edges up to symmetrization, which holds in any labeling."""
+    """A named term graph in its canonical labeling and its closed forms: from a
+    C-contiguous (B, r, r) stack and r, the sums over the assignments of the
+    vertices to blocks, one per kernel, None where the einsum runs; and, from a,
+    a @ a, the row sums d and r, the sum of the pinned densities over the edges
+    up to symmetrization, which holds in any labeling."""
 
     graph: SimpleGraph
     density: Callable | None
-    stack: Callable | None
     gradient: Callable
 
 
 _TERMS = {
-    "edge": _Term(
-        edge_graph(),
-        lambda a: a.sum(),
-        lambda s, r: _pairwise_rows(s.reshape(len(s), r * r)),
-        lambda a, a2, d, r: 1.0,
-    ),
-    "path2": _Term(
-        path_graph(2),
-        lambda a: (a @ a).sum(),
-        lambda s, r: _pairwise_rows((s @ s).reshape(len(s), r * r)),
-        lambda a, a2, d, r: np.add.outer(d, d) / r,
-    ),
-    "path3": _Term(path_graph(3), None, None,
+    "edge": _Term(edge_graph(), lambda s, r: s.reshape(len(s), r * r).sum(axis=1),
+                  lambda a, a2, d, r: 1.0),
+    "path2": _Term(path_graph(2), lambda s, r: (s @ s).reshape(len(s), r * r).sum(axis=1),
+                   lambda a, a2, d, r: np.add.outer(d, d) / r),
+    "path3": _Term(path_graph(3), None,
                    lambda a, a2, d, r: (np.outer(d, d) + np.add.outer(ad := a @ d, ad)) / r**2),
-    "triangle": _Term(
-        triangle_graph(),
-        lambda a: np.trace(a @ a @ a),
-        lambda s, r: np.trace(s @ s @ s, axis1=1, axis2=2),
-        lambda a, a2, d, r: 3 * a2 / r,
-    ),
-    "cycle4": _Term(
-        cycle_graph(4),
-        lambda a: np.trace((a2 := a @ a) @ a2),
-        lambda s, r: np.trace((s2 := s @ s) @ s2, axis1=1, axis2=2),
-        lambda a, a2, d, r: 4 * (a2 @ a) / r**2,
-    ),
-    "star3": _Term(SimpleGraph(4, [(0, 1), (0, 2), (0, 3)]), None, None,
+    "triangle": _Term(triangle_graph(), lambda s, r: (s @ s @ s).trace(axis1=1, axis2=2),
+                      lambda a, a2, d, r: 3 * a2 / r),
+    "cycle4": _Term(cycle_graph(4), lambda s, r: ((s2 := s @ s) @ s2).trace(axis1=1, axis2=2),
+                    lambda a, a2, d, r: 4 * (a2 @ a) / r**2),
+    "star3": _Term(SimpleGraph(4, [(0, 1), (0, 2), (0, 3)]), None,
                    lambda a, a2, d, r: 3 * np.add.outer(sq := d * d, sq) / (2 * r**2)),
 }
 # up to 4 vertices, none isolated, (m, degree sequence) fixes the isomorphism class
@@ -253,53 +236,42 @@ def hom_density(graph: SimpleGraph, w: StepKernel) -> float:
 
 
 def _weighted_density(graph: SimpleGraph, mats: list[np.ndarray]) -> float:
-    """t(graph) with edge k weighted by mats[k]: the table's closed form when
-    every edge has the one matrix, else the einsum."""
-    g, term = _named_term(graph)
+    """t(graph) with edge k weighted by mats[k]: _density_stack of the one
+    matrix as a stack of one when every edge has it, else the einsum."""
+    g = _named_term(graph)[0]
     if not g.edges:
         return 1.0
     a = mats[0]
-    closed = term is not None and term.density is not None and all(mat is a for mat in mats)
-    total = term.density(a) if closed else _assignment_sum(g.edges, mats)
-    return float(total / len(a) ** g.m)
+    if all(mat is a for mat in mats):
+        return float(_density_stack(g, a[None])[0])
+    return float(_assignment_sum(g.edges, mats) / len(a) ** g.m)
 
 
-def _pairwise_rows(x: np.ndarray) -> np.ndarray:
-    """The sum of each row of a (B, n) array, added as numpy's pairwise sum adds
-    one contiguous row: below 8 entries one by one from -0.0; up to 128 in eight
-    accumulators, which are then combined as a tree, then the remainder one by
-    one; past 128 as the sum of the two halves split at n / 2 rounded down to a
-    multiple of 8.  a.sum() and a.mean() of a C-contiguous matrix add its r^2
-    entries so; a row or axis reduction of a stack need not.
+def _density_stack(graph: SimpleGraph, stack: np.ndarray) -> np.ndarray:
+    """hom_density of each kernel in a C-contiguous (B, r, r) stack: the table's
+    closed form over the whole stack, else one planned einsum per kernel.
+
+    A kernel's density does not depend on the stack it sits in: a row sum of
+    a C-contiguous (B, n) array adds each row as that row's own sum adds it.
+    test_hamiltonian's stack-independence test checks this at r = 1..40.
     """
-    b, n = x.shape
-    if n < 8:
-        res = np.full(b, -0.0)
-        for i in range(n):
-            res += x[:, i]
-        return res
-    if n <= 128:
-        stop = n - n % 8
-        # an accumulate adds strictly in order: lane k gets ((x_k + x_k+8) + ...)
-        acc = np.add.accumulate(x[:, :stop].reshape(b, stop // 8, 8), axis=1)[:, -1]
-        acc = acc[:, 0::2] + acc[:, 1::2]
-        acc = acc[:, 0::2] + acc[:, 1::2]
-        res = acc[:, 0] + acc[:, 1]
-        for i in range(stop, n):
-            res += x[:, i]
-        return res
-    half = n // 2 - n // 2 % 8
-    if 2 * half == n:  # two halves of one shape: one call on twice the rows
-        sums = _pairwise_rows(x.reshape(2 * b, half))
-        return sums[0::2] + sums[1::2]
-    return _pairwise_rows(x[:, :half]) + _pairwise_rows(x[:, half:])
+    g, term = _named_term(graph)
+    if not g.edges:
+        return np.ones(len(stack))
+    r = stack.shape[-1]
+    if term is not None and term.density is not None:
+        total = term.density(stack, r)
+    else:
+        total = np.array([_assignment_sum(g.edges, [a] * g.edge_count) for a in stack])
+    return total / r**g.m
 
 
 def _pairwise_sum(x: np.ndarray) -> np.ndarray:
     """x.sum(axis=0) of an (n, ...) array of slabs, bit for bit as numpy's
-    pairwise sum adds a contiguous row of n <= 128 entries (see _pairwise_rows):
-    below 8 slabs one by one; else in 8 accumulators over strides of 8, joined
-    as ((0+1)+(2+3))+((4+5)+(6+7)), then the rest one by one.  Overwrites x's
+    pairwise sum adds a contiguous row of n <= 128 entries, which numpy's own
+    axis-0 reduction, adding the slabs in order, does not: below 8 slabs one
+    by one; else in 8 accumulators over strides of 8, joined as
+    ((0+1)+(2+3))+((4+5)+(6+7)), then the rest one by one.  Overwrites x's
     leading slabs."""
     n = len(x)
     if n < 8:
@@ -316,34 +288,6 @@ def _pairwise_sum(x: np.ndarray) -> np.ndarray:
     for i in range(n - n % 8, n):
         np.add(total, x[i], out=total)
     return total
-
-
-def _density_stack(graph: SimpleGraph, stack: np.ndarray) -> np.ndarray:
-    """hom_density of each kernel in a C-contiguous (B, r, r) stack, through the
-    table's stacked form: for graphs whose _density_stack_agrees holds."""
-    g, term = _named_term(graph)
-    if not g.edges:
-        return np.ones(len(stack))
-    r = stack.shape[-1]
-    return term.stack(stack, r) / r**g.m
-
-
-def _stack_agrees(r: int, form, single) -> bool:
-    """Whether form, applied to a stack, gives single's float for each kernel
-    in it, bit for bit, on 8 seeded symmetric r x r kernels in [0, 1]."""
-    v = np.random.default_rng(r).random((8, r, r))
-    stack = (v + v.transpose(0, 2, 1)) / 2
-    want = np.array([single(a.copy()) for a in stack])
-    return form(stack).tobytes() == want.tobytes()
-
-
-@functools.cache
-def _density_stack_agrees(graph: SimpleGraph, r: int) -> bool:
-    """Whether graph has a closed form for stacks, and it gives hom_density's
-    floats at r with this numpy: checked once per (graph, r)."""
-    g, term = _named_term(graph)
-    return (not g.edges or term is not None and term.stack is not None) and _stack_agrees(
-        r, lambda s: _density_stack(graph, s), lambda a: hom_density(graph, StepKernel._trusted(a)))
 
 
 def hom_density_pinned(graph: SimpleGraph, w: StepKernel, pin_edge: int) -> np.ndarray:

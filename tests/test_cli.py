@@ -10,6 +10,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -175,9 +176,23 @@ def test_non_finite_energy_exits_with_the_numeric_code(tmp_path, capsys):
         "iterations = 0\ninit = 1.0\n\n"
         "[hamiltonian]\nterm.triangle = 1e308\nterm.edge = 1e308\n"
     )
-    assert main(["metropolis", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)  # the guard names it, numpy does not
+        assert main(["metropolis", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
     assert "numeric guard: non-finite energy at step 0" in capsys.readouterr().err
     assert not (tmp_path / "o" / "trajectory.csv").exists()  # no record was taken
+
+
+def test_a_flow_at_zero_beta_has_an_infinite_envelope_and_no_warning(tmp_path):
+    # dist(0)^2 / (2 beta t) is +inf at beta = 0; it was computed as 0 / 0,
+    # which printed numpy's "invalid value" warning on stderr
+    path = tmp_path / "flow.ini"
+    path.write_text(FLOW_INI.replace("beta = 1.0", "beta = 0.0"))
+    proc = run_cli("flow", path, tmp_path / "o")
+    assert proc.returncode == 0 and proc.stderr == ""
+    assert (tmp_path / "o" / "rate_report.csv").read_text() == (
+        "fit_t0,fit_t1,slope,intercept,r_squared,envelope_ok,envelope_margin\n"
+        "0.0,0.25,0.0,0.0,1.0,1,inf\n")
 
 
 @pytest.mark.parametrize("change, message", [

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import xlogy
 
 from graphdyn import (
     Hamiltonian,
@@ -20,6 +21,7 @@ from graphdyn import (
 )
 
 import graphdyn.hamiltonian as hamiltonian
+import graphdyn.stepkernel as stepkernel
 from oracles import fd_gradient, labeled_graphs
 
 
@@ -106,7 +108,6 @@ def test_stacked_energies_equal_evaluate_bit_for_bit(entropy):
         fortran = np.asfortranarray(stack)
         assert not fortran[0].flags.c_contiguous or r == 1
         for h in hs:
-            assert h.batched(r)
             want = evaluate_each(h, stack)
             for values in (stack, fortran):
                 got = h.evaluate_stack(values)
@@ -116,27 +117,58 @@ def test_stacked_energies_equal_evaluate_bit_for_bit(entropy):
 
 @pytest.mark.parametrize("name", ["path3", "star3"])
 def test_terms_without_a_stacked_form_go_through_evaluate(monkeypatch, name):
+    # each kernel of the stack takes the one planned einsum that evaluate
+    # takes for it alone; the edge term's closed form calls none
     h = Hamiltonian(((1.0, named_term_graph(name)), (-0.25, edge_graph())), 0.5)
-    assert not h.batched(6)
     stack = symmetric_stack(np.random.default_rng(47), 4, 6)
     want = evaluate_each(h, stack)
     calls = []
-    evaluate = Hamiltonian.evaluate
-    monkeypatch.setattr(Hamiltonian, "evaluate", lambda self, w: calls.append(w) or evaluate(self, w))
+    einsum = np.einsum
+    monkeypatch.setattr(np, "einsum", lambda *a, **k: calls.append(k["optimize"]) or einsum(*a, **k))
+    h.evaluate(StepKernel(stack[0]))
+    alone, calls[:] = list(calls), []
     assert h.evaluate_stack(stack).tobytes() == want.tobytes()
-    assert len(calls) == 4
+    assert len(alone) == 1 and isinstance(alone[0], tuple) and calls == alone * 4
     assert h.evaluate_stack(np.empty((0, 6, 6))).shape == (0,)
 
 
-@pytest.mark.parametrize("check", ["_density_stack_agrees", "_entropy_stack_agrees"])
-def test_a_failed_stack_check_falls_back_to_evaluate(monkeypatch, check):
-    h = triangle_edge_hamiltonian(entropy_weight=0.5)
-    stack = symmetric_stack(np.random.default_rng(53), 4, 16)
-    assert h.batched(16)
-    want = evaluate_each(h, stack)
-    monkeypatch.setattr(hamiltonian, check, lambda *args: False)
-    assert not h.batched(16)
-    assert h.evaluate_stack(stack).tobytes() == want.tobytes()
+# each density, and the entropy's mean, of one kernel as numpy adds it alone
+ALONE = {
+    "edge": lambda a: a.sum(),
+    "path2": lambda a: (a @ a).sum(),
+    "path3": lambda a: np.einsum("ab,bc,cd->", a, a, a, optimize=True),
+    "triangle": lambda a: np.trace(a @ a @ a),
+    "cycle4": lambda a: np.trace((a @ a) @ (a @ a)),
+    "star3": lambda a: np.einsum("ab,ac,ad->", a, a, a, optimize=True),
+    "entropy": lambda a: (xlogy(a, a) + xlogy(1.0 - a, 1.0 - a)).mean(),
+}
+
+
+@pytest.mark.parametrize("name", ALONE)
+def test_a_kernels_energy_does_not_depend_on_its_stack(name):
+    # the closed forms sum each kernel of a C-contiguous stack as a row of one
+    # (B, r^2) array, which numpy adds as it adds the kernel alone; path3 and
+    # star3 take one einsum per kernel.  Stacks of 1, 2, 5, 64 and 129 at
+    # r = 1..40: each energy equals the kernel's form alone, hom_density
+    # equals the density of a stack of one, and a Fortran-ordered stack is
+    # read in C order, bit for bit
+    entropy = name == "entropy"
+    g = None if entropy else named_term_graph(name)
+    h = Hamiltonian((), 0.7) if entropy else Hamiltonian(((0.3, g),))
+    rng = np.random.default_rng(67)
+    for r in range(1, 41):
+        stack = symmetric_stack(rng, 129, r)
+        forms = np.array([ALONE[name](a) for a in stack])
+        alone = 0.0 + (0.7 * forms if entropy else 0.3 * (forms / r**g.m))
+        if not entropy:
+            for a, form in zip(stack, forms):
+                single = stepkernel._density_stack(g, a[None].copy())[0]
+                assert hom_density(g, StepKernel(a)) == single == form / r**g.m, (name, r)
+        for b in (1, 2, 5, 64, 129):
+            part = stack[len(stack) - b:]
+            for values in (part, np.asfortranarray(part)):
+                got = h.evaluate_stack(values)
+                assert got.tobytes() == alone[len(stack) - b:].tobytes(), (name, r, b)
 
 
 def test_term_graphs_must_be_connected_and_small():

@@ -18,10 +18,10 @@ from graphdyn import (
     StepKernel,
     cycle_graph,
     edge_graph,
+    named_term_graph,
     path_graph,
     triangle_graph,
 )
-import graphdyn.hamiltonian as hamiltonian
 import graphdyn.metropolis as metropolis
 from graphdyn import _draws
 from graphdyn._draws import block_draws, lemire
@@ -657,7 +657,8 @@ def _stepped_chain(cfg, init, record_every, milestones):
     else:
         state = ChainState.from_density(cfg, np.full((cfg.r, cfg.r), 0.5), rng)
     walk = _CountWalk(cfg)
-    energy, acc_prob, accepted = cfg.h.evaluate(walk.density(state.counts)), 1.0, True
+    energy = cfg.h.evaluate(StepKernel(state.counts / cfg.capacities()))
+    acc_prob, accepted = 1.0, True
     marks = {0, cfg.iterations, *range(0, cfg.iterations + 1, record_every)}
     records = []
     for k in sorted(marks | {m for m in milestones if m <= cfg.iterations}):
@@ -725,13 +726,14 @@ def test_block_stepped_chain_equals_the_single_step_loop(data):
     assert got[1] == want[1]
 
 
-# with and without entropy, terms with closed forms for stacks, and one
-# without (path3), whose chains never speculate
+# with and without entropy, terms with closed forms for stacks, and terms
+# without (path3, star3), which take one einsum per kernel of a stack
 STACK_HS = (
     TRIANGLE_EDGE,
     Hamiltonian(((1.0, triangle_graph()), (-0.25, edge_graph())), 0.5),
     Hamiltonian(((0.2, cycle_graph(4)), (0.3, path_graph(2)), (-1.0, edge_graph()))),
     Hamiltonian(((1.0, path_graph(3)), (-0.25, edge_graph()))),
+    Hamiltonian(((0.5, named_term_graph("star3")), (-0.25, edge_graph())), 0.3),
 )
 
 
@@ -740,9 +742,7 @@ STACK_HS = (
 @given(st.data())
 def test_speculative_blocks_equal_the_single_step_loop(data):
     # r up to 16, beta from 0 to 1e5, which rejects most uphill proposals,
-    # l_nr = 0, odd block lengths and speculation depths, and a failed check
-    # of the stacked forms, which must give the same records on the
-    # per-state path
+    # l_nr = 0, and odd block lengths and speculation depths
     n = data.draw(st.integers(2, 5), label="n")
     r = data.draw(st.sampled_from([1, 2, 5, 8, 16]), label="r")
     gamma_n = data.draw(st.sampled_from([0.05, 0.13, 0.3]), label="gamma_n")
@@ -757,13 +757,10 @@ def test_speculative_blocks_equal_the_single_step_loop(data):
     words = ((cfg.s_n + cfg.l_nr) * r * (r + 1) // 2 + 1) // 2 + 1
     budget = data.draw(st.sampled_from([3, 13, 10**6]), label="block") * words
     depth = data.draw(st.sampled_from([2, 3, 64]), label="depth")
-    failed = data.draw(st.booleans(), label="failed check")
     want = _stepped_chain(cfg, init, record_every, ())
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(metropolis, "BLOCK_WORDS", budget)
         mp.setattr(metropolis, "SPECULATION_DEPTH", depth)
-        if failed:
-            mp.setattr(hamiltonian, "_density_stack_agrees", lambda *args: False)
         got = _blocked_chain(cfg, init, record_every, ())
     _assert_same_records(got[0], want[0])
     assert got[1] == want[1]
@@ -783,8 +780,9 @@ def test_speculation_at_the_mantel_shape_keeps_every_iteration(monkeypatch, beta
     assert {0.25: accepted == 1.0, 4e4: 0.3 < accepted < 0.7, 1e7: accepted < 0.5}[beta]
     stacks = []
     evaluate_stack = Hamiltonian.evaluate_stack
+    # a one-kernel evaluate is a stack of one too: only longer stacks are runs
     monkeypatch.setattr(Hamiltonian, "evaluate_stack",
-                        lambda h, v: stacks.append(len(v)) or evaluate_stack(h, v))
+                        lambda h, v: len(v) > 1 and stacks.append(len(v)) or evaluate_stack(h, v))
     got, got_end = _blocked_chain(cfg, None, 83, (250,))
     _assert_same_records(got, [want[k] for k in (0, 83, 166, 249, 250)])
     assert got_end == end
@@ -794,7 +792,7 @@ def test_speculation_at_the_mantel_shape_keeps_every_iteration(monkeypatch, beta
         # at depth 64, in runs of 64 and 49, then 24.  A run of d > 1 stacks
         # its 2d - 1 densities up to its last proposal, and the last relaxed
         # state is one evaluate, so nothing is evaluated in vain; a run of 1
-        # evaluates its one proposal without a stack
+        # evaluates its one proposal as a stack of one
         assert stacks == [3, 7, 15, 31, 63, 99, 127, 97, 47]
 
 
@@ -939,6 +937,26 @@ def test_a_non_finite_energy_inside_a_block_raises_at_its_record(record_every):
     caps = cfg.capacities()
     _assert_same_records([(rec.step, np.rint(rec.density.values * caps).astype(np.int64),
                            rec.energy, rec.acc_prob, rec.accepted) for rec in seen], want[:bad])
+
+
+@pytest.mark.filterwarnings("ignore:gamma_n")
+def test_an_energy_that_overflows_inside_a_speculative_run_warns_of_nothing(monkeypatch):
+    # at n = 2 and r = 1 the one density is 0 or 1, and at 1 the two terms add
+    # past the largest float: every proposal to 1 is rejected.  The stacks of
+    # the runs hold such proposals, and give inf with no numpy RuntimeWarning
+    h = Hamiltonian(((1e308, triangle_graph()), (1e308, edge_graph())))
+    cfg = ChainConfig(n=2, r=1, beta=1.0, sigma=0.0, gamma_n=0.25, h=h, seed=1, iterations=200)
+    stacked = []
+    evaluate_stack = Hamiltonian.evaluate_stack
+    monkeypatch.setattr(Hamiltonian, "evaluate_stack",
+                        lambda self, v: stacked.append(evaluate_stack(self, v)) or stacked[-1])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        want = _stepped_chain(cfg, None, 1, ())
+        got = _blocked_chain(cfg, None, 1, ())
+    _assert_same_records(got[0], want[0])
+    assert any(len(e) > 1 and np.isinf(e).any() for e in stacked)
+    assert all(math.isfinite(rec[2]) for rec in got[0])
 
 
 @pytest.mark.filterwarnings("ignore:gamma_n")

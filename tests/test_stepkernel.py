@@ -241,18 +241,6 @@ def test_named_graph_gradients_match_the_summed_pinned_einsums():
                                        atol=0, err_msg=f"{g} at r = {w.r}")
 
 
-def test_pairwise_rows_add_each_row_as_a_contiguous_sum_adds():
-    # the leaf sizes below 8 and up to 128, even and odd splits past 128, and
-    # every r^2 of the stacked densities up to r = 40
-    rng = np.random.default_rng(59)
-    sizes = sorted(set(range(1, 300)) | {r * r for r in range(1, 41)} | {1601, 2000})
-    for n in sizes:
-        x = rng.standard_normal((3, n))
-        want = np.array([row.sum() for row in x])
-        assert stepkernel._pairwise_rows(x).tobytes() == want.tobytes(), n
-        assert stepkernel._pairwise_rows(np.asfortranarray(x)).tobytes() == want.tobytes(), n
-
-
 def test_pairwise_sum_of_slabs_adds_as_a_row_sum_adds():
     # magnitudes from 1e-8 to 1e8 of both signs: any other order of the
     # additions shows in the last bits
@@ -283,10 +271,9 @@ def test_relabeled_term_graphs_take_the_einsum_path(monkeypatch):
     np.testing.assert_allclose(pinned, named, rtol=1e-14)
     # every labeling on up to 4 vertices, once its isolated vertices are
     # dropped: the density's closed forms, which call no einsum, run for the
-    # edge, path2, triangle and cycle4 classes, and so do the stacked forms;
-    # every pinned density left with an edge takes one planned einsum; the
-    # gradient calls none for the six named classes, and the einsum for the
-    # paw, the diamond and K4
+    # edge, path2, triangle and cycle4 classes; every pinned density left with
+    # an edge takes one planned einsum; the gradient calls none for the six
+    # named classes, and the einsum for the paw, the diamond and K4
     closed_classes = {(1, 1), (1, 1, 2), (2, 2, 2), (2, 2, 2, 2)}
     for g in LABELED:
         core = without_isolated(g)
@@ -294,7 +281,6 @@ def test_relabeled_term_graphs_take_the_einsum_path(monkeypatch):
         calls.clear()
         hom_density(g, w)
         assert (calls == []) if closed else (len(calls) == 1 and isinstance(calls[0], tuple)), g
-        assert stepkernel._density_stack_agrees(g, 5) == closed, g
         for e in range(g.edge_count):
             calls.clear()
             hom_density_pinned(g, w, e)
@@ -302,7 +288,6 @@ def test_relabeled_term_graphs_take_the_einsum_path(monkeypatch):
             assert planned if g.edge_count > 1 else calls == [], (g, e)
         if hamiltonian._connected(g):
             h = Hamiltonian(((1.0, g),))
-            assert h.batched(5) == closed, g
             calls.clear()
             h.frechet_derivative(w.values)
             paw_diamond_k4 = core.edge_count > 4 or core.degree_sequence() == (1, 2, 2, 3)
