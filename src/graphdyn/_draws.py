@@ -7,7 +7,9 @@ that the next half-word read takes first.  random() maps a word w to
 (w >> 11) 2^-53.  The chain, the drift trials and the annealer decode their
 draws by these rules; decoder_agrees checks them once per process, and after a
 failed check, or at a half-word that integers would reject, fallback's calls
-make the remaining draws.
+make the remaining draws.  A chain iteration draws s_n m proposal signs, one
+uniform, then l_nr m relaxation signs; tests/oracles.py draws them one
+Generator call per segment, as the reference the decoded draws must match.
 """
 from __future__ import annotations
 
@@ -94,7 +96,8 @@ def block_draws(bitgen, iters: int, s: int, rl: int) -> tuple[np.ndarray, np.nda
 
 
 def call_draws(rng: np.random.Generator, iters: int, s: int, rl: int) -> tuple[np.ndarray, ...]:
-    """chain_draws' draws made one Generator call each, as metropolis_step makes them."""
+    """chain_draws' draws made one Generator call per segment: for each iteration
+    s signs, one uniform, then rl signs."""
     signs, unif = np.empty((iters, s + rl), dtype=np.int8), np.empty(iters)
     for i in range(iters):
         signs[i, :s] = rng.integers(0, 2, size=s, dtype=np.int64) * 2 - 1
@@ -105,7 +108,7 @@ def call_draws(rng: np.random.Generator, iters: int, s: int, rl: int) -> tuple[n
 
 def chain_draws(rng: np.random.Generator, iters: int, s: int, rl: int) -> tuple[np.ndarray, ...]:
     """Signs (iters, s + rl) and uniforms (iters,) of `iters` chain iterations, as
-    metropolis_step draws them and leaving rng where it does: decoded from one
+    call_draws draws them and leaving rng where it does: decoded from one
     random_raw call, or made by fallback's calls where decoder_agrees fails."""
     if decoder_agrees():
         return block_draws(rng.bit_generator, iters, s, rl)

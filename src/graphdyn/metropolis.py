@@ -206,8 +206,8 @@ def esbm_sample(cfg: ChainConfig, q, rng: np.random.Generator):
 class _CountWalk:
     """Flattened upper-triangle view of the counts with its reflection rule.
 
-    The one walk of the package: run_chain composes its blocks' segments
-    through it, and empirical_drift and metropolis_step move counts through it.
+    The one walk of the package: _iterations composes its blocks' segments
+    through it, and empirical_drift moves its trials through it.
     """
 
     def __init__(self, cfg: ChainConfig) -> None:
@@ -280,23 +280,12 @@ def _check_draws(rows: int, m: int) -> None:
         )
 
 
-def _draw_signs(rng: np.random.Generator, k: int, m: int) -> np.ndarray:
-    """k rows of fair +-1 for m coordinates, drawn in one call.
-
-    Single-call generation per walk segment is part of the determinism
-    contract: proposal signs, then one acceptance uniform, then relaxation
-    signs, in that order.
-    """
-    _check_draws(k, m)
-    return rng.integers(0, 2, size=(k, m), dtype=np.int64) * 2 - 1
-
-
 @dataclass(frozen=True)
 class StepDiagnostics:
     delta_h: float
     acc_prob: float
     accepted: bool
-    energy: float  # energy of the state after accept/reject, before relaxation
+    energy: float  # energy of the state the iteration ends on, after relaxation
 
 
 def _acceptance(beta_nr: float, delta: float) -> float:
@@ -310,50 +299,43 @@ def _acceptance(beta_nr: float, delta: float) -> float:
 
 def metropolis_step(state: ChainState, cfg: ChainConfig, walk: _CountWalk | None = None,
                     energy: float | None = None):
-    """One relaxed Metropolis iteration, in place.
+    """One relaxed Metropolis iteration, in place: run_chain's iteration taken once.
 
     Proposes s_n reflected steps on every count, accepts with probability
     exp(-beta_nr [H(proposal) - H(current)]^+), reverts on reject, then
     applies l_nr unconditional relaxation steps.  Returns the state, the
-    acceptance flag, and diagnostics.
+    acceptance flag, and diagnostics.  A step that raises leaves the counts
+    and step_index as they were; one that raises after its draws leaves the
+    generator past all of them.
     """
     if walk is None:
         walk = _CountWalk(cfg)
-    iu = walk.iu
-    vec = state.counts[iu]
+    vec = state.counts[walk.iu]
     if energy is None:
         energy = cfg.h.evaluate(StepKernel._trusted(walk.density(vec)))
-    before = vec.copy()
-    walk.steps(vec, _draw_signs(state.rng, cfg.s_n, walk.m))
-    _write_symmetric(state.counts, iu, vec)
-    prop_energy = cfg.h.evaluate(StepKernel._trusted(walk.density(vec)))
-    delta = prop_energy - energy
-    acc_prob = _acceptance(cfg.beta_nr, delta)
-    accepted = state.rng.random() < acc_prob
-    if accepted:
-        energy = prop_energy
-    else:
-        vec = before
-        _write_symmetric(state.counts, iu, vec)
-    if cfg.l_nr:
-        walk.steps(vec, _draw_signs(state.rng, cfg.l_nr, walk.m))
-        _write_symmetric(state.counts, iu, vec)
-        energy = cfg.h.evaluate(StepKernel._trusted(walk.density(vec)))
+    _, (vec, energy, acc_prob, accepted, delta) = _iterations(cfg, walk, state.rng, vec, energy, 1)
+    _write_symmetric(state.counts, walk.iu, vec)
     state.step_index += 1
     return state, accepted, StepDiagnostics(delta, acc_prob, accepted, energy)
 
 
 def _iterations(cfg: ChainConfig, walk: _CountWalk, rng: np.random.Generator,
-                vec: np.ndarray, energy: float):
+                vec: np.ndarray, energy: float, iterations: int):
     """The chain's states from the upper-triangle counts vec of energy `energy`:
-    (upper-triangle counts, energy, acc_prob, accepted) at step 0 and after each
-    of cfg.iterations iterations, the same as metropolis_step's, bit for bit.
-    A yielded counts vector holds until the next state is pulled.
+    (upper-triangle counts, energy, acc_prob, accepted, delta_h) at step 0 and
+    after each of `iterations` iterations, delta_h being the proposal's energy
+    change (0.0 at step 0).  A yielded counts vector holds until the next state
+    is pulled.  The one Metropolis iteration of the package: run_chain and
+    metropolis_step both step through it.
 
-    The iterations go in blocks of about BLOCK_WORDS raw words, drawn by
-    _draws.chain_draws and released before the next block's draws.  Each walk
-    segment is applied as its composed clamp, and each density is built from
-    the upper-triangle vector, which gives the values of counts / capacities.
+    Each iteration draws s_n m proposal signs, one acceptance uniform, then
+    l_nr m relaxation signs, whether or not the proposal is accepted;
+    tests/oracles.py keeps the iteration that draws them one Generator call
+    per segment as the bit-for-bit reference.  The iterations go in blocks of
+    about BLOCK_WORDS raw words, drawn by _draws.chain_draws and released
+    before the next block's draws.  Each walk segment is applied as its
+    composed clamp, and each density is built from the upper-triangle vector,
+    which gives the values of counts / capacities.
 
     Inside a block, iterations go in runs of up to `depth`, rolled forward as if
     every proposal were accepted; a run's densities up to its last proposal are
@@ -362,19 +344,19 @@ def _iterations(cfg: ChainConfig, walk: _CountWalk, rng: np.random.Generator,
     from the counts it keeps, with one evaluate, and the next run starts after
     it.  The depth starts at 1, halves after a rejection and doubles after a run
     without one, up to SPECULATION_DEPTH, or 1 where cfg.h is not a
-    Hamiltonian and has no evaluate_stack: a run of 1 evaluates what
-    metropolis_step does.
+    Hamiltonian and has no evaluate_stack: a run of 1 evaluates its proposal
+    and its relaxed state one kernel at a time.
     """
     h, m = cfg.h, walk.m
     s, rl = cfg.s_n * m, cfg.l_nr * m
     per = 2 if cfg.l_nr else 1  # densities per iteration: the proposal, then the relaxed state
     cap = SPECULATION_DEPTH if isinstance(h, Hamiltonian) else 1
     block = max(1, BLOCK_WORDS // ((s + rl + 1) // 2 + 1))
-    rolled = np.empty((per * min(block, cap, cfg.iterations), m), dtype=np.int64)
+    rolled = np.empty((per * min(block, cap, iterations), m), dtype=np.int64)
     depth = 1
-    yield vec, energy, 1.0, True
-    for start in range(0, cfg.iterations, block):
-        iters = min(block, cfg.iterations - start)
+    yield vec, energy, 1.0, True, 0.0
+    for start in range(0, iterations, block):
+        iters = min(block, iterations - start)
         _check_draws(max(cfg.s_n, cfg.l_nr), m)
         signs, unif = _draws.chain_draws(rng, iters, s, rl)
         segs = [walk.compose(signs[:, :s].reshape(iters, cfg.s_n, m).transpose(1, 0, 2))]
@@ -390,12 +372,13 @@ def _iterations(cfg: ChainConfig, walk: _CountWalk, rng: np.random.Generator,
                 prev = _clamp(prev, segs[k % per], j + k // per, out=run[k])
             energies = _energies(h, walk, run)
             for k in range(d):
-                acc_prob = _acceptance(cfg.beta_nr, energies[per * k] - energy)
+                delta = energies[per * k] - energy
+                acc_prob = _acceptance(cfg.beta_nr, delta)
                 accepted = uniforms[j + k] < acc_prob
                 if not accepted or k == d - 1:
                     break
                 energy = energies[per * k + per - 1]
-                yield run[per * k + per - 1], energy, acc_prob, True
+                yield run[per * k + per - 1], energy, acc_prob, True, delta
             # the counts kept: the accepted proposal, else the state before it (vec at -1)
             kept = per * k if accepted else per * k - 1
             if kept >= 0:
@@ -405,7 +388,7 @@ def _iterations(cfg: ChainConfig, walk: _CountWalk, rng: np.random.Generator,
                 energy = h.evaluate(StepKernel._trusted(walk.density(vec)))
             j += k + 1
             depth = min(2 * depth, SPECULATION_DEPTH) if accepted else max(1, depth // 2)
-            yield vec, energy, acc_prob, accepted
+            yield vec, energy, acc_prob, accepted, delta
         del signs, unif, segs, uniforms
 
 
@@ -474,11 +457,11 @@ def run_chain(
     energy = cfg.h.evaluate(StepKernel._trusted(walk.density(vec)))
 
     def record(k: int, it) -> ChainRecord:
-        vec, *diagnostics = it
+        vec, *diagnostics, _delta = it
         return ChainRecord(k, cfg.diffusion_time(k), StepKernel._trusted(walk.density(vec)),
                            *diagnostics)
 
-    return drive(cfg.iterations, _iterations(cfg, walk, state.rng, vec, energy),
+    return drive(cfg.iterations, _iterations(cfg, walk, state.rng, vec, energy, cfg.iterations),
                  record, observers, record_every, milestones)
 
 
@@ -492,10 +475,10 @@ def empirical_drift(cfg: ChainConfig, q0, trials: int):
     [INTERIOR_EPS, 1 - INTERIOR_EPS].
 
     Trials run in blocks of up to DRIFT_BLOCK on the chain's own walk: a block
-    spawns its trials' seed sequences when it starts, each trial's draws are
-    decoded from its raw words as metropolis_step would draw them
-    (_draws.trial_draws), into one int8 (block, signs per iteration) buffer,
-    and _CountWalk.steps moves the whole block at once.
+    spawns its trials' seed sequences when it starts, and each trial's draws,
+    s_n m proposal signs, one uniform, then l_nr m relaxation signs, are
+    decoded from its raw words (_draws.trial_draws) into one int8 (block,
+    signs per iteration) buffer; _CountWalk.steps moves the whole block at once.
     """
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")

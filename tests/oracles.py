@@ -2,9 +2,12 @@
 
 Everything here is deliberately written the slow, obvious way (nested loops,
 exhaustive enumeration, generic LP solvers) and shares no code with the
-package under test.  The exceptions are cut_norm_rowsum and
-anneal_call_by_call, earlier forms of the package's cut-norm kernel and of its
-annealed permutation search, kept as their bit-for-bit references.
+package under test.  The exceptions are cut_norm_rowsum,
+anneal_call_by_call and metropolis_step_call_by_call, earlier forms of the
+package's cut-norm kernel, of its annealed permutation search and of its
+Metropolis iteration, kept as their bit-for-bit references; the last steps
+through the package's count walk, energy and acceptance, but neither its
+iteration loop nor its draw decoder.
 """
 from __future__ import annotations
 
@@ -13,6 +16,9 @@ import math
 
 import numpy as np
 from scipy import integrate, optimize
+
+from graphdyn import StepKernel
+from graphdyn.metropolis import StepDiagnostics, _acceptance, _CountWalk, _write_symmetric
 
 
 def hom_density_brute(m: int, edges: list[tuple[int, int]], a: np.ndarray) -> float:
@@ -133,6 +139,52 @@ def anneal_call_by_call(objective, r: int, seed: int, anneal_evals: int, draws=N
                 best, best_p = val, cand.copy()
         temp *= decay
     return best, best_p
+
+
+def draw_signs(rng: np.random.Generator, k: int, m: int) -> np.ndarray:
+    """k rows of fair +-1 for m coordinates, drawn in one call.
+
+    Single-call generation per walk segment is part of the determinism
+    contract: proposal signs, then one acceptance uniform, then relaxation
+    signs, in that order.
+    """
+    return rng.integers(0, 2, size=(k, m), dtype=np.int64) * 2 - 1
+
+
+def metropolis_step_call_by_call(state, cfg, walk=None, energy=None):
+    """One relaxed Metropolis iteration, in place, drawn one Generator call per
+    walk segment: the earlier body of metropolis_step, frozen as its and
+    run_chain's bit-for-bit reference.
+
+    Proposes s_n reflected steps on every count, accepts with probability
+    exp(-beta_nr [H(proposal) - H(current)]^+), reverts on reject, then
+    applies l_nr unconditional relaxation steps.  Returns the state, the
+    acceptance flag, and diagnostics.
+    """
+    if walk is None:
+        walk = _CountWalk(cfg)
+    iu = walk.iu
+    vec = state.counts[iu]
+    if energy is None:
+        energy = cfg.h.evaluate(StepKernel._trusted(walk.density(vec)))
+    before = vec.copy()
+    walk.steps(vec, draw_signs(state.rng, cfg.s_n, walk.m))
+    _write_symmetric(state.counts, iu, vec)
+    prop_energy = cfg.h.evaluate(StepKernel._trusted(walk.density(vec)))
+    delta = prop_energy - energy
+    acc_prob = _acceptance(cfg.beta_nr, delta)
+    accepted = state.rng.random() < acc_prob
+    if accepted:
+        energy = prop_energy
+    else:
+        vec = before
+        _write_symmetric(state.counts, iu, vec)
+    if cfg.l_nr:
+        walk.steps(vec, draw_signs(state.rng, cfg.l_nr, walk.m))
+        _write_symmetric(state.counts, iu, vec)
+        energy = cfg.h.evaluate(StepKernel._trusted(walk.density(vec)))
+    state.step_index += 1
+    return state, accepted, StepDiagnostics(delta, acc_prob, accepted, energy)
 
 
 def min_over_perms_brute(r: int, objective) -> float:

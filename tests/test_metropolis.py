@@ -30,7 +30,6 @@ from graphdyn.metropolis import (
     ChainState,
     _CountWalk,
     _diagonal_pairs,
-    _draw_signs,
     empirical_drift,
     empirical_qv,
     esbm_sample,
@@ -39,7 +38,7 @@ from graphdyn.metropolis import (
     run_chain,
 )
 from graphdyn.sde import drift_b
-from oracles import clip_walk
+from oracles import clip_walk, draw_signs, metropolis_step_call_by_call
 
 TRIANGLE_EDGE = Hamiltonian(((1.0, triangle_graph()), (-0.25, edge_graph())))
 ZERO_H = Hamiltonian(((0.0, edge_graph()),))
@@ -134,12 +133,34 @@ def test_config_rejects_walk_segments_past_the_sign_draw_limit():
     assert ChainConfig(n=200, r=2, beta=0.0, sigma=0.0, gamma_n=1.0, h=ZERO_H).s_n == 200**4
 
 
+@pytest.mark.filterwarnings("ignore:gamma_n")
 def test_sign_draws_past_the_limit_are_refused_before_allocating(monkeypatch):
-    monkeypatch.setattr(metropolis, "SIGN_DRAW_LIMIT", 12)
-    rng = np.random.default_rng(0)
-    assert _draw_signs(rng, 4, 3).shape == (4, 3)
-    with pytest.raises(ValueError, match="past the limit"):
-        _draw_signs(rng, 5, 3)
+    # both public paths check the longer walk segment before their first draw:
+    # s_n = 4 rows of m = 3 signs without relaxation, l_nr = 13 rows with it
+    half = np.full((2, 2), 0.5)
+    made = []
+    from_density = ChainState.from_density.__func__
+    monkeypatch.setattr(ChainState, "from_density", classmethod(
+        lambda cls, *args: made.append(from_density(cls, *args)) or made[-1]))
+    # built before the limit is lowered, which a config checks as well
+    cfgs = [ChainConfig(n=4, r=2, beta=1.0, sigma=sigma, gamma_n=1 / 8, h=TRIANGLE_EDGE, seed=3,
+                        iterations=2) for sigma in (0.0, 2.5)]
+    for cfg, rows in zip(cfgs, (4, 13)):
+        assert max(cfg.s_n, cfg.l_nr) == rows
+        fresh = np.random.default_rng(cfg.seed).bit_generator.state
+        paths = (lambda: run_chain(cfg),
+                 lambda: metropolis_step(ChainState.from_density(cfg, half), cfg))
+        monkeypatch.setattr(metropolis, "SIGN_DRAW_LIMIT", rows * 3)
+        for path in paths:
+            path()
+            assert made[-1].rng.bit_generator.state != fresh
+        monkeypatch.setattr(metropolis, "SIGN_DRAW_LIMIT", rows * 3 - 1)
+        for path in paths:
+            with pytest.raises(ValueError, match="past the limit"):
+                path()
+            assert made[-1].step_index == 0
+            assert np.array_equal(made[-1].counts, quantize_density(cfg, half))
+            assert made[-1].rng.bit_generator.state == fresh
 
 
 def test_regime_warnings_fire_on_both_sides():
@@ -251,7 +272,7 @@ def test_floor_steps_stay_half_the_time():
     trials = 10**4
     for _ in range(trials):
         vec = np.zeros(walk.m, dtype=np.int64)
-        walk.steps(vec, _draw_signs(rng, 1, walk.m))
+        walk.steps(vec, draw_signs(rng, 1, walk.m))
         stays += int(vec[0] == 0)
     assert abs(stays / trials - 0.5) < 0.02
 
@@ -264,7 +285,7 @@ def test_interior_steps_never_stay_and_are_fair():
     moves = []
     for _ in range(10**4):
         vec = start.copy()
-        walk.steps(vec, _draw_signs(rng, 1, walk.m))
+        walk.steps(vec, draw_signs(rng, 1, walk.m))
         assert not np.any(vec == start)
         moves.extend((vec - start).tolist())
     moves = np.array(moves)
@@ -279,7 +300,7 @@ def test_counts_respect_their_bounds_under_heavy_fuzz():
     rng = np.random.default_rng(10)
     vec = np.zeros(walk.m, dtype=np.int64)  # start pinned to the floor
     for _ in range(100):
-        walk.steps(vec, _draw_signs(rng, 100, walk.m))  # 1.36e6 moves total
+        walk.steps(vec, draw_signs(rng, 100, walk.m))  # 1.36e6 moves total
         assert np.all(vec >= 0) and np.all(vec <= walk.caps)
 
 
@@ -649,8 +670,8 @@ def test_decoded_draws_match_the_generator_calls(pre, s, rl, iters):
 
 
 def _stepped_chain(cfg, init, record_every, milestones):
-    """Reference: run_chain's records as one metropolis_step per iteration, and
-    the generator's state at the end."""
+    """Reference: run_chain's records as one call-by-call oracle step per
+    iteration, and the generator's state at the end."""
     rng = np.random.default_rng(cfg.seed)
     if init == "uniform":
         state = ChainState.uniform(cfg, rng)
@@ -663,7 +684,7 @@ def _stepped_chain(cfg, init, record_every, milestones):
     records = []
     for k in sorted(marks | {m for m in milestones if m <= cfg.iterations}):
         while state.step_index < k:
-            _, accepted, diag = metropolis_step(state, cfg, walk, energy)
+            _, accepted, diag = metropolis_step_call_by_call(state, cfg, walk, energy)
             energy, acc_prob = diag.energy, diag.acc_prob
         records.append((k, state.counts.copy(), energy, acc_prob, accepted))
     return records, state.rng.bit_generator.state
@@ -769,7 +790,7 @@ def test_speculative_blocks_equal_the_single_step_loop(data):
 @pytest.mark.filterwarnings("ignore:gamma_n")
 @pytest.mark.parametrize("beta", [0.25, 4e4, 1e7], ids=["accepting", "half", "rejecting"])
 def test_speculation_at_the_mantel_shape_keeps_every_iteration(monkeypatch, beta):
-    # every iteration's record of a metropolis_step loop at r = 16, against the
+    # every iteration's record of a call-by-call step loop at r = 16, against the
     # block path with records 83 apart and a milestone at the end.
     # Half of the proposals lower the energy here, so even beta = 1e7 accepts
     # those and rejects the rest.
@@ -877,6 +898,69 @@ def test_run_chain_steps_only_through_step_block(monkeypatch, agrees, iterations
     got = _blocked_chain(cfg, "uniform", 1, ())
     _assert_same_records(got[0], want[0])
     assert got[1] == want[1]
+
+
+@pytest.mark.filterwarnings("ignore:gamma_n")
+@pytest.mark.parametrize("agrees", [True, False], ids=["decoded", "call-by-call"])
+@pytest.mark.parametrize("sigma", [0.0, 1.0], ids=["unrelaxed", "relaxed"])
+@pytest.mark.parametrize("stacked", [True, False], ids=["stacks", "duck-typed"])
+@pytest.mark.parametrize("start", ["half", "uniform", "carry"])
+def test_metropolis_step_equals_the_call_by_call_oracle(monkeypatch, agrees, sigma, stacked,
+                                                        start):
+    # an odd count of signs per iteration (33, or 33 + 18) leaves a half-word
+    # waiting after every other one, and "carry" starts with one waiting;
+    # beta = 30 accepts about half of the proposals
+    cfg = ChainConfig(n=5, r=2, beta=30.0, sigma=sigma, gamma_n=0.13, seed=9,
+                      h=TRIANGLE_EDGE if stacked else BlowsUp(math.inf))
+    assert (cfg.s_n, cfg.l_nr) == (11, 6 if sigma else 0)
+    monkeypatch.setattr(_draws, "decoder_agrees", lambda: agrees)
+    got, want = (ChainState.uniform(cfg) if start == "uniform"
+                 else ChainState.from_density(cfg, np.full((2, 2), 0.5)) for _ in range(2))
+    if start == "carry":
+        for state in (got, want):
+            state.rng.integers(0, 2, size=3, dtype=np.int64)
+        assert got.rng.bit_generator.state["has_uint32"] == 1
+    walk, energy, flags = _CountWalk(cfg), None, []
+    for _ in range(40):
+        # the first step evaluates its start, the later ones carry walk and energy
+        args = (walk, energy) if flags else ()
+        _, accepted, diag = metropolis_step(got, cfg, *args)
+        _, flag, ref = metropolis_step_call_by_call(want, cfg, *args)
+        assert np.array_equal(got.counts, want.counts) and got.step_index == want.step_index
+        assert struct.pack("<ddd", diag.delta_h, diag.acc_prob, diag.energy) == struct.pack(
+            "<ddd", ref.delta_h, ref.acc_prob, ref.energy)
+        assert type(accepted) is type(diag.accepted) is bool and accepted == diag.accepted == flag
+        assert got.rng.bit_generator.state == want.rng.bit_generator.state
+        energy = diag.energy
+        flags.append(accepted)
+    assert 5 < sum(flags) < 35
+
+
+@pytest.mark.filterwarnings("ignore:gamma_n")
+def test_a_step_that_raises_keeps_its_counts_and_passes_its_draws():
+    # beta < 0 overflows exp(-beta_nr dH) at the first uphill proposal, the
+    # third step here: metropolis_step raises with the counts it started from,
+    # its generator past the whole iteration's draws; the call-by-call oracle
+    # leaves the proposal written and its generator past the proposal signs
+    cfg = ChainConfig(n=8, r=2, beta=-1e5, sigma=1.0, gamma_n=1 / 32, h=TRIANGLE_EDGE, seed=3)
+    got, want = (ChainState.from_density(cfg, np.full((2, 2), 0.5)) for _ in range(2))
+    with pytest.raises(OverflowError):
+        while True:
+            counts, before = got.counts.copy(), got.rng.bit_generator.state
+            metropolis_step(got, cfg)
+            metropolis_step_call_by_call(want, cfg)
+    assert got.step_index == want.step_index == 2
+    assert np.array_equal(got.counts, counts)
+    drawn = np.random.default_rng()
+    drawn.bit_generator.state = before
+    _draws.call_draws(drawn, 1, cfg.s_n * 3, cfg.l_nr * 3)
+    assert got.rng.bit_generator.state == drawn.bit_generator.state
+    with pytest.raises(OverflowError):
+        metropolis_step_call_by_call(want, cfg)
+    assert want.step_index == 2 and not np.array_equal(want.counts, counts)
+    drawn.bit_generator.state = before
+    draw_signs(drawn, cfg.s_n, 3)
+    assert want.rng.bit_generator.state == drawn.bit_generator.state
 
 
 @pytest.mark.filterwarnings("ignore")
