@@ -12,8 +12,10 @@ the metrics evaluate only those.  `wass_cut` is an alias of `delta_black`.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,11 +23,12 @@ import numpy as np
 from .stepkernel import (
     StepKernel,
     SimpleGraph,
+    _assignment_sum,
     _block_count,
     _cut_alignment,
     _cut_norm_exhaustive,
+    _named_term,
     _rms_alignment,
-    _weighted_density,
     kernel_from_values,
 )
 
@@ -64,13 +67,9 @@ class DiscreteMeasure:
             elif wk > 0.0:
                 keep_a.append(ak)
                 keep_w.append(wk)
-        a = np.array(keep_a)
         w = np.array(keep_w)
-        w = w / w.sum()
-        a.setflags(write=False)
-        w.setflags(write=False)
-        object.__setattr__(self, "atoms", a)
-        object.__setattr__(self, "weights", w)
+        object.__setattr__(self, "atoms", _read_only(np.array(keep_a)))
+        object.__setattr__(self, "weights", _read_only(w / w.sum()))
 
     @classmethod
     def dirac(cls, a: float) -> "DiscreteMeasure":
@@ -120,13 +119,7 @@ class MvgKernel:
     @classmethod
     def from_upper(cls, r: int, upper) -> "MvgKernel":
         """Build from a dict {(i, j): measure} covering i <= j."""
-        grid = [[None] * r for _ in range(r)]
-        for i in range(r):
-            for j in range(i, r):
-                mu = upper[(i, j)]
-                grid[i][j] = mu
-                grid[j][i] = mu
-        return cls(tuple(tuple(row) for row in grid))
+        return cls(tuple(tuple(upper[min(i, j), max(i, j)] for j in range(r)) for i in range(r)))
 
     @classmethod
     def constant(cls, r: int, mu: DiscreteMeasure) -> "MvgKernel":
@@ -135,31 +128,23 @@ class MvgKernel:
     @classmethod
     def dirac_embedding(cls, w: StepKernel) -> "MvgKernel":
         """Point masses at the kernel values: the measure-valued copy of w."""
-        return cls.from_upper(
-            w.r,
-            {
-                (i, j): DiscreteMeasure.dirac(w.values[i, j])
-                for i in range(w.r)
-                for j in range(i, w.r)
-            },
-        )
+        return cls._of_values(w, DiscreteMeasure.dirac)
 
     @classmethod
     def bernoulli_embedding(cls, w: StepKernel) -> "MvgKernel":
         """Bernoulli cells with success probabilities given by w (range [0,1])."""
-        return cls.from_upper(
-            w.r,
-            {
-                (i, j): DiscreteMeasure.bernoulli(w.values[i, j])
-                for i in range(w.r)
-                for j in range(i, w.r)
-            },
-        )
+        return cls._of_values(w, DiscreteMeasure.bernoulli)
+
+    @classmethod
+    def _of_values(cls, w: StepKernel, measure) -> "MvgKernel":
+        """The kernel whose cell (i, j) is measure(w.values[i, j])."""
+        return cls.from_upper(w.r, {(i, j): measure(w.values[i, j])
+                                    for i in range(w.r) for j in range(i, w.r)})
 
     def permute(self, perm: np.ndarray) -> "MvgKernel":
-        perm = np.asarray(perm)
-        grid = [[self.cells[perm[i]][perm[j]] for j in range(self.r)] for i in range(self.r)]
-        return MvgKernel(tuple(tuple(row) for row in grid))
+        """The kernel whose cell (i, j) is this one's cell (perm[i], perm[j]);
+        perm may repeat blocks and have any length."""
+        return MvgKernel(tuple(tuple(self.cells[a][b] for b in perm) for a in perm))
 
     def project(self) -> StepKernel:
         """Replace every cell by its mean value."""
@@ -168,11 +153,32 @@ class MvgKernel:
     def max_atoms(self) -> int:
         return max(len(self.cells[i][j].atoms) for i in range(self.r) for j in range(i, self.r))
 
+    # The array form that pairing and transport read, made once on first read:
+    # every cell's atoms and weights, the cells in row-major order, and each
+    # entry's cell index i * r + j.
+    @functools.cached_property
+    def atoms(self) -> np.ndarray:
+        return _read_only(np.concatenate([mu.atoms for row in self.cells for mu in row]))
+
+    @functools.cached_property
+    def weights(self) -> np.ndarray:
+        return _read_only(np.concatenate([mu.weights for row in self.cells for mu in row]))
+
+    @functools.cached_property
+    def idx(self) -> np.ndarray:
+        sizes = [len(mu.atoms) for row in self.cells for mu in row]
+        return _read_only(np.repeat(np.arange(self.r**2), sizes))
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
 
 @dataclass(frozen=True, eq=False)
 class MvgDiff:
-    """Difference of two measure-valued kernels: the concatenated cell arrays
-    of both (see _cell_arrays), the second kernel's weights negated.
+    """Difference of two measure-valued kernels: the array forms of both
+    (MvgKernel.atoms, .weights, .idx) concatenated, the second's weights negated.
 
     Pairing with a test function is linear, so gamma of the difference equals
     the difference of gammas; that is the only algebra this object needs.
@@ -189,10 +195,9 @@ class MvgDiff:
 def mvg_diff(w1: MvgKernel, w2: MvgKernel) -> MvgDiff:
     if w1.r != w2.r:
         raise ValueError("kernels must share a block count")
-    (a1, p1, i1), (a2, p2, i2) = _cell_arrays(w1), _cell_arrays(w2)
     # each cell's atoms keep their order, the first kernel's then the second's
-    return MvgDiff(w1.r, np.concatenate([a1, a2]), np.concatenate([p1, -p2]),
-                   np.concatenate([i1, i2]))
+    return MvgDiff(w1.r, np.concatenate([w1.atoms, w2.atoms]),
+                   np.concatenate([w1.weights, -w2.weights]), np.concatenate([w1.idx, w2.idx]))
 
 
 @dataclass(frozen=True)
@@ -209,10 +214,8 @@ class PLFunction:
             raise ValueError("need matching breakpoints and values, at least two")
         if b[0] != -1.0 or b[-1] != 1.0 or np.any(np.diff(b) <= 0):
             raise ValueError("breakpoints must increase from -1 to 1")
-        b.setflags(write=False)
-        v.setflags(write=False)
-        object.__setattr__(self, "breakpoints", b)
-        object.__setattr__(self, "values", v)
+        object.__setattr__(self, "breakpoints", _read_only(b))
+        object.__setattr__(self, "values", _read_only(v))
 
     def __call__(self, x) -> np.ndarray:
         return np.interp(x, self.breakpoints, self.values)
@@ -250,6 +253,11 @@ class TestNet:
     def __len__(self) -> int:
         return 3**self.segments
 
+    @property
+    def breakpoints(self) -> np.ndarray:
+        """The segments + 1 equally spaced nodes from -1 to 1 that every member shares."""
+        return np.linspace(-1.0, 1.0, self.segments + 1)
+
     def node_values(self) -> tuple[np.ndarray, np.ndarray]:
         """The shared breakpoints (segments + 1,) and every member's values at
         them, one row per member (3^segments, segments + 1), in the order of
@@ -262,9 +270,7 @@ class TestNet:
         np.cumsum(steps, axis=1, out=vals[:, 1:])
         # pin the node at the origin to 0; |values| <= |zeta| <= 1 follows
         vals -= vals[:, k // 2 : k // 2 + 1].copy()
-        breaks = np.linspace(-1.0, 1.0, k + 1)
-        breaks[0], breaks[-1] = -1.0, 1.0
-        return breaks, vals
+        return self.breakpoints, vals
 
 
 def build_net(epsilon: float, segments: int | None = None) -> TestNet:
@@ -285,6 +291,10 @@ def build_net(epsilon: float, segments: int | None = None) -> TestNet:
         raise ValueError(f"epsilon must be positive and finite, got {epsilon!r}")
     if segments is None:
         segments = 2 * math.ceil(4.0 / epsilon)
+    try:
+        segments = operator.index(segments)
+    except TypeError:
+        raise ValueError(f"segments must be an integer, got {segments!r}") from None
     if segments < 2 or segments % 2 != 0:
         raise ValueError(f"segments must be even and at least 2 so 0 is a node, got {segments}")
     if segments > NET_MAX_SEGMENTS:
@@ -310,26 +320,10 @@ def _pair(w: MvgKernel | MvgDiff, f) -> np.ndarray:
     """Integral of each row of f(atoms) against every cell: a (k, r, r) stack,
     exactly symmetric because mirrored cells hold the same atoms in the same
     order."""
-    atoms, weights, idx = _cell_arrays(w)
-    vals = np.asarray(f(atoms), dtype=float).reshape(-1, atoms.size)
+    vals = np.asarray(f(w.atoms), dtype=float).reshape(-1, w.atoms.size)
     out = np.zeros((len(vals), w.r, w.r))
-    np.add.at(out.reshape(len(vals), -1).T, idx, (vals * weights).T)
+    np.add.at(out.reshape(len(vals), -1).T, w.idx, (vals * w.weights).T)
     return out
-
-
-def _cell_arrays(w: MvgKernel | MvgDiff):
-    """Concatenated atoms/weights with a cell index map, for batched pairing;
-    a difference already holds them."""
-    if isinstance(w, MvgDiff):
-        return w.atoms, w.weights, w.idx
-    atoms, weights, idx = [], [], []
-    for i in range(w.r):
-        for j in range(w.r):
-            mu = w.cells[i][j]
-            atoms.append(mu.atoms)
-            weights.append(mu.weights)
-            idx.append(np.full(len(mu.atoms), i * w.r + j))
-    return np.concatenate(atoms), np.concatenate(weights), np.concatenate(idx)
 
 
 def _word_stack(net: TestNet, w: MvgKernel) -> np.ndarray:
@@ -340,8 +334,7 @@ def _word_stack(net: TestNet, w: MvgKernel) -> np.ndarray:
     C_k = gamma(phi_k, w).  Returns (2^(K-1), r, r).
     """
     k = net.segments
-    breaks = np.linspace(-1.0, 1.0, k + 1)
-    lo, hi = breaks[:-1, None], breaks[1:, None]
+    lo, hi = net.breakpoints[:-1, None], net.breakpoints[1:, None]
     pairings = _pair(w, lambda a: np.clip(a, lo, hi) - np.clip(0.0, lo, hi)).reshape(k, -1)
     bits = (np.arange(1 << (k - 1))[:, None] >> np.arange(k - 1)) & 1
     words = np.concatenate([np.ones((len(bits), 1)), 1.0 - 2.0 * bits], axis=1)
@@ -399,48 +392,68 @@ wass_cut = delta_black
 def wasserstein1(mu: DiscreteMeasure, nu: DiscreteMeasure) -> float:
     """Exact W1 between finite measures on the line (area between CDFs)."""
     grid = np.union1d(mu.atoms, nu.atoms)
-    if len(grid) == 1:
-        return 0.0
-    cdf_mu = _step_cdf(mu, grid)
-    cdf_nu = _step_cdf(nu, grid)
+    cdf_mu, cdf_nu = (np.concatenate([[0.0], np.cumsum(m.weights)])
+                      [np.searchsorted(m.atoms, grid, side="right")] for m in (mu, nu))
     return float(np.sum(np.abs(cdf_mu - cdf_nu)[:-1] * np.diff(grid)))
-
-
-def _step_cdf(mu: DiscreteMeasure, grid: np.ndarray) -> np.ndarray:
-    idx = np.searchsorted(mu.atoms, grid, side="right")
-    cum = np.concatenate([[0.0], np.cumsum(mu.weights)])
-    return cum[idx]
 
 
 def wasserstein2(mu: DiscreteMeasure, nu: DiscreteMeasure) -> float:
     """Exact W2 on the line via the quantile coupling."""
-    cum_mu = np.cumsum(mu.weights)
-    cum_nu = np.cumsum(nu.weights)
-    levels = np.union1d(cum_mu, cum_nu)
-    levels = levels[levels > 1e-15]
-    prev = 0.0
-    total = 0.0
-    for lv in levels:
+    one = MvgKernel.constant(1, mu), MvgKernel.constant(1, nu)
+    return math.sqrt(_w2_squares(*one, [0], [0])[0])
+
+
+def _quantile_rows(w: MvgKernel) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each cell of w as one row, in row-major order: its atoms and its
+    cumulative weights, padded to the most atoms of any cell with the
+    cumulative weights +inf past the cell's own, and its atom count.  The
+    row-wise cumsum adds each cell's weights in order, as its own cumsum does."""
+    count = np.bincount(w.idx, minlength=w.r**2)
+    col = np.arange(w.idx.size) - np.repeat(np.cumsum(count) - count, count)
+    atoms = np.zeros((w.r**2, count.max()))
+    weights = np.zeros_like(atoms)
+    atoms[w.idx, col] = w.atoms
+    weights[w.idx, col] = w.weights
+    cum = np.cumsum(weights, axis=1)
+    cum[np.arange(cum.shape[1]) >= count[:, None]] = np.inf
+    return atoms, cum, count
+
+
+def _w2_squares(w1: MvgKernel, w2: MvgKernel, cells1, cells2) -> np.ndarray:
+    """W2^2 between cell cells1[k] of w1 and cell cells2[k] of w2, for every k;
+    cells are numbered i * r + j.
+
+    The quantile coupling: the cumulative weights of both measures, sorted,
+    cut [0, 1] into levels, and each level adds its width times the squared
+    gap of the two quantiles at its midpoint.  A level no more than 1e-15
+    above the last one kept is skipped, as are repeated levels and the +inf
+    pads.  All pairs walk their levels together, so each pair adds its terms
+    in order.
+    """
+    (a1, c1, n1), (a2, c2, n2) = ([x[at] for x in _quantile_rows(w)]
+                                  for w, at in ((w1, cells1), (w2, cells2)))
+    rows = np.arange(len(c1))
+    prev = np.zeros(len(c1))
+    total = np.zeros(len(c1))
+    for lv in np.sort(np.concatenate([c1, c2], axis=1), axis=1).T:
         width = lv - prev
-        if width <= 1e-15:
-            continue
-        mid = prev + width / 2
-        q_mu = mu.atoms[min(np.searchsorted(cum_mu, mid), len(mu.atoms) - 1)]
-        q_nu = nu.atoms[min(np.searchsorted(cum_nu, mid), len(nu.atoms) - 1)]
-        total += width * (q_mu - q_nu) ** 2
-        prev = lv
-    return math.sqrt(total)
+        keep = (width > 1e-15) & (lv < np.inf)
+        # a quantile's index counts the cumulative weights below the midpoint
+        mid = (prev + width / 2)[:, None]
+        d = (a1[rows, np.minimum((c1 < mid).sum(axis=1), n1 - 1)]
+             - a2[rows, np.minimum((c2 < mid).sum(axis=1), n2 - 1)])
+        total += np.where(keep, width, 0.0) * (d * d)
+        prev = np.where(keep, lv, prev)
+    return total
 
 
 def d2_distance(w1: MvgKernel, w2: MvgKernel) -> float:
-    """Root mean square of cell-wise W2 over the whole grid."""
+    """Root mean square of cell-wise W2 over the whole grid, summed as the
+    relabeling search of delta2_mvg_upper sums it."""
     if w1.r != w2.r:
         raise ValueError("kernels must share a block count")
-    total = 0.0
-    for i in range(w1.r):
-        for j in range(w1.r):
-            total += wasserstein2(w1.cells[i][j], w2.cells[i][j]) ** 2
-    return math.sqrt(total / w1.r**2)
+    cells = np.arange(w1.r**2)
+    return math.sqrt(_w2_squares(w1, w2, cells, cells).sum() / w1.r**2)
 
 
 def delta2_mvg_upper(w1: MvgKernel, w2: MvgKernel, seed: int = 0) -> float:
@@ -452,10 +465,7 @@ def delta2_mvg_upper(w1: MvgKernel, w2: MvgKernel, seed: int = 0) -> float:
     if w1.r != w2.r:
         raise ValueError("kernels must share a block count")
     r = w1.r
-    cells2 = [nu for row in w2.cells for nu in row]
-    table = np.array(
-        [[wasserstein2(mu, nu) ** 2 for nu in cells2] for row in w1.cells for mu in row]
-    ).reshape(r, r, r, r)
+    table = _w2_squares(w1, w2, *np.divmod(np.arange(r**4), r**2)).reshape(r, r, r, r)
     i, j = np.indices((r, r))
     return _rms_alignment(lambda perms: table[i, j, perms[:, :, None], perms[:, None, :]], r,
                           seed, ANNEAL_EVALS)
@@ -465,12 +475,15 @@ def decorated_density(graph: SimpleGraph, decorations, w: MvgKernel) -> float:
     """Density where each edge integrates its own test function on its cell.
 
     Cells act independently, so each edge contributes gamma(f_e, W) and the
-    density is the multi-matrix assignment average.
+    density is the multi-matrix assignment average, isolated vertices dropped.
     """
     if len(decorations) != graph.edge_count:
         raise ValueError("need one decoration per edge")
+    g = _named_term(graph)[0]
+    if not g.edges:
+        return 1.0
     mats = [gamma_kernel(f, w).values for f in decorations]
-    return _weighted_density(graph, mats)
+    return float(_assignment_sum(g.edges, mats) / w.r**g.m)
 
 
 def _locate_blocks(r: int, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -480,11 +493,7 @@ def _locate_blocks(r: int, n: int, rng: np.random.Generator) -> np.ndarray:
 
 def sample_mvg(w: MvgKernel, n: int, rng: np.random.Generator) -> MvgKernel:
     """The n-cell subsample: uniforms locate blocks, cells are copied."""
-    block = _locate_blocks(w.r, n, rng)
-    return MvgKernel.from_upper(
-        n,
-        {(i, j): w.cells[block[i]][block[j]] for i in range(n) for j in range(i, n)},
-    )
+    return w.permute(_locate_blocks(w.r, n, rng))
 
 
 def sample_weighted_graph(w: MvgKernel, n: int, rng: np.random.Generator) -> StepKernel:

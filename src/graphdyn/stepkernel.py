@@ -232,19 +232,7 @@ def hom_density(graph: SimpleGraph, w: StepKernel) -> float:
     4-cycle classes, in any labeling, take the named term graphs' closed forms;
     any other graph, of at most 52 vertices, takes one einsum over assignments.
     """
-    return _weighted_density(graph, [w.values] * graph.edge_count)
-
-
-def _weighted_density(graph: SimpleGraph, mats: list[np.ndarray]) -> float:
-    """t(graph) with edge k weighted by mats[k]: _density_stack of the one
-    matrix as a stack of one when every edge has it, else the einsum."""
-    g = _named_term(graph)[0]
-    if not g.edges:
-        return 1.0
-    a = mats[0]
-    if all(mat is a for mat in mats):
-        return float(_density_stack(g, a[None])[0])
-    return float(_assignment_sum(g.edges, mats) / len(a) ** g.m)
+    return float(_density_stack(graph, w.values[None])[0])
 
 
 def _density_stack(graph: SimpleGraph, stack: np.ndarray) -> np.ndarray:
