@@ -1,8 +1,8 @@
 """Deterministic gradient flow on kernels with boundary handling.
 
 The noiseless curve: each entry follows minus beta times the energy gradient,
-frozen on boundary entries whose velocity points out of [0, 1].  A small rate
-report fits the exponential approach to the minimizer.
+projected onto [0, 1], which holds a face entry whose velocity points out of
+the box.  A small rate report fits the exponential approach to the minimizer.
 """
 from __future__ import annotations
 
@@ -20,19 +20,14 @@ BOUNDARY_TOL = 1e-12
 DIST_FLOOR = 1e-13
 
 
-@dataclass(frozen=True)
-class FlowState:
-    w: StepKernel
-    t: float = 0.0
-
-
 def active_mask(w: np.ndarray, g: np.ndarray) -> np.ndarray:
     """Entries allowed to move: interior ones, and boundary ones pulled inward.
 
     The velocity of an entry is -beta * g, so an entry at the floor moves
     only when g < 0 and an entry at the ceiling only when g > 0; everything
-    else on the boundary is frozen, which is what keeps the curve in [0, 1]
-    without relying on the clamp.
+    else on the boundary is frozen.  flow_step's projection holds exactly the
+    frozen entries on the faces; an entry within BOUNDARY_TOL of a face that is
+    pushed outward moves onto the face.
     """
     at_zero = w <= BOUNDARY_TOL
     at_one = w >= 1.0 - BOUNDARY_TOL
@@ -40,22 +35,20 @@ def active_mask(w: np.ndarray, g: np.ndarray) -> np.ndarray:
     return interior | (at_zero & (g < 0)) | (at_one & (g > 0))
 
 
-def flow_step(state: FlowState, h, beta: float, dt: float) -> FlowState:
-    """Forward Euler on the masked gradient, clamped to [0, 1] as a guard.
+def flow_step(w: np.ndarray, h, beta: float, dt: float) -> np.ndarray:
+    """One projected Euler step of the (r, r) values w: the Euler step of
+    -beta times the gradient, clipped onto [0, 1], as em_step's noiseless step.
 
-    An overflowing beta * dt is refused: it would turn every frozen entry
-    into inf * 0 = nan.
+    A beta * dt that is not finite is refused: it would turn every entry of
+    zero gradient into inf * 0 = nan.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
     rate = beta * dt
     if not math.isfinite(rate):
         raise OverflowError(f"flow step beta * dt = {beta} * {dt} is not finite")
-    w = state.w.values
-    g = h.frechet_derivative(w)
-    new = w - rate * (g * active_mask(w, g))
-    # symmetric by construction: w, g and with them the mask are symmetric
-    return FlowState(StepKernel._trusted(np.clip(new, 0.0, 1.0)), state.t + dt)
+    # symmetric by construction: w and its gradient are symmetric
+    return np.clip(w - rate * h.frechet_derivative(w), 0.0, 1.0)
 
 
 @dataclass(frozen=True)
@@ -89,20 +82,21 @@ def run_flow(
         raise ValueError(f"r must be at least 1, got {init.r}")
 
     def states():
-        state = FlowState(init, 0.0)
+        w, t = init.values, 0.0
         energy = h.evaluate(init) if check_descent else None  # tracked only to check descent
         for j in itertools.count(1):
-            yield state, energy
-            state = flow_step(state, h, beta, dt)
+            yield w, t, energy
+            w, t = flow_step(w, h, beta, dt), t + dt
             if check_descent:
-                last_energy, energy = energy, h.evaluate(state.w)
+                last_energy, energy = energy, h.evaluate(StepKernel._trusted(w))
                 if energy > last_energy + 1e-12:
                     raise RuntimeError(f"energy increased at step {j}: {last_energy} -> "
                                        f"{energy}; reduce dt below 2/(beta L)")
 
     def record(k: int, run) -> FlowRecord:
-        state, energy = run
-        return FlowRecord(k, state.t, state.w, energy if check_descent else h.evaluate(state.w))
+        w, t, energy = run
+        kernel = StepKernel._trusted(w)
+        return FlowRecord(k, t, kernel, energy if check_descent else h.evaluate(kernel))
 
     return drive(steps, states(), record, observers, record_every)
 
@@ -132,21 +126,15 @@ def measure_rates(
     if w_star is None:
         w_star = trajectory[-1].w
     times = np.array([rec.t for rec in trajectory])
+    energies = np.array([rec.energy for rec in trajectory])
     dists = np.array([l2_distance(rec.w, w_star) for rec in trajectory])
-    h_star = min(rec.energy for rec in trajectory)
     # envelope: checked from the energy side at every positive sampled time
-    margin = math.inf
-    ok = True
-    d0_sq = dists[0] ** 2
-    for rec in trajectory[1:]:
-        if rec.t <= 0:
-            continue
-        # at beta = 0 the bound is +inf, and 0 / 0 would warn and give nan
-        bound = d0_sq / (2.0 * beta * rec.t) if beta else math.inf
-        gap = rec.energy - h_star
-        margin = min(margin, bound - gap)
-        if gap > bound + 1e-12:
-            ok = False
+    later = times[1:] > 0
+    t, gap = times[1:][later], energies[1:][later] - energies.min()
+    # at beta = 0 the bound is +inf, and 0 / 0 would warn and give nan
+    bound = dists[0] ** 2 / (2.0 * beta * t) if beta else np.full(t.shape, math.inf)
+    margin = np.min(bound - gap, initial=math.inf)
+    ok = not np.any(gap > bound + 1e-12)
     # slope fit over the final half, excluding numerically dead distances
     half = times >= times[-1] / 2.0
     usable = half & (dists > DIST_FLOOR)

@@ -312,7 +312,7 @@ def metropolis_step(state: ChainState, cfg: ChainConfig, walk: _CountWalk | None
         walk = _CountWalk(cfg)
     vec = state.counts[walk.iu]
     if energy is None:
-        energy = cfg.h.evaluate(StepKernel._trusted(walk.density(vec)))
+        energy = _energies(cfg.h, walk, vec[None])[0]
     _, (vec, energy, acc_prob, accepted, delta) = _iterations(cfg, walk, state.rng, vec, energy, 1)
     _write_symmetric(state.counts, walk.iu, vec)
     state.step_index += 1
@@ -341,11 +341,11 @@ def _iterations(cfg: ChainConfig, walk: _CountWalk, rng: np.random.Generator,
     every proposal were accepted; a run's densities up to its last proposal are
     evaluated as one stack.  The acceptances are checked in order, and the run
     ends at its first rejection or at its last proposal: that iteration relaxes
-    from the counts it keeps, with one evaluate, and the next run starts after
-    it.  The depth starts at 1, halves after a rejection and doubles after a run
-    without one, up to SPECULATION_DEPTH, or 1 where cfg.h is not a
-    Hamiltonian and has no evaluate_stack: a run of 1 evaluates its proposal
-    and its relaxed state one kernel at a time.
+    from the counts it keeps, with the energy of a stack of one, and the next
+    run starts after it.  The depth starts at 1, halves after a rejection and
+    doubles after a run without one, up to SPECULATION_DEPTH, or 1 where cfg.h
+    is not a Hamiltonian and has no evaluate_stack: a run of 1 evaluates its
+    proposal and its relaxed state one kernel at a time.
     """
     h, m = cfg.h, walk.m
     s, rl = cfg.s_n * m, cfg.l_nr * m
@@ -385,7 +385,7 @@ def _iterations(cfg: ChainConfig, walk: _CountWalk, rng: np.random.Generator,
                 vec, energy = run[kept].copy(), energies[kept]
             if cfg.l_nr:
                 vec = _clamp(vec, segs[1], j + k)
-                energy = h.evaluate(StepKernel._trusted(walk.density(vec)))
+                energy = _energies(h, walk, vec[None])[0]
             j += k + 1
             depth = min(2 * depth, SPECULATION_DEPTH) if accepted else max(1, depth // 2)
             yield vec, energy, acc_prob, accepted, delta
@@ -454,7 +454,7 @@ def run_chain(
         state = ChainState.from_density(cfg, init, rng)
     walk = _CountWalk(cfg)
     vec = state.counts[walk.iu]
-    energy = cfg.h.evaluate(StepKernel._trusted(walk.density(vec)))
+    energy = _energies(cfg.h, walk, vec[None])[0]
 
     def record(k: int, it) -> ChainRecord:
         vec, *diagnostics, _delta = it
@@ -489,7 +489,7 @@ def empirical_drift(cfg: ChainConfig, q0, trials: int):
     walk = _CountWalk(cfg)
     caps = walk.caps.astype(float)
     vec0 = counts0[walk.iu]
-    energy0 = cfg.h.evaluate(StepKernel._trusted(walk.density(vec0)))
+    energy0 = _energies(cfg.h, walk, vec0[None])[0]
     scale = cfg.r**4 / cfg.gamma_n
     root = np.random.SeedSequence(cfg.seed)
     sum_x = np.zeros(walk.m)

@@ -250,6 +250,23 @@ class TestNet:
     cover_radius: float
     segments: int
 
+    def __post_init__(self) -> None:
+        try:
+            segments = operator.index(self.segments)
+        except TypeError:
+            raise ValueError(f"segments must be an integer, got {self.segments!r}") from None
+        if segments < 2 or segments % 2 != 0:
+            raise ValueError(f"segments must be even and at least 2 so 0 is a node, got {segments}")
+        if segments > NET_MAX_SEGMENTS:
+            raise ValueError(
+                f"net needs {segments} segments (> {NET_MAX_SEGMENTS}); "
+                "raise epsilon or lower `segments`"
+            )
+        if self.cover_radius != 2.0 / segments:
+            raise ValueError(f"cover_radius must be one segment width 2 / {segments}, "
+                             f"got {self.cover_radius!r}")
+        object.__setattr__(self, "segments", segments)
+
     def __len__(self) -> int:
         return 3**self.segments
 
@@ -292,23 +309,16 @@ def build_net(epsilon: float, segments: int | None = None) -> TestNet:
     if segments is None:
         segments = 2 * math.ceil(4.0 / epsilon)
     try:
-        segments = operator.index(segments)
-    except TypeError:
-        raise ValueError(f"segments must be an integer, got {segments!r}") from None
-    if segments < 2 or segments % 2 != 0:
-        raise ValueError(f"segments must be even and at least 2 so 0 is a node, got {segments}")
-    if segments > NET_MAX_SEGMENTS:
-        raise ValueError(
-            f"net needs {segments} segments (> {NET_MAX_SEGMENTS}); "
-            "raise epsilon or lower `segments`"
-        )
-    cover = 2.0 / segments
+        cover = float(2.0 / segments)
+    except (TypeError, ZeroDivisionError, OverflowError):
+        cover = math.nan  # TestNet refuses the segment count with its own message
+    net = TestNet(float(epsilon), cover, segments)
     if cover > epsilon + 1e-12:
         raise ValueError(
-            f"segments={segments} only covers to {cover}, "
+            f"segments={net.segments} only covers to {cover}, "
             f"which misses epsilon={epsilon}"
         )
-    return TestNet(float(epsilon), float(cover), segments)
+    return net
 
 
 def gamma_kernel(psi, w: MvgKernel | MvgDiff) -> StepKernel:

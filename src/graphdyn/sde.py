@@ -71,29 +71,26 @@ def explicit_drift_formula(v: np.ndarray, t: float) -> np.ndarray:
 
 
 def skorokhod_1d(path, lo: float, hi: float):
-    """Two-sided Skorokhod map on [lo, hi] by the iterated one-sided recursion.
+    """Two-sided Skorokhod map on [lo, hi], stepped by projection.
 
-    Returns (reflected, l_lo, l_hi) with cumulative local times; the reflected
-    path never leaves [lo, hi] and each local time only grows on steps whose
-    unconstrained value crossed its boundary.
+    Returns (reflected, l_lo, l_hi) with cumulative local times: each step's
+    unconstrained value y is projected onto [lo, hi], and the overshoot past a
+    face is added to that face's local time.  The reflected path never leaves
+    [lo, hi], however far y lands outside it.
     """
     path = np.asarray(path, dtype=float)
     if not lo < hi:
         raise ValueError("need lo < hi")
     if not lo <= path[0] <= hi:
         raise ValueError("path must start inside [lo, hi]")
-    x = np.empty_like(path)
-    l_lo = np.zeros_like(path)
-    l_hi = np.zeros_like(path)
-    x[0] = path[0]
-    for k in range(1, len(path)):
-        y = x[k - 1] + path[k] - path[k - 1]
-        up = max(0.0, lo - y)
-        down = max(0.0, (y + up) - hi)
-        x[k] = y + up - down
-        l_lo[k] = l_lo[k - 1] + up
-        l_hi[k] = l_hi[k - 1] + down
-    return x, l_lo, l_hi
+    p = path.tolist()
+    x, l_lo, l_hi = [p[0]], [0.0], [0.0]
+    for prev, cur in zip(p, p[1:]):
+        y = x[-1] + cur - prev
+        x.append(min(max(y, lo), hi))
+        l_lo.append(l_lo[-1] + max(0.0, lo - y))
+        l_hi.append(l_hi[-1] + max(0.0, y - hi))
+    return np.array(x, dtype=float), np.array(l_lo), np.array(l_hi)
 
 
 @dataclass

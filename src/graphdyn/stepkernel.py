@@ -112,6 +112,8 @@ class StepKernel:
         No copy and no checks: the array is only set read-only.  For values a
         caller built itself from already validated state, such as chain counts
         over capacities; everything else goes through the public constructor.
+        The runs step plain arrays and wrap them here only for a record (and
+        for a duck-typed energy, whose evaluate takes a kernel).
         """
         values.setflags(write=False)
         kernel = object.__new__(cls)

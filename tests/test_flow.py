@@ -13,11 +13,22 @@ from graphdyn import (
     l2_distance,
     triangle_graph,
 )
-from graphdyn.flow import FlowState, active_mask, flow_step, measure_rates, run_flow
+from graphdyn.flow import BOUNDARY_TOL, active_mask, flow_step, measure_rates, run_flow
+from hypothesis import given, settings, strategies as st
 from oracles import fd_gradient
 
 TRIANGLE_EDGE = Hamiltonian(((1.0, triangle_graph()), (-0.25, edge_graph())))
 ZERO_H = Hamiltonian(((0.0, edge_graph()),))
+
+
+class FixedGradient:
+    """An energy whose gradient is the given array wherever it is taken."""
+
+    def __init__(self, g):
+        self.g = g
+
+    def frechet_derivative(self, a):
+        return self.g
 
 
 class QuadraticWell:
@@ -66,22 +77,22 @@ def test_boundary_tolerance_treats_near_boundary_as_boundary():
 
 
 def test_zero_gradient_is_a_fixed_point():
-    state = FlowState(StepKernel.constant(3, 0.37))
-    out = flow_step(state, ZERO_H, 1.0, 0.1)
-    assert np.array_equal(out.w.values, state.w.values)
-    assert out.t == pytest.approx(0.1)
+    w = StepKernel.constant(3, 0.37)
+    out = flow_step(w.values, ZERO_H, 1.0, 0.1)
+    assert np.array_equal(out, w.values)
+    assert run_flow(ZERO_H, 1.0, w, 0.1, 0.1)[-1].t == pytest.approx(0.1)
 
 
 def test_step_from_one_half_moves_by_half_beta_dt():
     # constant-kernel derivative of the triangle-edge energy at p is
     # 3 p^2 - 1/4, which is 1/2 at p = 1/2
-    out = flow_step(FlowState(StepKernel.constant(3, 0.5)), TRIANGLE_EDGE, 0.8, 0.01)
-    assert np.allclose(out.w.values, 0.5 - 0.8 * 0.01 * 0.5, atol=1e-15)
+    out = flow_step(StepKernel.constant(3, 0.5).values, TRIANGLE_EDGE, 0.8, 0.01)
+    assert np.allclose(out, 0.5 - 0.8 * 0.01 * 0.5, atol=1e-15)
 
 
 def test_step_requires_positive_dt():
     with pytest.raises(ValueError):
-        flow_step(FlowState(StepKernel.constant(2, 0.5)), ZERO_H, 1.0, 0.0)
+        flow_step(StepKernel.constant(2, 0.5).values, ZERO_H, 1.0, 0.0)
 
 
 @pytest.mark.parametrize("beta, dt, horizon, r, record_every, message", [
@@ -107,7 +118,7 @@ def test_overflowing_step_is_refused_with_its_step_and_quantity():
                                             r"is not finite$"):
         run_flow(TRIANGLE_EDGE, 1e308, init, 10, 20)
     with pytest.raises(OverflowError, match="is not finite"):
-        flow_step(FlowState(init), TRIANGLE_EDGE, math.nan, 0.1)
+        flow_step(init.values, TRIANGLE_EDGE, math.nan, 0.1)
 
 
 def test_step_is_euclidean_gradient_descent_on_the_matrix_energy():
@@ -123,29 +134,79 @@ def test_step_is_euclidean_gradient_descent_on_the_matrix_energy():
         )
         beta, dt = 0.7, 0.01
         euclid = x0 - (beta * dt * r**2) * gfd
-        stepped = flow_step(FlowState(StepKernel(x0)), TRIANGLE_EDGE, beta, dt).w.values
+        stepped = flow_step(StepKernel(x0).values, TRIANGLE_EDGE, beta, dt)
         assert np.abs(euclid - stepped).max() < 1e-11
 
 
 def test_frozen_entries_keep_the_preclamp_iterate_inside_the_box():
-    # with boundary entries present, the mask alone must prevent first-order
-    # exit whenever interior entries sit further than dt*beta*|g| from the
-    # boundary; the clamp is then a no-op
+    # with boundary entries present, active_mask names exactly the entries the
+    # projection holds: masking them out keeps the Euler step inside the box
+    # whenever interior entries sit further than dt*beta*|g| from the
+    # boundary, and the projected step equals that masked iterate
     w = StepKernel(np.array([[0.0, 0.5, 1.0], [0.5, 0.4, 0.6], [1.0, 0.6, 1.0]]))
     g = TRIANGLE_EDGE.frechet_derivative(w.values)
     beta, dt = 1.0, 0.05
     assert dt * beta * np.abs(g).max() < 0.4
     pre = w.values - (beta * dt) * (g * active_mask(w.values, g))
     assert np.all(pre >= 0.0) and np.all(pre <= 1.0)
-    out = flow_step(FlowState(w), TRIANGLE_EDGE, beta, dt)
-    assert np.array_equal(out.w.values, pre)
+    out = flow_step(w.values, TRIANGLE_EDGE, beta, dt)
+    assert np.array_equal(out, pre)
+
+
+def _symmetric_matrix(entries, r):
+    a = np.zeros((r, r))
+    a[np.triu_indices(r)] = entries
+    return np.triu(a) + np.triu(a, 1).T
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_step_is_the_euler_step_projected_onto_the_box(data):
+    # faces pushed both ways: a face entry pushed outward is held by the
+    # projection, as active_mask froze it; off the BOUNDARY_TOL bands the
+    # projected step equals the old masked step bit for bit
+    r = data.draw(st.integers(1, 4), label="r")
+    m = r * (r + 1) // 2
+    entry = st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0)
+    w = _symmetric_matrix(data.draw(st.lists(entry, min_size=m, max_size=m), label="w"), r)
+    slope = st.sampled_from([-1.0, 0.0, 1.0]) | st.floats(-10.0, 10.0)
+    g = _symmetric_matrix(data.draw(st.lists(slope, min_size=m, max_size=m), label="g"), r)
+    beta = data.draw(st.floats(0.0, 4.0), label="beta")
+    dt = data.draw(st.floats(1e-6, 1.0), label="dt")
+    out = flow_step(w, FixedGradient(g), beta, dt)
+    assert np.array_equal(out, np.clip(w - (beta * dt) * g, 0.0, 1.0))
+    held = ((w == 0.0) & (g >= 0.0)) | ((w == 1.0) & (g <= 0.0))
+    assert np.array_equal(out[held], w[held])
+    off_bands = (w == 0.0) | (w == 1.0) | ((w > BOUNDARY_TOL) & (w < 1.0 - BOUNDARY_TOL))
+    masked = np.clip(w - (beta * dt) * (g * active_mask(w, g)), 0.0, 1.0)
+    assert np.array_equal(out[off_bands], masked[off_bands])
+
+
+def test_an_entry_within_the_boundary_band_pushed_outward_lands_on_the_face():
+    # active_mask froze these two entries where they were; the projection
+    # moves each onto its face
+    w = StepKernel(np.array([[5e-13, 0.5], [0.5, 1.0 - 5e-13]])).values
+    g = np.array([[1.0, 0.0], [0.0, -1.0]])
+    assert not active_mask(w, g)[0, 0] and not active_mask(w, g)[1, 1]
+    out = flow_step(w, FixedGradient(g), 1.0, 0.1)
+    assert (out[0, 0], out[1, 1]) == (0.0, 1.0)
+    assert out[0, 1] == out[1, 0] == 0.5
+
+
+def test_a_flow_wraps_one_kernel_per_record(monkeypatch):
+    trusted = StepKernel._trusted
+    built = []
+    monkeypatch.setattr(StepKernel, "_trusted",
+                        classmethod(lambda cls, values: built.append(1) or trusted(values)))
+    recs = run_flow(TRIANGLE_EDGE, 1.0, StepKernel.constant(3, 0.5), 0.01, 1.0, record_every=7)
+    assert len(built) == len(recs) == 16
 
 
 def test_floor_entry_with_inward_pull_reenters():
     # at w = 0 the triangle-edge gradient is -1/4, so the entry climbs
     w = StepKernel.constant(2, 0.0)
-    out = flow_step(FlowState(w), TRIANGLE_EDGE, 1.0, 0.1)
-    assert np.allclose(out.w.values, 0.025, atol=1e-15)
+    out = flow_step(w.values, TRIANGLE_EDGE, 1.0, 0.1)
+    assert np.allclose(out, 0.025, atol=1e-15)
 
 
 def test_doubling_beta_and_halving_dt_reparametrizes_time_exactly():

@@ -551,6 +551,21 @@ def test_runs_are_reproducible_and_record_milestones():
 
 
 @pytest.mark.filterwarnings("ignore:gamma_n")
+@pytest.mark.parametrize("sigma", [0.0, 1.0])
+def test_a_chain_wraps_one_kernel_per_record(monkeypatch, sigma):
+    # the chain's own energies go through _energies' stacks; only a record
+    # wraps its density in a StepKernel
+    trusted = StepKernel._trusted
+    built = []
+    monkeypatch.setattr(StepKernel, "_trusted",
+                        classmethod(lambda cls, values: built.append(1) or trusted(values)))
+    cfg = ChainConfig(n=8, r=2, beta=0.5, sigma=sigma, gamma_n=1 / 32, h=TRIANGLE_EDGE, seed=3,
+                      iterations=50)
+    recs = run_chain(cfg, record_every=7)
+    assert len(built) == len(recs) == 9
+
+
+@pytest.mark.filterwarnings("ignore:gamma_n")
 def test_uniform_and_kernel_inits():
     cfg = ChainConfig(n=8, r=2, beta=1.0, sigma=0.0, gamma_n=1 / 32, h=ZERO_H, seed=5)
     recs = run_chain(cfg, init="uniform")

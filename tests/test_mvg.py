@@ -231,12 +231,24 @@ def test_net_refuses_a_segment_count_that_is_not_an_integer():
 
 
 def test_net_breakpoints_are_equally_spaced_with_exact_ends():
-    for k in range(1, 14):
+    for k in range(2, 13, 2):
         net = mvg.TestNet(1.0, 2.0 / k, k)
         breaks = net.breakpoints
         assert (breaks[0], breaks[-1]) == (-1.0, 1.0)
         assert np.array_equal(breaks, np.linspace(-1.0, 1.0, k + 1))
     assert np.array_equal(build_net(1.0).node_values()[0], build_net(1.0).breakpoints)
+
+
+def test_a_net_refuses_fields_that_build_net_would_refuse():
+    with pytest.raises(ValueError, match="integer"):
+        mvg.TestNet(1.0, 0.5, 4.0)
+    with pytest.raises(ValueError, match="even"):
+        mvg.TestNet(1.0, 2 / 3, 3)
+    with pytest.raises(ValueError, match=r"> 12"):
+        mvg.TestNet(1.0, 2 / 14, 14)
+    with pytest.raises(ValueError, match="segment width"):
+        mvg.TestNet(1.0, 0.25, 4)
+    assert mvg.TestNet(1.0, 0.5, np.int64(4)) == build_net(1.0, segments=4)
 
 
 def test_net_members_are_only_built_when_read(monkeypatch):

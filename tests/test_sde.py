@@ -18,7 +18,7 @@ from graphdyn import (
     l2_norm,
     triangle_graph,
 )
-from graphdyn.flow import FlowState, flow_step, run_flow
+from graphdyn.flow import flow_step, run_flow
 from graphdyn.metropolis import ChainConfig, run_chain
 from graphdyn.sde import (
     SdeConfig,
@@ -204,6 +204,19 @@ def test_interior_path_passes_through_unchanged():
     assert np.all(l_lo == 0.0) and np.all(l_hi == 0.0)
 
 
+@pytest.mark.parametrize("excursion", [1.0, -1.0, 1e17, -1e17, 1e300, -1e300])
+def test_a_large_excursion_lands_on_the_face_with_its_overshoot_as_local_time(excursion):
+    # y + up - down used to cancel to 0.0 here, below lo = 0.25
+    lo, hi = 0.25, 0.75
+    path = np.array([0.5, 0.5 + excursion])
+    x, l_lo, l_hi = skorokhod_1d(path, lo, hi)
+    y = 0.5 + path[1] - path[0]
+    if excursion > 0:
+        assert (x[1], l_lo[1], l_hi[1]) == (hi, 0.0, y - hi)
+    else:
+        assert (x[1], l_lo[1], l_hi[1]) == (lo, lo - y, 0.0)
+
+
 def test_reflection_input_validation():
     with pytest.raises(ValueError):
         skorokhod_1d(np.zeros(3), 1.0, 0.0)
@@ -293,11 +306,11 @@ def test_noiseless_step_is_euler_on_the_closed_form_drift():
     rng = np.random.default_rng(0)
     w = random_kernel(np.random.default_rng(11), 4)
     cfg = SdeConfig(r=4, beta=1.0, sigma=0.0, dt=0.01, h=TRIANGLE_EDGE)
-    s_em, s_fl = SdeState.initial(w), FlowState(w)
+    s_em, s_fl = SdeState.initial(w), w.values
     for _ in range(25):
         s_em = em_step(s_em, cfg, rng)
         s_fl = flow_step(s_fl, DriftField(), 1.0, 0.01)
-        assert np.array_equal(s_em.x, s_fl.w.values)
+        assert np.array_equal(s_em.x, s_fl)
 
 
 def test_step_commutes_with_block_permutations():
