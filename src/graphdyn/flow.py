@@ -80,6 +80,7 @@ def run_flow(
         raise ValueError(f"beta must be finite, got {beta}")
     if init.r < 1:
         raise ValueError(f"r must be at least 1, got {init.r}")
+    init = StepKernel(init.values)  # a start outside [0, 1] is refused
 
     def states():
         w, t = init.values, 0.0

@@ -297,8 +297,7 @@ def _acceptance(beta_nr: float, delta: float) -> float:
                             f"dH = {delta}: {exc}") from exc
 
 
-def metropolis_step(state: ChainState, cfg: ChainConfig, walk: _CountWalk | None = None,
-                    energy: float | None = None):
+def metropolis_step(state: ChainState, cfg: ChainConfig):
     """One relaxed Metropolis iteration, in place: run_chain's iteration taken once.
 
     Proposes s_n reflected steps on every count, accepts with probability
@@ -308,20 +307,17 @@ def metropolis_step(state: ChainState, cfg: ChainConfig, walk: _CountWalk | None
     and step_index as they were; one that raises after its draws leaves the
     generator past all of them.
     """
-    if walk is None:
-        walk = _CountWalk(cfg)
-    vec = state.counts[walk.iu]
-    if energy is None:
-        energy = _energies(cfg.h, walk, vec[None])[0]
-    _, (vec, energy, acc_prob, accepted, delta) = _iterations(cfg, walk, state.rng, vec, energy, 1)
+    walk = _CountWalk(cfg)
+    _, (vec, energy, acc_prob, accepted, delta) = _iterations(
+        cfg, walk, state.rng, state.counts[walk.iu], 1)
     _write_symmetric(state.counts, walk.iu, vec)
     state.step_index += 1
     return state, accepted, StepDiagnostics(delta, acc_prob, accepted, energy)
 
 
 def _iterations(cfg: ChainConfig, walk: _CountWalk, rng: np.random.Generator,
-                vec: np.ndarray, energy: float, iterations: int):
-    """The chain's states from the upper-triangle counts vec of energy `energy`:
+                vec: np.ndarray, iterations: int):
+    """The chain's states from the upper-triangle counts vec:
     (upper-triangle counts, energy, acc_prob, accepted, delta_h) at step 0 and
     after each of `iterations` iterations, delta_h being the proposal's energy
     change (0.0 at step 0).  A yielded counts vector holds until the next state
@@ -354,6 +350,7 @@ def _iterations(cfg: ChainConfig, walk: _CountWalk, rng: np.random.Generator,
     block = max(1, BLOCK_WORDS // ((s + rl + 1) // 2 + 1))
     rolled = np.empty((per * min(block, cap, iterations), m), dtype=np.int64)
     depth = 1
+    energy = _energies(h, walk, vec[None])[0]
     yield vec, energy, 1.0, True, 0.0
     for start in range(0, iterations, block):
         iters = min(block, iterations - start)
@@ -453,15 +450,14 @@ def run_chain(
     else:
         state = ChainState.from_density(cfg, init, rng)
     walk = _CountWalk(cfg)
-    vec = state.counts[walk.iu]
-    energy = _energies(cfg.h, walk, vec[None])[0]
 
     def record(k: int, it) -> ChainRecord:
         vec, *diagnostics, _delta = it
         return ChainRecord(k, cfg.diffusion_time(k), StepKernel._trusted(walk.density(vec)),
                            *diagnostics)
 
-    return drive(cfg.iterations, _iterations(cfg, walk, state.rng, vec, energy, cfg.iterations),
+    return drive(cfg.iterations, _iterations(cfg, walk, state.rng, state.counts[walk.iu],
+                                             cfg.iterations),
                  record, observers, record_every, milestones)
 
 
@@ -479,6 +475,8 @@ def empirical_drift(cfg: ChainConfig, q0, trials: int):
     s_n m proposal signs, one uniform, then l_nr m relaxation signs, are
     decoded from its raw words (_draws.trial_draws) into one int8 (block,
     signs per iteration) buffer; _CountWalk.steps moves the whole block at once.
+    A walk segment past SIGN_DRAW_LIMIT signs is refused before any trial is
+    spawned.
     """
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
@@ -487,6 +485,7 @@ def empirical_drift(cfg: ChainConfig, q0, trials: int):
         raise ValueError(f"start must lie in [{INTERIOR_EPS}, {1 - INTERIOR_EPS}]")
     counts0 = quantize_density(cfg, q0_vals)
     walk = _CountWalk(cfg)
+    _check_draws(max(cfg.s_n, cfg.l_nr), walk.m)
     caps = walk.caps.astype(float)
     vec0 = counts0[walk.iu]
     energy0 = _energies(cfg.h, walk, vec0[None])[0]
@@ -497,7 +496,7 @@ def empirical_drift(cfg: ChainConfig, q0, trials: int):
     done = 0
     s, rl = cfg.s_n * walk.m, cfg.l_nr * walk.m
     # each walk segment's part of the sign buffer holds at most SIGN_DRAW_LIMIT entries
-    block = max(1, min(DRIFT_BLOCK, SIGN_DRAW_LIMIT // (max(cfg.s_n, cfg.l_nr, 1) * walk.m)))
+    block = min(DRIFT_BLOCK, SIGN_DRAW_LIMIT // (max(cfg.s_n, cfg.l_nr) * walk.m))
     signs = np.empty((block, s + rl), dtype=np.int8)
     unif = np.empty(block)
     while done < trials:

@@ -247,7 +247,6 @@ class TestNet:
     """
 
     requested_radius: float
-    cover_radius: float
     segments: int
 
     def __post_init__(self) -> None:
@@ -262,13 +261,15 @@ class TestNet:
                 f"net needs {segments} segments (> {NET_MAX_SEGMENTS}); "
                 "raise epsilon or lower `segments`"
             )
-        if self.cover_radius != 2.0 / segments:
-            raise ValueError(f"cover_radius must be one segment width 2 / {segments}, "
-                             f"got {self.cover_radius!r}")
         object.__setattr__(self, "segments", segments)
 
     def __len__(self) -> int:
         return 3**self.segments
+
+    @property
+    def cover_radius(self) -> float:
+        """One segment width, 2 / segments (see build_net)."""
+        return 2.0 / self.segments
 
     @property
     def breakpoints(self) -> np.ndarray:
@@ -308,14 +309,10 @@ def build_net(epsilon: float, segments: int | None = None) -> TestNet:
         raise ValueError(f"epsilon must be positive and finite, got {epsilon!r}")
     if segments is None:
         segments = 2 * math.ceil(4.0 / epsilon)
-    try:
-        cover = float(2.0 / segments)
-    except (TypeError, ZeroDivisionError, OverflowError):
-        cover = math.nan  # TestNet refuses the segment count with its own message
-    net = TestNet(float(epsilon), cover, segments)
-    if cover > epsilon + 1e-12:
+    net = TestNet(float(epsilon), segments)
+    if net.cover_radius > epsilon + 1e-12:
         raise ValueError(
-            f"segments={net.segments} only covers to {cover}, "
+            f"segments={net.segments} only covers to {net.cover_radius}, "
             f"which misses epsilon={epsilon}"
         )
     return net

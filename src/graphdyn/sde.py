@@ -167,8 +167,11 @@ def em_step(state: SdeState, cfg: SdeConfig, rng: np.random.Generator | None,
     An explicit symmetric noise matrix may be supplied in place of a draw
     from rng (used when several integrations must share one noise stream).
     A state holding an (R, r, r) replica stack moves every replica by the
-    one given (r, r) drift, with the given (R, r, r) noise when sigma > 0.
+    one given (r, r) drift, with the given (R, r, r) noise when sigma > 0,
+    and is refused without them.
     """
+    if (drift is None or cfg.sigma and noise is None) and state.x.ndim == 3:
+        raise ValueError(f"a replica stack {state.x.shape} needs its drift and its (R, r, r) noise")
     b = cfg.drift_kernel(state.x) if drift is None else drift
     if np.abs(b).max(initial=0.0) * cfg.dt > DT_STABILITY_FRACTION:
         warnings.warn(
@@ -222,6 +225,7 @@ def run_sde(
     """
     if init.r != cfg.r:
         raise ValueError("init block count differs from config r")
+    init = StepKernel(init.values)  # a start outside [0, 1] is refused
     if replicas < 1:
         raise ValueError(f"replicas must be at least 1, got {replicas}")
     streams = [np.random.default_rng(s) for s in np.random.SeedSequence(cfg.seed).spawn(replicas)]

@@ -166,6 +166,20 @@ def test_init_kernel_must_have_the_configured_size(tmp_path, capsys, mode, horiz
     assert capsys.readouterr().err == "config error: init block count differs from config r\n"
 
 
+@pytest.mark.parametrize("mode, horizon", [("sde", "horizon_t"), ("flow", "horizon")])
+def test_init_kernel_outside_the_unit_box_is_refused(tmp_path, capsys, mode, horizon):
+    # a kernel file may declare the signed range [-1, 1]; a run starts only in [0, 1]
+    save_kernel_text(StepKernel(np.array([[-0.5, 0.2], [0.2, 0.5]]), (-1.0, 1.0)),
+                     tmp_path / "k.txt")
+    assert (tmp_path / "k.txt").read_text().startswith("2 -1.0 1.0\n-0.5 ")
+    noise = "sigma = 0.0\n" if mode == "sde" else ""
+    path = tmp_path / "run.ini"
+    path.write_text(f"[{mode}]\nr = 2\nbeta = 1.0\n{noise}dt = 0.1\n{horizon} = 0.2\n"
+                    f"init = {tmp_path / 'k.txt'}\n")
+    assert main([mode, "--config", str(path), "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err == "config error: entries escape declared range [0.0, 1.0]\n"
+
+
 @pytest.mark.filterwarnings("ignore:gamma_n")
 def test_non_finite_energy_exits_with_the_numeric_code(tmp_path, capsys):
     # two huge same-sign coefficients at the all-ones start overflow the

@@ -110,6 +110,17 @@ def test_run_rejects_degenerate_parameters(beta, dt, horizon, r, record_every, m
                  record_every=record_every)
 
 
+def test_run_refuses_a_start_outside_the_unit_box():
+    # a signed kernel may hold -0.5, which step 0 would record as a density
+    for bad in (-0.5, 1.0 + 1e-9):
+        signed = StepKernel(np.array([[bad, 0.2], [0.2, 0.5]]), (-1.0, 2.0))
+        with pytest.raises(ValueError, match=r"escape declared range \[0.0, 1.0\]"):
+            run_flow(TRIANGLE_EDGE, 1.0, signed, 0.1, 0.2)
+    # StepKernel's 1e-12 slack still lets a start on the face through
+    edge = StepKernel(np.array([[-1e-13, 0.2], [0.2, 0.5]]), (-1.0, 1.0))
+    assert len(run_flow(TRIANGLE_EDGE, 1.0, edge, 0.1, 0.2)) == 3
+
+
 def test_overflowing_step_is_refused_with_its_step_and_quantity():
     # before, beta * dt = inf turned the frozen corners into inf * 0 = nan
     # and the step died as an asymmetric kernel (a ValueError)

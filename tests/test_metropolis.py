@@ -135,13 +135,16 @@ def test_config_rejects_walk_segments_past_the_sign_draw_limit():
 
 @pytest.mark.filterwarnings("ignore:gamma_n")
 def test_sign_draws_past_the_limit_are_refused_before_allocating(monkeypatch):
-    # both public paths check the longer walk segment before their first draw:
+    # every public path checks the longer walk segment before its first draw:
     # s_n = 4 rows of m = 3 signs without relaxation, l_nr = 13 rows with it
     half = np.full((2, 2), 0.5)
-    made = []
+    made, drawn = [], []
     from_density = ChainState.from_density.__func__
     monkeypatch.setattr(ChainState, "from_density", classmethod(
         lambda cls, *args: made.append(from_density(cls, *args)) or made[-1]))
+    trial_draws = _draws.trial_draws
+    monkeypatch.setattr(_draws, "trial_draws",
+                        lambda *args: drawn.append(args) or trial_draws(*args))
     # built before the limit is lowered, which a config checks as well
     cfgs = [ChainConfig(n=4, r=2, beta=1.0, sigma=sigma, gamma_n=1 / 8, h=TRIANGLE_EDGE, seed=3,
                         iterations=2) for sigma in (0.0, 2.5)]
@@ -161,6 +164,15 @@ def test_sign_draws_past_the_limit_are_refused_before_allocating(monkeypatch):
             assert made[-1].step_index == 0
             assert np.array_equal(made[-1].counts, quantize_density(cfg, half))
             assert made[-1].rng.bit_generator.state == fresh
+        # the drift trials draw from seeds spawned per block: refused before any draw
+        monkeypatch.setattr(metropolis, "SIGN_DRAW_LIMIT", rows * 3)
+        empirical_drift(cfg, half, 2)
+        assert drawn
+        drawn.clear()
+        monkeypatch.setattr(metropolis, "SIGN_DRAW_LIMIT", rows * 3 - 1)
+        with pytest.raises(ValueError, match="past the limit"):
+            empirical_drift(cfg, half, 2)
+        assert drawn == []
 
 
 def test_regime_warnings_fire_on_both_sides():
@@ -937,9 +949,10 @@ def test_metropolis_step_equals_the_call_by_call_oracle(monkeypatch, agrees, sig
         assert got.rng.bit_generator.state["has_uint32"] == 1
     walk, energy, flags = _CountWalk(cfg), None, []
     for _ in range(40):
-        # the first step evaluates its start, the later ones carry walk and energy
+        # metropolis_step evaluates its start every step; after the first step
+        # the oracle carries walk and energy, so the two starts must agree
         args = (walk, energy) if flags else ()
-        _, accepted, diag = metropolis_step(got, cfg, *args)
+        _, accepted, diag = metropolis_step(got, cfg)
         _, flag, ref = metropolis_step_call_by_call(want, cfg, *args)
         assert np.array_equal(got.counts, want.counts) and got.step_index == want.step_index
         assert struct.pack("<ddd", diag.delta_h, diag.acc_prob, diag.energy) == struct.pack(

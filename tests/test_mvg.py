@@ -122,6 +122,36 @@ def test_measure_constructors_and_moments():
     assert tern.integrate(lambda z: z**2) == pytest.approx(0.7)
 
 
+def test_a_kernel_refuses_a_ragged_or_unshared_grid():
+    a, b = DiscreteMeasure.dirac(0.25), DiscreteMeasure.dirac(0.25)
+    with pytest.raises(ValueError, match="square grid"):
+        MvgKernel(((a, a), (a,)))
+    # equal measures are not enough: mirrored cells must be one object
+    with pytest.raises(ValueError, match="shared objects"):
+        MvgKernel(((a, a), (b, a)))
+    assert MvgKernel(((a, b), (b, a))).r == 2
+
+
+def test_a_pl_function_refuses_unmatched_or_unordered_breakpoints():
+    for b, v in (([-1.0, 0.0, 1.0], [0.0, 0.0]), ([-1.0], [0.0])):
+        with pytest.raises(ValueError, match="matching breakpoints and values"):
+            PLFunction(np.array(b), np.array(v))
+    for b in ([-0.5, 1.0], [-1.0, 0.5], [-1.0, 0.5, 0.5, 1.0], [-1.0, 0.5, 0.0, 1.0]):
+        with pytest.raises(ValueError, match="increase from -1 to 1"):
+            PLFunction(np.array(b), np.zeros(len(b)))
+
+
+@pytest.mark.parametrize("metric", [lambda a, b: gen_cut_norm(a, b, NET),
+                                    lambda a, b: delta_black(a, b, NET), d2_distance,
+                                    delta2_mvg_upper, mvg_diff],
+                         ids=["gen_cut_norm", "delta_black", "d2_distance", "delta2_mvg_upper",
+                              "mvg_diff"])
+def test_kernels_of_different_block_counts_are_refused(metric):
+    mu = DiscreteMeasure.dirac(0.25)
+    with pytest.raises(ValueError, match="kernels must share a block count"):
+        metric(MvgKernel.constant(2, mu), MvgKernel.constant(3, mu))
+
+
 # ---------------------------------------------------------------- pairing
 
 
@@ -221,6 +251,9 @@ def test_net_rejects_non_finite_epsilon_and_too_few_segments():
     for k in (0, -2):
         with pytest.raises(ValueError, match="at least 2"):
             build_net(1.0, segments=k)
+    # four segments cover to 2 / 4 = 0.5, coarser than the 0.1 asked for
+    with pytest.raises(ValueError, match="only covers to 0.5, which misses epsilon=0.1"):
+        build_net(0.1, segments=4)
 
 
 def test_net_refuses_a_segment_count_that_is_not_an_integer():
@@ -232,7 +265,7 @@ def test_net_refuses_a_segment_count_that_is_not_an_integer():
 
 def test_net_breakpoints_are_equally_spaced_with_exact_ends():
     for k in range(2, 13, 2):
-        net = mvg.TestNet(1.0, 2.0 / k, k)
+        net = mvg.TestNet(1.0, k)
         breaks = net.breakpoints
         assert (breaks[0], breaks[-1]) == (-1.0, 1.0)
         assert np.array_equal(breaks, np.linspace(-1.0, 1.0, k + 1))
@@ -241,14 +274,13 @@ def test_net_breakpoints_are_equally_spaced_with_exact_ends():
 
 def test_a_net_refuses_fields_that_build_net_would_refuse():
     with pytest.raises(ValueError, match="integer"):
-        mvg.TestNet(1.0, 0.5, 4.0)
-    with pytest.raises(ValueError, match="even"):
-        mvg.TestNet(1.0, 2 / 3, 3)
+        mvg.TestNet(1.0, 4.0)
+    for k in (0, 3):
+        with pytest.raises(ValueError, match="even"):
+            mvg.TestNet(1.0, k)
     with pytest.raises(ValueError, match=r"> 12"):
-        mvg.TestNet(1.0, 2 / 14, 14)
-    with pytest.raises(ValueError, match="segment width"):
-        mvg.TestNet(1.0, 0.25, 4)
-    assert mvg.TestNet(1.0, 0.5, np.int64(4)) == build_net(1.0, segments=4)
+        mvg.TestNet(1.0, 14)
+    assert mvg.TestNet(1.0, np.int64(4)) == build_net(1.0, segments=4)
 
 
 def test_net_members_are_only_built_when_read(monkeypatch):
@@ -269,7 +301,7 @@ def test_net_members_are_only_built_when_read(monkeypatch):
 def test_net_cover_radius_is_reported_from_the_actual_grid():
     net = build_net(1.0, segments=4)
     # the certified cover is one segment width
-    assert net.cover_radius == pytest.approx(0.5)
+    assert net.cover_radius == 0.5 == 2.0 / net.segments
     assert net.requested_radius == 1.0
 
 

@@ -398,6 +398,49 @@ def test_run_rejects_empty_replica_sets_and_record_strides():
         run_sde(cfg, init, replicas=0)
     with pytest.raises(ValueError, match="record_every must be at least 1"):
         run_sde(cfg, init, record_every=0)
+    with pytest.raises(ValueError, match="init block count differs from config r"):
+        run_sde(cfg, StepKernel.constant(3, 0.5))
+
+
+@pytest.mark.parametrize("sigma", [0.0, 1.0])
+def test_run_refuses_a_start_outside_the_unit_box(sigma):
+    # a signed kernel may hold -0.5; the run would record it as a density and
+    # book the jump onto the face as local time
+    cfg = SdeConfig(r=2, beta=1.0, sigma=sigma, dt=0.1, h=TRIANGLE_EDGE, horizon_t=0.2)
+    for bad in (-0.5, 1.0 + 1e-9):
+        signed = StepKernel(np.array([[bad, 0.2], [0.2, 0.5]]), (-1.0, 2.0))
+        with pytest.raises(ValueError, match=r"escape declared range \[0.0, 1.0\]"):
+            run_sde(cfg, signed)
+    # StepKernel's 1e-12 slack still lets a start on the face through
+    edge = StepKernel(np.array([[-1e-13, 0.2], [0.2, 0.5]]), (-1.0, 1.0))
+    assert len(run_sde(cfg, edge)) == 3
+
+
+def test_a_replica_stack_needs_its_drift_and_its_stacked_noise():
+    # one (r, r) draw from rng would move every replica alike, and without a
+    # drift the stack's gradient does not broadcast against one kernel's terms
+    cfg = SdeConfig(r=3, beta=1.0, sigma=1.0, dt=0.01, h=TRIANGLE_EDGE)
+    stack = SdeState(np.full((4, 3, 3), 0.5), np.zeros((4, 3, 3)), np.zeros((4, 3, 3)))
+    drift, noise = np.zeros((3, 3)), _symmetric_noise(np.random.default_rng(1), 3)
+    for kwargs in ({"drift": drift}, {"noise": np.broadcast_to(noise, (4, 3, 3))}):
+        with pytest.raises(ValueError, match=r"needs its drift and its \(R, r, r\) noise"):
+            em_step(stack, cfg, np.random.default_rng(0), **kwargs)
+    with pytest.raises(ValueError, match="needs its drift"):
+        em_step(stack, SdeConfig(r=3, beta=1.0, sigma=0.0, dt=0.01, h=TRIANGLE_EDGE), None)
+    stacked = np.stack([_symmetric_noise(np.random.default_rng(k), 3) for k in range(4)])
+    moved = em_step(stack, cfg, None, drift, stacked).x
+    assert all(not np.array_equal(moved[0], x) for x in moved[1:])
+
+
+@pytest.mark.filterwarnings("ignore:dt", "ignore:overflow")
+def test_an_infinite_overshoot_names_its_local_time_norm():
+    # the limit drift -beta grad = -1e308 is finite, but one step of dt = 10
+    # overshoots the floor by inf, which the record's L0 norm names
+    h = Hamiltonian(((1.0, edge_graph()),))
+    cfg = SdeConfig(r=2, beta=1e308, sigma=0.0, dt=10.0, h=h, horizon_t=10.0, drift="limit")
+    with pytest.raises(FloatingPointError,
+                       match=r"^step 1: local-time norm L0_fro = inf is not finite$"):
+        run_sde(cfg, StepKernel.constant(2, 0.5))
 
 
 def _per_replica_run(cfg, init, replicas):

@@ -77,6 +77,9 @@ def test_stepkernel_requires_exact_symmetry_and_range():
         StepKernel(np.array([[0.1, 0.2], [0.3, 0.1]]))
     with pytest.raises(ValueError):
         StepKernel(np.array([[1.5, 0.2], [0.2, 0.1]]))
+    for shape in ((2, 3), (4,), (2, 2, 2)):
+        with pytest.raises(ValueError, match="square matrix"):
+            StepKernel(np.zeros(shape))
     w = StepKernel(np.array([[-0.5, 0.2], [0.2, 0.1]]), (-1.0, 1.0))
     assert w.r == 2
 
