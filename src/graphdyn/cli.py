@@ -230,14 +230,6 @@ def _kernel_init(cfg: ExperimentConfig) -> StepKernel:
     return init
 
 
-def _pair_labels(r: int) -> list[str]:
-    return [f"q_{i}_{j}" for i in range(r) for j in range(i, r)]
-
-
-def _upper_values(values: np.ndarray) -> list[float]:
-    return values[np.triu_indices(values.shape[0])].tolist()
-
-
 def _trajectory(cfg: ExperimentConfig, out: Path, kernel: str, columns=None, milestones=()):
     """An observer collecting trajectory.csv rows, and the function writing them.
     A run calls write even when it raises, so that the rows observed before
@@ -249,18 +241,20 @@ def _trajectory(cfg: ExperimentConfig, out: Path, kernel: str, columns=None, mil
     q_<step>.pgm (only at milestone steps, when there are any).
     """
     fields = {"step": "step", "t": "t", "H": "energy", **(columns or {})}
+    iu = np.triu_indices(cfg.options["r"])
+    header = [*fields, *(f"q_{i}_{j}" for i, j in zip(*iu))]
     rows: list[list[str]] = []
 
     def observe(rec) -> None:
         w = getattr(rec, kernel)
         rows.append([_cell(getattr(rec, a)) for a in fields.values()]
-                    + [repr(v) for v in _upper_values(w.values)])
+                    + [repr(v) for v in w.values[iu].tolist()])
         if cfg.heatmaps and (rec.step in milestones or not milestones):
             save_kernel_pgm(w, out / f"q_{rec.step}.pgm")
 
     def write() -> None:
         if rows:
-            _write_csv(out / "trajectory.csv", [*fields, *_pair_labels(cfg.options["r"])], rows)
+            _write_csv(out / "trajectory.csv", header, rows)
 
     return observe, write
 

@@ -134,12 +134,8 @@ class ChainState:
     def uniform(cls, cfg: ChainConfig, rng: np.random.Generator | None = None) -> "ChainState":
         """Every count drawn uniformly from 0..capacity (the base measure)."""
         rng = rng or np.random.default_rng(cfg.seed)
-        caps = cfg.capacities()
-        iu = np.triu_indices(cfg.r)
-        counts = np.zeros((cfg.r, cfg.r), dtype=np.int64)
-        counts[iu] = rng.integers(0, caps[iu] + 1)
-        counts = np.triu(counts) + np.triu(counts, 1).T
-        return cls(counts, 0, rng)
+        walk = _CountWalk(cfg)
+        return cls(rng.integers(0, walk.caps + 1)[walk.full], 0, rng)
 
 
 def quantize_density(cfg: ChainConfig, q) -> np.ndarray:
@@ -177,46 +173,45 @@ def esbm_sample(cfg: ChainConfig, q, rng: np.random.Generator):
     the exact density kernel hit by drawing each cell's count of distinct
     pairs uniformly without replacement.
     """
-    counts = quantize_density(cfg, q)
-    total = sum(int(c) for c in counts[np.triu_indices(cfg.r)])  # Python ints cannot wrap
+    walk = _CountWalk(cfg)
+    vec = quantize_density(cfg, q)[walk.iu]
+    total = sum(vec.tolist())  # Python ints cannot wrap
     if total > EDGE_TOTAL_LIMIT:
         raise ValueError(
             f"the quantized density has {total} edges, past the limit of "
             f"{EDGE_TOTAL_LIMIT}; lower n or the density"
         )
-    caps = cfg.capacities()
-    n, r = cfg.n, cfg.r
+    n = cfg.n
     chunks = []
-    for i in range(r):
-        for j in range(i, r):
-            m = int(counts[i, j])
-            if m == 0:
-                continue
-            picks = rng.choice(int(caps[i, j]), size=m, replace=False)
-            if i == j:
-                a, b = _diagonal_pairs(picks, n)
-            else:
-                a, b = picks // n, picks % n
-            chunks.append(np.column_stack([i * n + a, j * n + b]))
+    for i, j, m, cap in zip(*walk.iu, vec.tolist(), walk.caps.tolist()):
+        if m == 0:
+            continue
+        picks = rng.choice(cap, size=m, replace=False)
+        if i == j:
+            a, b = _diagonal_pairs(picks, n)
+        else:
+            a, b = picks // n, picks % n
+        chunks.append(np.column_stack([i * n + a, j * n + b]))
     edges = np.concatenate(chunks) if chunks else np.zeros((0, 2), dtype=np.int64)
-    realized = StepKernel(counts / caps)
-    return edges, realized
+    return edges, StepKernel(walk.density(vec))
 
 
 class _CountWalk:
     """Flattened upper-triangle view of the counts with its reflection rule.
 
     The one walk of the package: _iterations composes its blocks' segments
-    through it, and empirical_drift moves its trials through it.
+    through it, and empirical_drift moves its trials through it.  Its iu and
+    full are the chain's one map between symmetric r x r matrices and
+    upper-triangle vectors: a matrix's vector is matrix[iu], a vector's
+    matrix is vec[full].
     """
 
     def __init__(self, cfg: ChainConfig) -> None:
         self.iu = np.triu_indices(cfg.r)
         self.caps = cfg.capacities()[self.iu]
         self.m = len(self.caps)
-        # cell (i, j) of the r x r matrix reads upper-triangle coordinate full[i, j]
         self.full = np.empty((cfg.r, cfg.r), dtype=np.intp)
-        _write_symmetric(self.full, self.iu, np.arange(self.m))
+        self.full[self.iu] = self.full.T[self.iu] = np.arange(self.m)
 
     def steps(self, vec: np.ndarray, signs: np.ndarray) -> None:
         """Walk every coordinate through the sign rows in place, reflecting lazily.
@@ -226,10 +221,7 @@ class _CountWalk:
         would exit [0, capacity] is a stay, which is exactly clamping the
         one-step update; the rows compose to one clamp (see compose).
         """
-        a, lo, hi = self.compose(signs)
-        np.add(vec, a, out=vec)
-        np.maximum(vec, lo, out=vec)
-        np.minimum(vec, hi, out=vec)
+        _clamp(vec, self.compose(signs), ..., out=vec)
 
     def density(self, vecs: np.ndarray) -> np.ndarray:
         """The densities of upper-triangle counts vecs, (..., m), as C-contiguous
@@ -310,7 +302,7 @@ def metropolis_step(state: ChainState, cfg: ChainConfig):
     walk = _CountWalk(cfg)
     _, (vec, energy, acc_prob, accepted, delta) = _iterations(
         cfg, walk, state.rng, state.counts[walk.iu], 1)
-    _write_symmetric(state.counts, walk.iu, vec)
+    state.counts[...] = vec[walk.full]
     state.step_index += 1
     return state, accepted, StepDiagnostics(delta, acc_prob, accepted, energy)
 
@@ -389,8 +381,9 @@ def _iterations(cfg: ChainConfig, walk: _CountWalk, rng: np.random.Generator,
         del signs, unif, segs, uniforms
 
 
-def _clamp(vec: np.ndarray, seg, j: int, out: np.ndarray | None = None) -> np.ndarray:
-    """Iteration j's composed walk segment seg = (a, lo, hi) applied to vec."""
+def _clamp(vec: np.ndarray, seg, j, out: np.ndarray | None = None) -> np.ndarray:
+    """Iteration j's composed walk segment seg = (a, lo, hi) applied to vec;
+    j = ... applies the whole of a segment composed from one run of signs."""
     a, lo, hi = seg
     out = np.add(vec, a[j], out=out)
     np.maximum(out, lo[j], out=out)
@@ -404,11 +397,6 @@ def _energies(h, walk: _CountWalk, vecs: np.ndarray) -> list[float]:
     if isinstance(h, Hamiltonian):
         return h.evaluate_stack(stack).tolist()
     return [h.evaluate(StepKernel._trusted(d)) for d in stack]
-
-
-def _write_symmetric(counts: np.ndarray, iu, vec: np.ndarray) -> None:
-    counts[iu] = vec
-    counts.T[iu] = vec
 
 
 @dataclass(frozen=True)
@@ -517,11 +505,7 @@ def empirical_drift(cfg: ChainConfig, q0, trials: int):
     mean = sum_x / trials
     var = np.maximum(sum_x2 / trials - mean**2, 0.0)
     se = np.sqrt(var / trials)
-    out_mean = np.zeros((cfg.r, cfg.r))
-    out_se = np.zeros((cfg.r, cfg.r))
-    _write_symmetric(out_mean, walk.iu, mean)
-    _write_symmetric(out_se, walk.iu, se)
-    return out_mean, out_se
+    return mean[walk.full], se[walk.full]
 
 
 def empirical_qv(cfg: ChainConfig, horizon_t: float, init: StepKernel | None = None):
@@ -534,10 +518,8 @@ def empirical_qv(cfg: ChainConfig, horizon_t: float, init: StepKernel | None = N
     if cfg.sigma <= 0:
         raise ValueError("quadratic variation needs sigma > 0")
     run = replace(cfg, iterations=cfg.steps_for_horizon(horizon_t))
-    iu = np.triu_indices(cfg.r)
-    incs = np.diff([rec.density.values[iu] for rec in run_chain(run, init)], axis=0)
+    walk = _CountWalk(cfg)
+    incs = np.diff([rec.density.values[walk.iu] for rec in run_chain(run, init)], axis=0)
     centered = incs - incs.mean(axis=0, keepdims=True) if len(incs) else incs
     qv = (centered**2).sum(axis=0)
-    out = np.zeros((cfg.r, cfg.r))
-    _write_symmetric(out, iu, qv)
-    return out
+    return qv[walk.full]

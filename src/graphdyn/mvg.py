@@ -308,7 +308,14 @@ def build_net(epsilon: float, segments: int | None = None) -> TestNet:
     if not (math.isfinite(epsilon) and epsilon > 0):
         raise ValueError(f"epsilon must be positive and finite, got {epsilon!r}")
     if segments is None:
-        segments = 2 * math.ceil(4.0 / epsilon)
+        half = 4.0 / epsilon
+        # compared before rounding: a tiny epsilon makes half inf or a many-digit integer
+        if not half <= NET_MAX_SEGMENTS // 2:
+            raise ValueError(
+                f"epsilon={epsilon!r} needs 2 * ceil(4 / epsilon) net segments, more than "
+                f"{NET_MAX_SEGMENTS}; raise epsilon"
+            )
+        segments = 2 * math.ceil(half)
     net = TestNet(float(epsilon), segments)
     if net.cover_radius > epsilon + 1e-12:
         raise ValueError(

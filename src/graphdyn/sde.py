@@ -168,10 +168,12 @@ def em_step(state: SdeState, cfg: SdeConfig, rng: np.random.Generator | None,
     from rng (used when several integrations must share one noise stream).
     A state holding an (R, r, r) replica stack moves every replica by the
     one given (r, r) drift, with the given (R, r, r) noise when sigma > 0,
-    and is refused without them.
+    and is refused without them.  A given noise must have the state's shape.
     """
     if (drift is None or cfg.sigma and noise is None) and state.x.ndim == 3:
         raise ValueError(f"a replica stack {state.x.shape} needs its drift and its (R, r, r) noise")
+    if noise is not None and noise.shape != state.x.shape:
+        raise ValueError(f"noise of shape {noise.shape} does not match the state's {state.x.shape}")
     b = cfg.drift_kernel(state.x) if drift is None else drift
     if np.abs(b).max(initial=0.0) * cfg.dt > DT_STABILITY_FRACTION:
         warnings.warn(

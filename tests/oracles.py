@@ -19,7 +19,7 @@ import numpy as np
 from scipy import integrate, optimize
 
 from graphdyn import StepKernel
-from graphdyn.metropolis import StepDiagnostics, _acceptance, _CountWalk, _write_symmetric
+from graphdyn.metropolis import StepDiagnostics, _acceptance, _CountWalk
 
 
 def hom_density_brute(m: int, edges: list[tuple[int, int]], a: np.ndarray) -> float:
@@ -150,6 +150,11 @@ def draw_signs(rng: np.random.Generator, k: int, m: int) -> np.ndarray:
     signs, in that order.
     """
     return rng.integers(0, 2, size=(k, m), dtype=np.int64) * 2 - 1
+
+
+def _write_symmetric(counts: np.ndarray, iu, vec: np.ndarray) -> None:
+    counts[iu] = vec
+    counts.T[iu] = vec
 
 
 def metropolis_step_call_by_call(state, cfg, walk=None, energy=None):

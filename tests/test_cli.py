@@ -504,6 +504,21 @@ def test_metrics_mode_rejects_an_infinite_net_resolution(tmp_path, capsys):
     assert "config error: epsilon must be positive and finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("epsilon", ["1e-320", "1e-300"])
+def test_metrics_mode_refuses_a_tiny_net_resolution_as_a_config_error(tmp_path, capsys, epsilon):
+    # 4 / 1e-320 overflows to inf, which once escaped as a numeric guard
+    (tmp_path / "a.txt").write_text("1 1\n0 0 0.5 1.0\n")
+    path = tmp_path / "m.ini"
+    path.write_text(
+        f"[metrics]\nkind = mvg\nepsilon = {epsilon}\na = {tmp_path/'a.txt'}\n"
+        f"b = {tmp_path/'a.txt'}\n"
+    )
+    assert main(["metrics", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err == f"config error: epsilon={float(epsilon)!r} needs 2 * ceil(4 / epsilon) net " \
+                  "segments, more than 12; raise epsilon\n"
+
+
 MVG_CELL = "0 0 0.5 1.0\n"
 
 

@@ -1,6 +1,7 @@
 """Relaxed Metropolis chain on pair counts: proposals, acceptance, scalings."""
 
 import hashlib
+import inspect
 import itertools
 import math
 import re
@@ -396,6 +397,16 @@ def test_walk_partial_sums_widen_past_the_int16_range(rows):
         [[rows], [-rows]], [[rows], [0]], [[40000], [40000 - rows]])
 
 
+@pytest.mark.parametrize("r", range(1, 9))
+def test_the_walk_maps_symmetric_matrices_and_upper_triangle_vectors_both_ways(r):
+    walk = _CountWalk(ChainConfig(n=4, r=r, beta=0.0, sigma=0.0, gamma_n=1.0, h=ZERO_H))
+    assert walk.m == r * (r + 1) // 2
+    assert np.array_equal(walk.full, walk.full.T)
+    assert np.array_equal(walk.full[walk.iu], np.arange(walk.m))
+    vec = np.random.default_rng(r).integers(0, 17, walk.m)
+    assert np.array_equal(vec[walk.full][walk.iu], vec)
+
+
 def test_single_coordinate_transition_function_is_symmetric():
     # detailed balance w.r.t. the uniform law: the lazy reflected walk on
     # {0..cap} has a symmetric one-step transition matrix; built here by
@@ -592,6 +603,22 @@ def test_uniform_and_kernel_inits():
         run_chain(cfg, record_every=0)
 
 
+UNIFORM_SHA256 = {
+    (2, 1, 0): "7c9fa136d4413fa6173637e883b6998d32e1d675f88cddff9dcbcf331820f4b8",
+    (16, 4, 3): "0d7dc665b923d1e067784d019c4cb449a4b7db9a5cbbcb5170c610d98823aa46",
+    (5000, 7, 11): "9d4735fcc35d7d8a1e4acb6aedd5d79cb1147448703e62d4620ee957449d002b",
+}
+
+
+@pytest.mark.parametrize("n, r, seed", sorted(UNIFORM_SHA256))
+def test_the_uniform_start_reproduces_its_recorded_bits(n, r, seed):
+    # one capacity-bounded integer draw per upper-triangle cell, in row order
+    cfg = ChainConfig(n=n, r=r, beta=1.0, sigma=0.0, gamma_n=1 / 32, h=ZERO_H)
+    counts = ChainState.uniform(cfg, np.random.default_rng(seed)).counts
+    assert counts.dtype == np.int64 and np.array_equal(counts, counts.T)
+    assert _arrays_sha256(counts) == UNIFORM_SHA256[n, r, seed]
+
+
 def _records_sha256(records, caps):
     h = hashlib.sha256()
     for rec in records:
@@ -659,6 +686,18 @@ def test_raw_words_are_read_only_in_the_draws_module():
     readers = {path.name for path in Path(metropolis.__file__).parent.glob("*.py")
                if re.search(r"\b(random_raw|advance)\s*\(", path.read_text())}
     assert readers == {"_draws.py"}
+
+
+def test_the_upper_triangle_layout_is_built_only_by_the_walk():
+    # _CountWalk.iu and full are the one map between symmetric matrices and
+    # upper-triangle vectors; no other code in the chain module rebuilds it
+    lines, first = inspect.getsourcelines(_CountWalk.__init__)
+    source = Path(metropolis.__file__).read_text().splitlines()
+    hits = [k for k, line in enumerate(source, 1) if re.search(r"\btriu(_indices)?\s*\(", line)]
+    assert hits and all(first <= k < first + len(lines) for k in hits)
+    definers = {path.name for path in Path(metropolis.__file__).parent.glob("*.py")
+                if re.search(r"\bdef\s+_write_symmetric\b", path.read_text())}
+    assert definers == set()
 
 
 @settings(max_examples=60, deadline=None)

@@ -244,6 +244,17 @@ def test_net_cap_error_instructs_to_raise_epsilon():
         build_net(0.25)
 
 
+@pytest.mark.parametrize("epsilon", [1e-320, 1e-300, 0.25])
+def test_a_tiny_epsilon_is_refused_before_its_segment_count_is_rounded(epsilon):
+    # 4 / 1e-320 is inf, which math.ceil cannot round; 4 / 1e-300 rounds to
+    # a 301-digit segment count
+    with pytest.raises(ValueError, match=rf"^epsilon={epsilon!r} needs .* more than 12; "
+                                         "raise epsilon$"):
+        build_net(epsilon)
+    # every epsilon from 2/3 up keeps its segment count
+    assert [build_net(e).segments for e in (2 / 3, 0.7, 1.0, 8.0, 1e300)] == [12, 12, 8, 2, 2]
+
+
 def test_net_rejects_non_finite_epsilon_and_too_few_segments():
     for eps in (float("inf"), float("nan")):
         with pytest.raises(ValueError, match="finite"):

@@ -427,6 +427,10 @@ def test_a_replica_stack_needs_its_drift_and_its_stacked_noise():
             em_step(stack, cfg, np.random.default_rng(0), **kwargs)
     with pytest.raises(ValueError, match="needs its drift"):
         em_step(stack, SdeConfig(r=3, beta=1.0, sigma=0.0, dt=0.01, h=TRIANGLE_EDGE), None)
+    # one noise given for the whole stack would move every replica alike
+    for shared in (noise, noise[None]):
+        with pytest.raises(ValueError, match=r"does not match the state's \(4, 3, 3\)"):
+            em_step(stack, cfg, None, drift, shared)
     stacked = np.stack([_symmetric_noise(np.random.default_rng(k), 3) for k in range(4)])
     moved = em_step(stack, cfg, None, drift, stacked).x
     assert all(not np.array_equal(moved[0], x) for x in moved[1:])
