@@ -2,13 +2,14 @@
 
 Subcommands mirror the run modes: metropolis, sde, flow, metrics, sample,
 and oracle.  Configs are flat INI-style sections of key = value pairs; every
-run writes a manifest with the derived scaling constants and a content hash
-of the config so outputs can be reproduced byte-for-byte.
+completed run gets a manifest with the derived scaling constants and a content
+hash of the config so outputs can be reproduced byte-for-byte.
 """
 from __future__ import annotations
 
 import argparse
 import configparser
+import contextlib
 import dataclasses
 import hashlib
 import json
@@ -95,14 +96,15 @@ _SHARED = {
     "output": {"dir": (Path, Path("out")), "heatmaps": (bool, True)},
 }
 
-# mode -> (key specs of its section, runner), in subcommand order; see _mode
+# mode -> (key specs of its section, runner, manifest file), in subcommand order; see _mode
 _MODES: dict = {}
 
 
-def _mode(name: str, **keys):
-    """Register a runner as the subcommand `name`, reading `keys` from [name]."""
+def _mode(name: str, manifest: str = "manifest.json", **keys):
+    """Register a runner as the subcommand `name`, reading `keys` from [name]
+    and returning the fields that `main` writes to `manifest`."""
     def register(run):
-        _MODES[name] = (keys, run)
+        _MODES[name] = (keys, run, manifest)
         return run
     return register
 
@@ -162,7 +164,7 @@ def parse_config(text: str, mode: str) -> ExperimentConfig:
         raise ConfigError([str(exc)]) from None
     if mode not in _MODES:
         raise ConfigError([f"unknown mode {mode!r}"])
-    specs = {name: keys for name, (keys, _) in _MODES.items()} | _SHARED
+    specs = {name: keys for name, (keys, *_) in _MODES.items()} | _SHARED
     errors: list[str] = []
     for section in parser.sections():
         if section not in specs:
@@ -230,10 +232,11 @@ def _kernel_init(cfg: ExperimentConfig) -> StepKernel:
     return init
 
 
+@contextlib.contextmanager
 def _trajectory(cfg: ExperimentConfig, out: Path, kernel: str, columns=None, milestones=()):
-    """An observer collecting trajectory.csv rows, and the function writing them.
-    A run calls write even when it raises, so that the rows observed before
-    are kept; with no row observed, write leaves no file.
+    """Yield an observer collecting trajectory.csv rows; write them on exit,
+    also when the run raises, so that the rows observed before are kept.
+    With no row observed, no file is written.
 
     A row holds step, t and H, then the record fields named in `columns`
     (CSV header -> record attribute), then the upper triangle of the
@@ -252,11 +255,11 @@ def _trajectory(cfg: ExperimentConfig, out: Path, kernel: str, columns=None, mil
         if cfg.heatmaps and (rec.step in milestones or not milestones):
             save_kernel_pgm(w, out / f"q_{rec.step}.pgm")
 
-    def write() -> None:
+    try:
+        yield observe
+    finally:
         if rows:
             _write_csv(out / "trajectory.csv", header, rows)
-
-    return observe, write
 
 
 def _write_csv(path: Path, header, rows) -> None:
@@ -281,10 +284,15 @@ def _write_manifest(cfg: ExperimentConfig, path: Path, start: float, fields: dic
     path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
+def _repeated(cfg: ExperimentConfig) -> dict:
+    """The options a dynamics manifest repeats: all but init and record_every."""
+    return {k: v for k, v in cfg.options.items() if k not in ("init", "record_every")}
+
+
 @_mode("metropolis", n=(int, REQUIRED), r=(int, REQUIRED), beta=(float, REQUIRED),
        sigma=(float, 0.0), gamma_n=(float, REQUIRED), iterations=(int, 0), seed=(int, 0),
        record_every=(int, 1), init=(str, "0.5"))
-def _run_metropolis(cfg: ExperimentConfig, out: Path) -> int:
+def _run_metropolis(cfg: ExperimentConfig, out: Path) -> dict:
     o = cfg.options
     chain_cfg = ChainConfig(
         n=o["n"], r=o["r"], beta=o["beta"], sigma=o["sigma"], gamma_n=o["gamma_n"],
@@ -300,33 +308,24 @@ def _run_metropolis(cfg: ExperimentConfig, out: Path) -> int:
     )
     init = _load_init(o["init"], o["r"])
     milestones = o.get("milestones", ())
-    start = time.monotonic()
-    observe, write = _trajectory(cfg, out, "density",
-                                 {"acc_prob": "acc_prob", "accepted": "accepted"}, milestones)
-    with warnings.catch_warnings():
+    with _trajectory(cfg, out, "density", {"acc_prob": "acc_prob", "accepted": "accepted"},
+                     milestones) as observe, warnings.catch_warnings():
         # run_chain warns again what is printed above; only that copy is dropped
         for msg in regime:
             warnings.filterwarnings("ignore", re.escape(msg) + "$", UserWarning)
-        try:
-            run_chain(chain_cfg, init, observers=[observe],
-                      record_every=o["record_every"], milestones=milestones)
-        finally:
-            write()
-    _write_manifest(cfg, out / "manifest.json", start, {
-        "seed": o["seed"], "n": o["n"], "r": o["r"], "beta": o["beta"],
-        "sigma": o["sigma"], "gamma_n": o["gamma_n"],
-        "iterations": o["iterations"],
+        run_chain(chain_cfg, init, observers=[observe],
+                  record_every=o["record_every"], milestones=milestones)
+    return _repeated(cfg) | {
         "beta_nr": chain_cfg.beta_nr, "s_n": chain_cfg.s_n, "l_nr": chain_cfg.l_nr,
         "milestones": sorted(milestones),
-    })
-    return EXIT_OK
+    }
 
 
 @_mode("sde", r=(int, REQUIRED), beta=(float, REQUIRED), sigma=(float, 0.0),
        dt=(float, 1e-3), seed=(int, 0), horizon_t=(float, 1.0),
        drift=("closed_form", "limit"), replicas=(int, 1), init=(str, "0.5"),
        record_every=(int, 1))
-def _run_sde(cfg: ExperimentConfig, out: Path) -> int:
+def _run_sde(cfg: ExperimentConfig, out: Path) -> dict:
     o = cfg.options
     sde_cfg = SdeConfig(
         r=o["r"], beta=o["beta"], sigma=o["sigma"], dt=o["dt"], h=cfg.hamiltonian,
@@ -334,49 +333,31 @@ def _run_sde(cfg: ExperimentConfig, out: Path) -> int:
     )
     print(f"derived: dt={o['dt']!r} steps={sde_cfg.steps}")
     init = _kernel_init(cfg)
-    start = time.monotonic()
-    observe, write = _trajectory(cfg, out, "x", {"L0_fro": "l0_norm", "L1_fro": "l1_norm"})
-    try:
+    with _trajectory(cfg, out, "x", {"L0_fro": "l0_norm", "L1_fro": "l1_norm"}) as observe:
         run_sde(sde_cfg, init, observers=[observe], replicas=o["replicas"],
                 record_every=o["record_every"])
-    finally:
-        write()
-    _write_manifest(cfg, out / "manifest.json", start, {
-        "seed": o["seed"], "r": o["r"], "beta": o["beta"], "sigma": o["sigma"],
-        "dt": o["dt"], "horizon_t": o["horizon_t"], "drift": o["drift"],
-        "replicas": o["replicas"],
-    })
-    return EXIT_OK
+    return _repeated(cfg)
 
 
 @_mode("flow", r=(int, REQUIRED), beta=(float, REQUIRED), dt=(float, 1e-3),
        horizon=(float, 1.0), init=(str, "0.5"), record_every=(int, 1))
-def _run_flow(cfg: ExperimentConfig, out: Path) -> int:
+def _run_flow(cfg: ExperimentConfig, out: Path) -> dict:
     o = cfg.options
     print(f"derived: dt={o['dt']!r} steps={horizon_steps(o['dt'], o['horizon'])}")
     init = _kernel_init(cfg)
-    start = time.monotonic()
-    observe, write = _trajectory(cfg, out, "w")
-    try:
+    with _trajectory(cfg, out, "w") as observe:
         records = run_flow(cfg.hamiltonian, o["beta"], init, o["dt"], o["horizon"],
                            observers=[observe], record_every=o["record_every"])
-    finally:
-        write()
     report = measure_rates(records, beta=o["beta"])
     fields = [f.name for f in dataclasses.fields(report)]
     _write_csv(out / "rate_report.csv", fields, [[_cell(getattr(report, f)) for f in fields]])
-    _write_manifest(cfg, out / "manifest.json", start, {
-        "r": o["r"], "beta": o["beta"], "dt": o["dt"], "horizon": o["horizon"],
-        "fitted_rate": report.slope,
-    })
-    return EXIT_OK
+    return _repeated(cfg) | {"fitted_rate": report.slope}
 
 
-@_mode("metrics", kind=("stepkernel", "mvg"), a=(_existing_file, REQUIRED),
+@_mode("metrics", "metrics.json", kind=("stepkernel", "mvg"), a=(_existing_file, REQUIRED),
        b=(_existing_file, REQUIRED), epsilon=(float, 1.0), seed=(int, 0))
-def _run_metrics(cfg: ExperimentConfig, out: Path) -> int:
+def _run_metrics(cfg: ExperimentConfig, out: Path) -> dict:
     o = cfg.options
-    start = time.monotonic()
     load = load_kernel_text if o["kind"] == "stepkernel" else load_mvg_text
     a, b = load(o["a"]), load(o["b"])
     if o["kind"] == "stepkernel":
@@ -398,16 +379,14 @@ def _run_metrics(cfg: ExperimentConfig, out: Path) -> int:
         }
     for key, val in result.items():
         print(f"{key} = {val!r}")
-    _write_manifest(cfg, out / "metrics.json", start, result)
-    return EXIT_OK
+    return result
 
 
 @_mode("sample", what=("esbm",), n=(int, REQUIRED), r=(int, 2), p=(float, 0.5),
        kernel=(_existing_file, None), seed=(int, 0))
-def _run_sample(cfg: ExperimentConfig, out: Path) -> int:
+def _run_sample(cfg: ExperimentConfig, out: Path) -> dict:
     o = cfg.options
     rng = np.random.default_rng(o["seed"])
-    start = time.monotonic()
     if o["kernel"]:
         q = load_kernel_text(o["kernel"])
         r = q.r
@@ -419,11 +398,8 @@ def _run_sample(cfg: ExperimentConfig, out: Path) -> int:
     edges, realized = esbm_sample(chain_cfg, q, rng)
     _write_csv(out / "edges.csv", ["u", "v"], ([str(u), str(v)] for u, v in edges))
     save_kernel_text(realized, out / "realized.txt")
-    _write_manifest(cfg, out / "manifest.json", start, {
-        "seed": o["seed"], "n": o["n"], "r": r, "edge_total": int(len(edges)),
-    })
     print(f"sampled {len(edges)} edges across {r} communities of {o['n']}")
-    return EXIT_OK
+    return {"seed": o["seed"], "n": o["n"], "r": r, "edge_total": int(len(edges))}
 
 
 def _run_oracle(out: Path, seed: int) -> int:
@@ -516,7 +492,11 @@ def main(argv=None) -> int:
         if getattr(args, "preset", None) == "mantel":
             cfg.options["milestones"] = MANTEL_MILESTONES
         cfg.output_dir.mkdir(parents=True, exist_ok=True)
-        return _MODES[args.mode][1](cfg, cfg.output_dir)
+        _, run, manifest = _MODES[args.mode]
+        start = time.monotonic()
+        fields = run(cfg, cfg.output_dir)
+        _write_manifest(cfg, cfg.output_dir / manifest, start, fields)
+        return EXIT_OK
     except ConfigError as exc:
         for msg in exc.errors:
             print(f"config error: {msg}", file=sys.stderr)

@@ -246,7 +246,6 @@ class TestNet:
     3^segments members; node_values gives them as one array.
     """
 
-    requested_radius: float
     segments: int
 
     def __post_init__(self) -> None:
@@ -316,7 +315,7 @@ def build_net(epsilon: float, segments: int | None = None) -> TestNet:
                 f"{NET_MAX_SEGMENTS}; raise epsilon"
             )
         segments = 2 * math.ceil(half)
-    net = TestNet(float(epsilon), segments)
+    net = TestNet(segments)
     if net.cover_radius > epsilon + 1e-12:
         raise ValueError(
             f"segments={net.segments} only covers to {net.cover_radius}, "

@@ -387,6 +387,8 @@ def cut_norm(
     'auto' picks exhaustive while feasible.
     """
     a = w.values if isinstance(w, StepKernel) else np.asarray(w, dtype=float)
+    if not len(a):
+        raise ValueError("cut norm needs at least one block")
     if method == "auto":
         method = "exhaustive" if a.shape[0] <= CUT_NORM_EXHAUSTIVE_LIMIT else "heuristic"
     if method == "exhaustive":
@@ -407,6 +409,8 @@ def l2_distance(w1: StepKernel, w2: StepKernel) -> float:
 
 
 def _to_common_r(w1: StepKernel, w2: StepKernel) -> tuple[StepKernel, StepKernel]:
+    if not (w1.r and w2.r):
+        raise ValueError(f"distance needs at least one block, got r = {w1.r} and {w2.r}")
     if w1.r == w2.r:
         return w1, w2
     common = math.lcm(w1.r, w2.r)

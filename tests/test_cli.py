@@ -2,6 +2,7 @@
 
 import contextlib
 import hashlib
+import inspect
 import io
 import json
 import math
@@ -18,6 +19,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import graphdyn
+from graphdyn import cli
 from graphdyn.cli import (
     MANTEL_CONFIG,
     MANTEL_MILESTONES,
@@ -269,6 +271,8 @@ def test_numeric_guards_name_the_step_and_the_quantity(tmp_path, mode, fields, g
     # the records taken before the guard tripped are kept
     _, rows = read_csv(tmp_path / "o" / "trajectory.csv")
     assert [row[0] for row in rows] == [str(k) for k in range(kept)]
+    # only a run that completes writes a manifest
+    assert not (tmp_path / "o" / "manifest.json").exists()
 
 
 def test_a_regime_warning_is_shown_once(tmp_path):
@@ -460,6 +464,56 @@ def test_flow_runs_are_byte_deterministic(tmp_path):
     assert math.isfinite(float(rows[0][2]))
     manifest = json.loads((tmp_path / "a" / "manifest.json").read_text())
     assert math.isfinite(manifest["fitted_rate"])
+
+
+# every option of each dynamics mode set away from its default, and the keys
+# its manifest derives
+MANIFEST_RUNS = {
+    "metropolis": ("[metropolis]\nn = 8\nr = 2\nbeta = 0.5\nsigma = 0.5\ngamma_n = 0.0625\n"
+                   "iterations = 3\nseed = 5\nrecord_every = 3\ninit = 0.25\n",
+                   {"beta_nr", "s_n", "l_nr", "milestones"}),
+    "sde": ("[sde]\nr = 2\nbeta = 0.5\nsigma = 0.25\ndt = 0.05\nseed = 6\nhorizon_t = 0.1\n"
+            "drift = limit\nreplicas = 2\ninit = 0.25\nrecord_every = 2\n", set()),
+    "flow": ("[flow]\nr = 2\nbeta = 0.5\ndt = 0.05\nhorizon = 0.1\ninit = 0.25\n"
+             "record_every = 2\n", {"fitted_rate"}),
+}
+ENVELOPE = {"mode", "config", "config_sha256", "wall_time_s", "package_version"}
+
+
+@pytest.mark.filterwarnings("ignore:gamma_n", "ignore:step size")
+@pytest.mark.parametrize("mode", sorted(MANIFEST_RUNS))
+def test_a_dynamics_manifest_repeats_its_options_but_init_and_record_every(tmp_path, mode):
+    section, derived = MANIFEST_RUNS[mode]
+    text = section + "\n[hamiltonian]\nterm.triangle = 1.0\nterm.edge = -0.25\n"
+    (tmp_path / "run.ini").write_text(text)
+    assert main([mode, "--config", str(tmp_path / "run.ini"), "--out", str(tmp_path / "o")]) == 0
+    manifest = json.loads((tmp_path / "o" / "manifest.json").read_text())
+    options = parse_config(text, mode).options
+    repeated = set(options) - {"init", "record_every"}
+    assert set(manifest) == ENVELOPE | repeated | derived
+    assert {key: manifest[key] for key in repeated} == {key: options[key] for key in repeated}
+    assert manifest["mode"] == mode and manifest["config"] == text
+
+
+def test_main_writes_every_manifest_and_trajectory_writes_its_rows():
+    # a runner returns its manifest fields and holds no timer, no writer and
+    # no try/finally: main times and writes, _trajectory's exit writes rows
+    source = Path(cli.__file__).read_text().splitlines()
+
+    def hits(pattern):
+        return [k for k, line in enumerate(source, 1) if re.search(pattern, line)]
+
+    def inside(fn, lines):
+        body, first = inspect.getsourcelines(fn)
+        return all(first <= k < first + len(body) for k in lines)
+
+    for owner, pattern in ((cli.main, r"(?<!def )_write_manifest\("),
+                           (cli.main, r"= time\.monotonic\(\)"),
+                           (cli._trajectory, r'"trajectory\.csv"')):
+        assert len(hits(pattern)) == 1 and inside(owner, hits(pattern)), pattern
+    for _, run, _ in cli._MODES.values():
+        body = "".join(inspect.getsourcelines(run)[0])
+        assert not re.search(r"\btry:|\bstart\b|\bwrite\b|monotonic", body), run.__name__
 
 
 def test_metrics_mode_reports_zero_for_a_relabeled_pair(tmp_path, capsys):

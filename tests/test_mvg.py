@@ -14,10 +14,12 @@ from graphdyn import (
     SimpleGraph,
     StepKernel,
     build_net,
+    cut_metric_upper,
     cut_norm,
     d2_distance,
     decorated_density,
     delta2_mvg_upper,
+    delta2_upper,
     delta_black,
     edge_graph,
     gamma_kernel,
@@ -276,7 +278,7 @@ def test_net_refuses_a_segment_count_that_is_not_an_integer():
 
 def test_net_breakpoints_are_equally_spaced_with_exact_ends():
     for k in range(2, 13, 2):
-        net = mvg.TestNet(1.0, k)
+        net = mvg.TestNet(k)
         breaks = net.breakpoints
         assert (breaks[0], breaks[-1]) == (-1.0, 1.0)
         assert np.array_equal(breaks, np.linspace(-1.0, 1.0, k + 1))
@@ -285,13 +287,13 @@ def test_net_breakpoints_are_equally_spaced_with_exact_ends():
 
 def test_a_net_refuses_fields_that_build_net_would_refuse():
     with pytest.raises(ValueError, match="integer"):
-        mvg.TestNet(1.0, 4.0)
+        mvg.TestNet(4.0)
     for k in (0, 3):
         with pytest.raises(ValueError, match="even"):
-            mvg.TestNet(1.0, k)
+            mvg.TestNet(k)
     with pytest.raises(ValueError, match=r"> 12"):
-        mvg.TestNet(1.0, 14)
-    assert mvg.TestNet(1.0, np.int64(4)) == build_net(1.0, segments=4)
+        mvg.TestNet(14)
+    assert mvg.TestNet(np.int64(4)) == build_net(1.0, segments=4)
 
 
 def test_net_members_are_only_built_when_read(monkeypatch):
@@ -313,7 +315,8 @@ def test_net_cover_radius_is_reported_from_the_actual_grid():
     net = build_net(1.0, segments=4)
     # the certified cover is one segment width
     assert net.cover_radius == 0.5 == 2.0 / net.segments
-    assert net.requested_radius == 1.0
+    # a net is its segment count: the epsilon that chose it is not kept
+    assert build_net(0.5, segments=4) == build_net(1.0, segments=4)
 
 
 # ---------------------------------------------------------------- gen cut norm
@@ -778,6 +781,22 @@ def test_sampler_matches_one_choice_per_pair():
         fast, slow = np.random.default_rng(seed), np.random.default_rng(seed)
         assert sample_weighted_graph(w, n, fast).values.tobytes() == sample_per_pair(w, n, slow).tobytes()
         assert fast.bit_generator.state == slow.bit_generator.state
+
+
+def test_distances_refuse_the_empty_kernel_of_an_empty_sample():
+    # before, cut norms and cut_metric_upper divided by zero, l2_distance took
+    # lcm(0, r) = 0 and divided by it, and delta2_upper returned inf
+    empty = sample_weighted_graph(random_mvg(np.random.default_rng(5), 2), 0,
+                                  np.random.default_rng(5))
+    assert empty.r == 0
+    other = StepKernel.constant(2, 0.5)
+    for method in ("auto", "exhaustive", "heuristic"):
+        with pytest.raises(ValueError, match="at least one block"):
+            cut_norm(empty, method=method)
+    for distance in (cut_metric_upper, l2_distance, delta2_upper):
+        for a, b in ((empty, other), (other, empty), (empty, empty)):
+            with pytest.raises(ValueError, match="at least one block"):
+                distance(a, b)
 
 
 def test_sample_mvg_copies_located_cells():
