@@ -11,8 +11,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import xlogy
 
+# xlogy is imported where it is used: scipy.special takes about 0.3 s to
+# load, and only an entropy-weighted energy needs it
 from .stepkernel import (
     SimpleGraph,
     StepKernel,
@@ -117,6 +118,8 @@ class Hamiltonian:
 
 
 def _entropy(p: np.ndarray) -> np.ndarray:
+    from scipy.special import xlogy
+
     return xlogy(p, p) + xlogy(1.0 - p, 1.0 - p)
 
 

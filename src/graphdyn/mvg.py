@@ -104,6 +104,8 @@ class MvgKernel:
     def __post_init__(self) -> None:
         cells = self.cells
         r = len(cells)
+        if r < 1:
+            raise ValueError("measure-valued kernel needs at least one block")
         for i in range(r):
             if len(cells[i]) != r:
                 raise ValueError("cells must form a square grid")

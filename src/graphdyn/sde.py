@@ -14,8 +14,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import erfc, erfcx
 
+# erfc and erfcx are imported where they are used: scipy.special takes about
+# 0.3 s to load, and a run without the diffusion never needs it
 from ._drive import drive, horizon_steps
 from .hamiltonian import Hamiltonian
 from .stepkernel import StepKernel, _finite_entries, l2_norm
@@ -27,6 +28,8 @@ DT_STABILITY_FRACTION = 0.1
 
 def gaussian_tail(x: float) -> float:
     """Upper tail P(Z > x) of a standard Gaussian."""
+    from scipy.special import erfc
+
     return 0.5 * erfc(x / math.sqrt(2.0))
 
 
@@ -38,6 +41,8 @@ def drift_b(h, x: np.ndarray, beta: float) -> np.ndarray:
     normalized l2 norm and r the block count.  erfcx(x) = 2 exp(x^2)
     tail(sqrt(2) x) stays finite where exp(x^2) overflows.
     """
+    from scipy.special import erfcx
+
     g = h.frechet_derivative(x)
     norm, r = l2_norm(g), len(x)
     arg = beta * norm / r
@@ -63,6 +68,8 @@ def explicit_drift_formula(v: np.ndarray, t: float) -> np.ndarray:
     expectation is then -2 t v exp(t^2 |v|_F^2) tail(sqrt(2) t |v|_F),
     which is -t erfcx(t |v|_F) v.
     """
+    from scipy.special import erfcx
+
     v = np.asarray(v, dtype=float)
     if t <= 0:
         raise ValueError("t must be positive")

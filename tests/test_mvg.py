@@ -134,6 +134,12 @@ def test_a_kernel_refuses_a_ragged_or_unshared_grid():
     assert MvgKernel(((a, b), (b, a))).r == 2
 
 
+def test_a_kernel_refuses_no_blocks():
+    # before, the measure-valued metrics failed on it with numpy's messages
+    with pytest.raises(ValueError, match="needs at least one block"):
+        MvgKernel.from_upper(0, {})
+
+
 def test_a_pl_function_refuses_unmatched_or_unordered_breakpoints():
     for b, v in (([-1.0, 0.0, 1.0], [0.0, 0.0]), ([-1.0], [0.0])):
         with pytest.raises(ValueError, match="matching breakpoints and values"):
