@@ -124,6 +124,8 @@ def measure_rates(
     should pass the true minimizer).  Also reports whether the energy gap
     obeys the sublinear envelope dist(0)^2 / (2 beta t) at every sampled time.
     """
+    if not trajectory:
+        raise ValueError("measure_rates needs a trajectory of at least one record")
     if w_star is None:
         w_star = trajectory[-1].w
     times = np.array([rec.t for rec in trajectory])

@@ -517,6 +517,8 @@ def empirical_qv(cfg: ChainConfig, horizon_t: float, init: StepKernel | None = N
     """
     if cfg.sigma <= 0:
         raise ValueError("quadratic variation needs sigma > 0")
+    if not (math.isfinite(horizon_t) and horizon_t >= 0):
+        raise ValueError(f"horizon_t must be finite and nonnegative, got {horizon_t}")
     run = replace(cfg, iterations=cfg.steps_for_horizon(horizon_t))
     walk = _CountWalk(cfg)
     incs = np.diff([rec.density.values[walk.iu] for rec in run_chain(run, init)], axis=0)

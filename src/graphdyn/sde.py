@@ -8,6 +8,7 @@ exposed separately, together with the explicit Skorokhod map used in tests.
 """
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
 from dataclasses import dataclass
@@ -154,48 +155,35 @@ def _strict_lower(r: int) -> tuple[np.ndarray, np.ndarray]:
     return np.tril_indices(r, -1)
 
 
-def _mirror_upper(xi: np.ndarray) -> np.ndarray:
-    """Copy the strict upper triangle of each r x r slice onto its lower one, in place."""
-    lo, hi = _strict_lower(xi.shape[-1])
-    xi[..., lo, hi] = xi[..., hi, lo]
-    return xi
+def _fill_symmetric_noise(streams, out: np.ndarray) -> np.ndarray:
+    """Fill each r x r slice of out from its own stream with one standard
+    normal per unordered pair, mirrored across the diagonal; return out."""
+    for g, buf in zip(streams, out):
+        g.standard_normal(out=buf)
+    lo, hi = _strict_lower(out.shape[-1])
+    out[..., lo, hi] = out[..., hi, lo]
+    return out
 
 
-def _symmetric_noise(rng: np.random.Generator, r: int) -> np.ndarray:
-    """One standard normal per unordered pair, mirrored across the diagonal."""
-    return _mirror_upper(rng.standard_normal((r, r)))
-
-
-def em_step(state: SdeState, cfg: SdeConfig, rng: np.random.Generator | None,
-            drift: np.ndarray | None = None,
-            noise: np.ndarray | None = None) -> SdeState:
+def em_step(state: SdeState, cfg: SdeConfig, drift: np.ndarray,
+            noise: np.ndarray | None) -> SdeState:
     """One projected Euler-Maruyama step with local-time bookkeeping.
 
-    An explicit symmetric noise matrix may be supplied in place of a draw
-    from rng (used when several integrations must share one noise stream).
-    A state holding an (R, r, r) replica stack moves every replica by the
-    one given (r, r) drift, with the given (R, r, r) noise when sigma > 0,
-    and is refused without them.  A given noise must have the state's shape.
+    x moves by the given (r, r) drift and, when sigma > 0, by the given
+    symmetric noise, which has the state's shape: one kernel's (r, r) or a
+    replica stack's (R, r, r), so that each replica moves by its own draw.
+    The result is clipped onto [0, 1] and the clipped overshoot is added to
+    the local times.
     """
-    if (drift is None or cfg.sigma and noise is None) and state.x.ndim == 3:
-        raise ValueError(f"a replica stack {state.x.shape} needs its drift and its (R, r, r) noise")
-    if noise is not None and noise.shape != state.x.shape:
-        raise ValueError(f"noise of shape {noise.shape} does not match the state's {state.x.shape}")
-    b = cfg.drift_kernel(state.x) if drift is None else drift
-    if np.abs(b).max(initial=0.0) * cfg.dt > DT_STABILITY_FRACTION:
-        warnings.warn(
-            f"dt * max|drift| = {np.abs(b).max() * cfg.dt:.3g} exceeds "
-            f"{DT_STABILITY_FRACTION}; step size is coarse for this drift",
-            stacklevel=2,
-        )
-    y = state.x + b * cfg.dt
+    if cfg.sigma and (shape := getattr(noise, "shape", None)) != state.x.shape:
+        raise ValueError(f"sigma = {cfg.sigma} needs a noise of the state's shape "
+                         f"{state.x.shape}, got {shape}")
+    y = state.x + drift * cfg.dt
     if cfg.sigma:
-        if noise is None:
-            noise = _symmetric_noise(rng, cfg.r)
         y = y + cfg.sigma * math.sqrt(cfg.dt) * noise
     below = np.maximum(0.0, -y)
     above = np.maximum(0.0, y - 1.0)
-    # symmetric and in [0, 1] by construction: x, b and noise are symmetric
+    # symmetric and in [0, 1] by construction: x, drift and noise are symmetric
     return SdeState(np.clip(y, 0.0, 1.0), state.l0 + below, state.l1 + above, state.t + cfg.dt)
 
 
@@ -231,6 +219,8 @@ def run_sde(
     state (the finite-sample stand-in for the law-coupled drift).  They move
     as one (R, r, r) stack, one em_step per time step.  Recorded kernels are
     the replica means.  A numeric guard tripped inside a step names the step.
+    The first step with dt * max|drift| above DT_STABILITY_FRACTION warns,
+    once per run.
     """
     if init.r != cfg.r:
         raise ValueError("init block count differs from config r")
@@ -247,15 +237,18 @@ def run_sde(
         state = SdeState(np.broadcast_to(init.values, shape).copy(), np.zeros(shape),
                          np.zeros(shape))
         noise = np.empty(shape) if cfg.sigma else None
-        while True:
+        warned = False
+        for k in itertools.count(1):  # the step being made
             x_mean = mean(state.x)
             yield state, x_mean
             drift = cfg.drift_kernel(x_mean)
-            if cfg.sigma:
-                for g, buf in zip(streams, noise):
-                    g.standard_normal(out=buf)
-                _mirror_upper(noise)
-            state = em_step(state, cfg, None, drift, noise)
+            if not warned and (reach := np.abs(drift).max() * cfg.dt) > DT_STABILITY_FRACTION:
+                warned = True
+                warnings.warn(f"dt * max|drift| = {reach:.3g} at step {k} exceeds "
+                              f"{DT_STABILITY_FRACTION}; step size is coarse for this drift "
+                              f"(warned once per run)")
+            state = em_step(state, cfg, drift,
+                            _fill_symmetric_noise(streams, noise) if cfg.sigma else None)
 
     def record(k: int, run) -> SdeRecord:
         state, x_mean = run

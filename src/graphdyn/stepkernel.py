@@ -386,6 +386,8 @@ def cut_norm(
     sign ascent from seeded restarts and never exceeds the exhaustive value.
     'auto' picks exhaustive while feasible.
     """
+    if restarts < 1:  # with no restart the heuristic would return 0.0
+        raise ValueError(f"restarts must be at least 1, got {restarts}")
     a = w.values if isinstance(w, StepKernel) else np.asarray(w, dtype=float)
     if not len(a):
         raise ValueError("cut norm needs at least one block")
@@ -559,12 +561,12 @@ def _block_count(path, field: str) -> int:
     return r
 
 
-def _read_kernel(fh, path, head: list, sep: str | None) -> StepKernel:
+def _read_kernel(fh, path, head: list) -> StepKernel:
     """The kernel after a parsed 'r lo hi' header: at most r more lines are read."""
     r = _block_count(path, head[0])
     try:
         rng = (float(head[1]), float(head[2]))
-        rows = [[float(x) for x in line.split(sep)] for line in itertools.islice(fh, r)]
+        rows = [[float(x) for x in line.split()] for line in itertools.islice(fh, r)]
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
     if len(rows) != r or any(len(row) != r for row in rows):
@@ -580,25 +582,7 @@ def load_kernel_text(path) -> StepKernel:
         head = fh.readline().split()
         if len(head) != 3:
             raise ValueError(f"{path}: bad header, expected 'r lo hi'")
-        return _read_kernel(fh, path, head, None)
-
-
-def save_kernel_csv(w: StepKernel, path) -> None:
-    """CSV: header row 'r,lo,hi', then the matrix rows."""
-    with open(path, "w") as fh:
-        fh.write(f"r,lo,hi\n{w.r},{w.range[0]!r},{w.range[1]!r}\n")
-        for row in w.values:
-            fh.write(",".join(repr(float(x)) for x in row) + "\n")
-
-
-def load_kernel_csv(path) -> StepKernel:
-    with open(path) as fh:
-        if fh.readline().strip() != "r,lo,hi":
-            raise ValueError(f"{path}: missing 'r,lo,hi' header")
-        meta = fh.readline().split(",")
-        if len(meta) != 3:
-            raise ValueError(f"{path}: bad header, expected an 'r,lo,hi' row")
-        return _read_kernel(fh, path, meta, ",")
+        return _read_kernel(fh, path, head)
 
 
 def save_kernel_pgm(w: StepKernel, path) -> None:

@@ -287,6 +287,19 @@ def test_a_regime_warning_is_shown_once(tmp_path):
     assert (proc.stdout + proc.stderr).count("far from the diffusive regime") == 1
 
 
+def test_a_coarse_sde_run_warns_once(tmp_path):
+    # every one of the 100 steps is coarse; before, each step warned with its
+    # own text, and stderr showed 46 warnings
+    path = tmp_path / "run.ini"
+    path.write_text("[sde]\nr = 4\nbeta = 50\nsigma = 1\ndt = 0.05\nhorizon_t = 5\n"
+                    "drift = limit\nseed = 0\n\n[hamiltonian]\nterm.triangle = 1.0\n"
+                    "term.edge = -0.25\n")
+    proc = run_cli("sde", path, tmp_path / "o")
+    assert proc.returncode == 0
+    assert proc.stderr.count("Warning") == 1
+    assert "UserWarning: dt * max|drift| = 1.25 at step 1 exceeds 0.1;" in proc.stderr
+
+
 @pytest.mark.parametrize("key, value", [
     ("beta", "inf"), ("beta", "nan"), ("sigma", "inf"), ("gamma_n", "inf"),
 ])

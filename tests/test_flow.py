@@ -312,3 +312,9 @@ def test_rate_fit_window_is_the_trajectory_tail():
     rep = measure_rates(traj, w_star=StepKernel.constant(2, 0.5), beta=1.0)
     assert rep.fit_t0 >= traj[-1].t / 2 - 0.011
     assert rep.fit_t1 == pytest.approx(traj[-1].t)
+
+
+def test_rates_need_a_record():
+    # before, an empty trajectory raised an IndexError
+    with pytest.raises(ValueError, match="measure_rates needs a trajectory of at least one record"):
+        measure_rates([])

@@ -1266,6 +1266,15 @@ def test_quadratic_variation_needs_noise():
         empirical_qv(cfg, 0.1)
 
 
+@pytest.mark.parametrize("horizon_t", [-1.0, math.nan, math.inf])
+def test_quadratic_variation_needs_a_finite_nonnegative_horizon(horizon_t):
+    # before, -1 named the iteration count -512, nan failed in int() and inf
+    # raised an OverflowError
+    cfg = ChainConfig(n=32, r=2, beta=0.0, sigma=1.0, gamma_n=1 / 2048, h=ZERO_H)
+    with pytest.raises(ValueError, match=f"horizon_t must be finite and nonnegative, got {horizon_t}"):
+        empirical_qv(cfg, horizon_t)
+
+
 def test_realized_quadratic_variation_approximates_sigma_squared_t():
     cfg = ChainConfig(n=32, r=2, beta=0.0, sigma=1.0, gamma_n=1 / 2048, h=ZERO_H, seed=0)
     assert cfg.s_n == 1 and cfg.l_nr == 32

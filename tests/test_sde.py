@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import re
 import struct
 import warnings
 
@@ -23,7 +24,7 @@ from graphdyn.metropolis import ChainConfig, run_chain
 from graphdyn.sde import (
     SdeConfig,
     SdeState,
-    _symmetric_noise,
+    _fill_symmetric_noise,
     drift_b,
     em_step,
     explicit_drift_formula,
@@ -36,6 +37,11 @@ from oracles import explicit_drift_mc, gaussian_tail_quadrature, skorokhod_brute
 
 TRIANGLE_EDGE = Hamiltonian(((1.0, triangle_graph()), (-0.25, edge_graph())))
 ZERO_H = Hamiltonian(((0.0, edge_graph()),))
+
+
+def one_draw(rng, r):
+    """One symmetric (r, r) noise draw from rng, as run_sde draws each replica's."""
+    return _fill_symmetric_noise([rng], np.empty((1, r, r)))[0]
 
 
 def random_kernel(rng, r):
@@ -290,7 +296,7 @@ def test_reflection_is_four_lipschitz_for_any_pair_of_paths(lo, width, starts, m
 def test_step_without_noise_or_gradient_changes_nothing():
     cfg = SdeConfig(r=3, beta=1.0, sigma=0.0, dt=0.01, h=ZERO_H)
     s0 = SdeState.initial(StepKernel.constant(3, 0.3))
-    s1 = em_step(s0, cfg, np.random.default_rng(0))
+    s1 = em_step(s0, cfg, cfg.drift_kernel(s0.x), None)
     assert np.array_equal(s1.x, s0.x)
     assert np.all(s1.l0 == 0.0) and np.all(s1.l1 == 0.0)
     assert s1.t == pytest.approx(0.01)
@@ -303,28 +309,27 @@ def test_noiseless_step_is_euler_on_the_closed_form_drift():
         def frechet_derivative(self, a):
             return -drift_b(TRIANGLE_EDGE, a, 1.0)
 
-    rng = np.random.default_rng(0)
     w = random_kernel(np.random.default_rng(11), 4)
     cfg = SdeConfig(r=4, beta=1.0, sigma=0.0, dt=0.01, h=TRIANGLE_EDGE)
     s_em, s_fl = SdeState.initial(w), w.values
     for _ in range(25):
-        s_em = em_step(s_em, cfg, rng)
+        s_em = em_step(s_em, cfg, cfg.drift_kernel(s_em.x), None)
         s_fl = flow_step(s_fl, DriftField(), 1.0, 0.01)
         assert np.array_equal(s_em.x, s_fl)
 
 
 def test_step_commutes_with_block_permutations():
-    rng = np.random.default_rng(0)
     w = random_kernel(np.random.default_rng(5), 4)
     cfg = SdeConfig(r=4, beta=0.8, sigma=0.6, dt=1e-3, h=TRIANGLE_EDGE)
-    xi = _symmetric_noise(np.random.default_rng(9), 4)
+    xi = one_draw(np.random.default_rng(9), 4)
     perm = np.array([2, 0, 3, 1])
-    out = em_step(SdeState.initial(w), cfg, rng, noise=xi)
+    w_p = w.values[np.ix_(perm, perm)]
+    out = em_step(SdeState.initial(w), cfg, cfg.drift_kernel(w.values), xi)
     out_p = em_step(
-        SdeState.initial(StepKernel(w.values[np.ix_(perm, perm)])),
+        SdeState.initial(StepKernel(w_p)),
         cfg,
-        rng,
-        noise=xi[np.ix_(perm, perm)],
+        cfg.drift_kernel(w_p),
+        xi[np.ix_(perm, perm)],
     )
     assert np.array_equal(out.x[np.ix_(perm, perm)], out_p.x)
 
@@ -332,16 +337,15 @@ def test_step_commutes_with_block_permutations():
 def test_local_times_record_exactly_the_clipped_overshoot():
     cfg = SdeConfig(r=2, beta=0.5, sigma=2.0, dt=0.02, h=TRIANGLE_EDGE)
     state = SdeState.initial(StepKernel.constant(2, 0.05))
-    rng = np.random.default_rng(0)
     hit = 0
     for k in range(200):
-        xi = _symmetric_noise(np.random.default_rng(100 + k), 2)
+        xi = one_draw(np.random.default_rng(100 + k), 2)
         y = (
             state.x
             + cfg.drift_kernel(state.x) * cfg.dt
             + cfg.sigma * math.sqrt(cfg.dt) * xi
         )
-        nxt = em_step(state, cfg, rng, noise=xi)
+        nxt = em_step(state, cfg, cfg.drift_kernel(state.x), xi)
         dl0 = nxt.l0 - state.l0
         dl1 = nxt.l1 - state.l1
         assert np.allclose(dl0, np.maximum(0.0, -y), atol=1e-15)
@@ -355,13 +359,12 @@ def test_local_times_record_exactly_the_clipped_overshoot():
 
 
 def test_noiseless_well_contracts_toward_its_minimizer():
-    rng = np.random.default_rng(0)
     cfg = SdeConfig(r=3, beta=1.0, sigma=0.0, dt=0.05, h=QuadraticWell())
     state = SdeState.initial(random_kernel(np.random.default_rng(8), 3))
     star = StepKernel.constant(3, 0.5)
     prev = l2_distance(StepKernel(state.x), star)
     for _ in range(60):
-        state = em_step(state, cfg, rng)
+        state = em_step(state, cfg, cfg.drift_kernel(state.x), None)
         dist = l2_distance(StepKernel(state.x), star)
         assert dist <= prev + 1e-15
         prev = dist
@@ -370,8 +373,29 @@ def test_noiseless_well_contracts_toward_its_minimizer():
 
 def test_coarse_step_size_warns():
     cfg = SdeConfig(r=2, beta=1.0, sigma=0.0, dt=1.0, h=QuadraticWell())
-    with pytest.warns(UserWarning, match="step size"):
-        em_step(SdeState.initial(StepKernel.constant(2, 0.9)), cfg, np.random.default_rng(0))
+    with pytest.warns(UserWarning, match="at step 1 .*step size"):
+        run_sde(cfg, StepKernel.constant(2, 0.9))
+
+
+@pytest.mark.parametrize("cfg", [
+    # every step is coarse: before, each of the 100 steps warned, and 46
+    # distinct texts got past the warnings registry
+    SdeConfig(r=4, beta=50.0, sigma=1.0, dt=0.05, h=TRIANGLE_EDGE, horizon_t=5.0,
+              drift="limit"),
+    # the drift vanishes at the start, and the noise carries the state into
+    # the well's coarse region only at a later step
+    SdeConfig(r=2, beta=10.0, sigma=1.0, dt=0.05, h=QuadraticWell(), seed=1, horizon_t=5.0,
+              drift="limit"),
+])
+def test_a_coarse_run_warns_once_and_names_its_first_coarse_step(cfg):
+    with pytest.warns(UserWarning) as caught:
+        records = run_sde(cfg, StepKernel.constant(cfg.r, 0.5))
+    assert len(records) == cfg.steps + 1 == 101
+    # step k moves by the drift at the state recorded at step k - 1
+    first = next(rec.step + 1 for rec in records
+                 if np.abs(cfg.drift_kernel(rec.x.values)).max() * cfg.dt > 0.1)
+    assert len(caught) == 1
+    assert f"at step {first} exceeds" in str(caught[0].message)
 
 
 def test_config_validation():
@@ -417,22 +441,19 @@ def test_run_refuses_a_start_outside_the_unit_box(sigma):
 
 
 def test_a_replica_stack_needs_its_drift_and_its_stacked_noise():
-    # one (r, r) draw from rng would move every replica alike, and without a
-    # drift the stack's gradient does not broadcast against one kernel's terms
     cfg = SdeConfig(r=3, beta=1.0, sigma=1.0, dt=0.01, h=TRIANGLE_EDGE)
     stack = SdeState(np.full((4, 3, 3), 0.5), np.zeros((4, 3, 3)), np.zeros((4, 3, 3)))
-    drift, noise = np.zeros((3, 3)), _symmetric_noise(np.random.default_rng(1), 3)
-    for kwargs in ({"drift": drift}, {"noise": np.broadcast_to(noise, (4, 3, 3))}):
-        with pytest.raises(ValueError, match=r"needs its drift and its \(R, r, r\) noise"):
-            em_step(stack, cfg, np.random.default_rng(0), **kwargs)
-    with pytest.raises(ValueError, match="needs its drift"):
-        em_step(stack, SdeConfig(r=3, beta=1.0, sigma=0.0, dt=0.01, h=TRIANGLE_EDGE), None)
-    # one noise given for the whole stack would move every replica alike
-    for shared in (noise, noise[None]):
-        with pytest.raises(ValueError, match=r"does not match the state's \(4, 3, 3\)"):
-            em_step(stack, cfg, None, drift, shared)
-    stacked = np.stack([_symmetric_noise(np.random.default_rng(k), 3) for k in range(4)])
-    moved = em_step(stack, cfg, None, drift, stacked).x
+    drift, noise = np.zeros((3, 3)), one_draw(np.random.default_rng(1), 3)
+    # a missing noise, or one noise for the whole stack, which would move
+    # every replica alike
+    for shared in (None, noise, noise[None]):
+        shape = getattr(shared, "shape", None)
+        message = f"sigma = 1.0 needs a noise of the state's shape (4, 3, 3), got {shape}"
+        with pytest.raises(ValueError, match=re.escape(message) + "$"):
+            em_step(stack, cfg, drift, shared)
+    stacked = _fill_symmetric_noise([np.random.default_rng(k) for k in range(4)],
+                                    np.empty((4, 3, 3)))
+    moved = em_step(stack, cfg, drift, stacked).x
     assert all(not np.array_equal(moved[0], x) for x in moved[1:])
 
 
@@ -449,7 +470,7 @@ def test_an_infinite_overshoot_names_its_local_time_norm():
 
 def _per_replica_run(cfg, init, replicas):
     """The replicas as separate states, each moved by its own em_step call with
-    its own stream, all sharing the drift at their mean: (mean, |L0|, |L1|)
+    a draw from its own stream, all sharing the drift at their mean: (mean, |L0|, |L1|)
     at every step."""
     streams = [np.random.default_rng(s) for s in np.random.SeedSequence(cfg.seed).spawn(replicas)]
     states = [SdeState.initial(init) for _ in range(replicas)]
@@ -457,7 +478,8 @@ def _per_replica_run(cfg, init, replicas):
     for k in range(cfg.steps + 1):
         if k:
             drift = cfg.drift_kernel(mean.values)
-            states = [em_step(s, cfg, g, drift) for s, g in zip(states, streams)]
+            states = [em_step(s, cfg, drift, one_draw(g, cfg.r) if cfg.sigma else None)
+                      for s, g in zip(states, streams)]
         mean = StepKernel(sum(s.x for s in states) / replicas)
         out.append((mean, float(np.linalg.norm(sum(s.l0 for s in states) / replicas)),
                     float(np.linalg.norm(sum(s.l1 for s in states) / replicas))))

@@ -19,11 +19,9 @@ from graphdyn import (
     kernel_from_values,
     l2_distance,
     l2_norm,
-    load_kernel_csv,
     load_kernel_text,
     minimize_over_permutations,
     path_graph,
-    save_kernel_csv,
     save_kernel_pgm,
     save_kernel_text,
     triangle_graph,
@@ -396,6 +394,15 @@ def test_cut_norm_heuristic_never_exceeds_exhaustive():
         assert cut_norm(w, method="heuristic") <= exact + 1e-12
 
 
+@pytest.mark.parametrize("restarts", [0, -3])
+def test_cut_norm_heuristic_needs_a_restart(restarts):
+    # with no restart the heuristic returned 0.0 for a kernel whose cut norm is 0.25
+    a = np.array([[0.5, -0.2], [-0.2, 0.9]])
+    assert cut_norm(a, method="exhaustive") == pytest.approx(0.25)
+    with pytest.raises(ValueError, match=f"restarts must be at least 1, got {restarts}"):
+        cut_norm(a, method="heuristic", restarts=restarts)
+
+
 def test_cut_norm_vertex_optimum_dominates_fractional_ascent():
     # the objective is bilinear, so box maxima sit at subset vertices
     rng = np.random.default_rng(29)
@@ -763,41 +770,27 @@ def test_text_round_trip_preserves_values_and_range(tmp_path):
     assert back.range == w.range
 
 
-def test_csv_round_trip_preserves_values_and_range(tmp_path):
-    rng = np.random.default_rng(61)
-    w = random_kernel(rng, 3)
-    path = tmp_path / "kernel.csv"
-    save_kernel_csv(w, path)
-    back = load_kernel_csv(path)
-    assert np.array_equal(back.values, w.values)
-    assert back.range == w.range
-
-
 def test_loaders_reject_malformed_headers(tmp_path):
     bad = tmp_path / "bad.txt"
     bad.write_text("2 0.0\n")
     with pytest.raises(ValueError):
         load_kernel_text(bad)
-    bad_csv = tmp_path / "bad.csv"
-    bad_csv.write_text("nope\n")
-    with pytest.raises(ValueError):
-        load_kernel_csv(bad_csv)
 
 
-@pytest.mark.parametrize("meta, rows, message", [
-    ("1000000,0,1", "0.5\n", "expected 1000000 rows of 1000000 entries"),
-    ("0,0,1", "", "block count must be at least 1, got 0"),
-    ("2.5,0,1", "", "block count '2.5' is not an integer"),
-    ("2,0", "", "bad header"),
-    ("2,0,1", "0.5,x\n0.5,0.5\n", "could not convert"),
-    ("2,0,1", "0.5,0.4\n0.5,0.5\n", "symmetric"),
+@pytest.mark.parametrize("head, rows, message", [
+    ("1000000 0 1", "0.5\n", "expected 1000000 rows of 1000000 entries"),
+    ("0 0 1", "", "block count must be at least 1, got 0"),
+    ("2.5 0 1", "", "block count '2.5' is not an integer"),
+    ("2 0", "", "bad header"),
+    ("2 0 1", "0.5 x\n0.5 0.5\n", "could not convert"),
+    ("2 0 1", "0.5 0.4\n0.5 0.5\n", "symmetric"),
 ])
-def test_csv_loader_is_bounded_by_the_file_and_names_it(tmp_path, meta, rows, message):
+def test_text_loader_is_bounded_by_the_file_and_names_it(tmp_path, head, rows, message):
     # a header's block count never drives reads past the end of the file
-    path = tmp_path / "k.csv"
-    path.write_text(f"r,lo,hi\n{meta}\n{rows}")
+    path = tmp_path / "k.txt"
+    path.write_text(f"{head}\n{rows}")
     with pytest.raises(ValueError, match=message) as err:
-        load_kernel_csv(path)
+        load_kernel_text(path)
     assert str(err.value).startswith(f"{path}: ")
 
 
