@@ -262,6 +262,27 @@ def _trajectory(cfg: ExperimentConfig, out: Path, kernel: str, columns=None, mil
             _write_csv(out / "trajectory.csv", header, rows)
 
 
+@contextlib.contextmanager
+def _kept_warnings():
+    """Yield a list of the warnings raised inside, each kept whatever the
+    filters say.  On exit, also when the run raises, each is shown as the
+    filters outside would have shown it where it was raised."""
+    kept = []
+    try:
+        with warnings.catch_warnings(record=True) as kept:
+            warnings.simplefilter("always")
+            yield kept
+    finally:
+        # the module and its registry, as warnings.warn passes them, so that
+        # module filters match and "default" shows a repeat once
+        modules = {getattr(m, "__file__", None): m for m in list(sys.modules.values())}
+        for w in kept:
+            module = modules.get(w.filename)
+            warnings.warn_explicit(
+                w.message, w.category, w.filename, w.lineno, module and module.__name__,
+                module and vars(module).setdefault("__warningregistry__", {}), source=w.source)
+
+
 def _write_csv(path: Path, header, rows) -> None:
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
@@ -333,10 +354,13 @@ def _run_sde(cfg: ExperimentConfig, out: Path) -> dict:
     )
     print(f"derived: dt={o['dt']!r} steps={sde_cfg.steps}")
     init = _kernel_init(cfg)
-    with _trajectory(cfg, out, "x", {"L0_fro": "l0_norm", "L1_fro": "l1_norm"}) as observe:
+    with _trajectory(cfg, out, "x", {"L0_fro": "l0_norm", "L1_fro": "l1_norm"}) as observe, \
+            _kept_warnings() as kept:
         run_sde(sde_cfg, init, observers=[observe], replicas=o["replicas"],
                 record_every=o["record_every"])
-    return _repeated(cfg)
+    # run_sde's only warning is its step-size warning, at most one per run
+    coarse = [str(w.message) for w in kept if w.filename == run_sde.__code__.co_filename]
+    return _repeated(cfg) | {"step_size_warning": coarse[0] if coarse else None}
 
 
 @_mode("flow", r=(int, REQUIRED), beta=(float, REQUIRED), dt=(float, 1e-3),

@@ -256,12 +256,25 @@ def _density_stack(graph: SimpleGraph, stack: np.ndarray) -> np.ndarray:
     return total / r**g.m
 
 
+@functools.cache
+def _tree_order(n: int) -> np.ndarray:
+    """The order in which _pairwise_sum takes n slabs: each full group of 8 as
+    slabs 0, 4, 2, 6, 1, 5, 3, 7 of the group, the rest as they come."""
+    order = np.arange(n)
+    full = n - n % 8
+    order[:full] = order[:full].reshape(-1, 8)[:, [0, 4, 2, 6, 1, 5, 3, 7]].ravel()
+    order.setflags(write=False)
+    return order
+
+
 def _pairwise_sum(x: np.ndarray) -> np.ndarray:
-    """x.sum(axis=0) of an (n, ...) array of slabs, bit for bit as numpy's
-    pairwise sum adds a contiguous row of n <= 128 entries, which numpy's own
-    axis-0 reduction, adding the slabs in order, does not: below 8 slabs one
-    by one; else in 8 accumulators over strides of 8, joined as
-    ((0+1)+(2+3))+((4+5)+(6+7)), then the rest one by one.  Overwrites x's
+    """x.sum(axis=0) of an (n, ...) array of slabs laid out in _tree_order(n),
+    bit for bit as numpy's pairwise sum adds a contiguous row of n <= 128
+    entries, which numpy's own axis-0 reduction, adding the slabs in order,
+    does not: below 8 slabs one by one; else in 8 accumulators over strides
+    of 8, joined as ((0+1)+(2+3))+((4+5)+(6+7)), then the rest one by one.
+    The tree order puts the partners of each join in the two halves of a
+    contiguous block, so every join is one in-place add.  Overwrites x's
     leading slabs."""
     n = len(x)
     if n < 8:
@@ -271,10 +284,9 @@ def _pairwise_sum(x: np.ndarray) -> np.ndarray:
     acc = x[:8]
     for i in range(8, n - n % 8, 8):
         np.add(acc, x[i:i + 8], out=acc)
-    # interleaved slabs written in place would overlap, and numpy would copy them
-    pairs = acc[0::2] + acc[1::2]
-    quads = pairs[0::2] + pairs[1::2]
-    total = np.add(quads[0], quads[1], out=quads[0])
+    for half in (4, 2, 1):
+        np.add(x[:half], x[half:2 * half], out=x[:half])
+    total = x[0]
     for i in range(n - n % 8, n):
         np.add(total, x[i], out=total)
     return total
@@ -314,14 +326,29 @@ def _subset_block(r: int) -> np.ndarray:
     return s
 
 
+@functools.cache
+def _signed_subset_block(r: int) -> np.ndarray:
+    """[S, -S] for the full r x 2^r subset matrix S: one product with A^T gives
+    the rows of s^T A and of -(s^T A) for every subset s."""
+    s = _subset_block(r)
+    signed = np.concatenate([s, -s], axis=1)
+    signed.setflags(write=False)
+    return signed
+
+
 def _cut_norm_exhaustive(a: np.ndarray) -> np.ndarray:
     """Exact cut norm of an r x r matrix, or of every matrix in a (..., r, r) stack.
 
     The columns of the matrices are stacked as the rows of one (r n) x r matrix,
-    so one gemm with a block of subset columns s gives A^T s for several
-    matrices A at once, each column's subset sums one contiguous slab.  Past the
-    cached block (r >= 11), a copy of it has its high bits refilled for each
-    further block of subsets.
+    in _tree_order(r), so one gemm with a block of subset columns s gives A^T s
+    for several matrices A at once, each column's subset sums one contiguous
+    slab, laid out as _pairwise_sum takes them.  Past the cached block
+    (r >= 11), a copy of it has its high bits refilled for each further block
+    of subsets.  A stack of one whose product with the signed
+    block [S, -S] fits the budget (r <= 9), as every annealed step scores it,
+    takes that one product instead: negating every addend of an ordered sum
+    negates each rounded partial sum, so the -S half is the negative part's
+    pass bit for bit.
     """
     r = a.shape[-1]
     if r > CUT_NORM_EXHAUSTIVE_LIMIT:
@@ -330,7 +357,12 @@ def _cut_norm_exhaustive(a: np.ndarray) -> np.ndarray:
             f"{CUT_NORM_EXHAUSTIVE_LIMIT} use method='heuristic'"
         )
     n = math.prod(a.shape[:-2])
-    cols = np.ascontiguousarray(a.reshape(n, r, r).transpose(2, 0, 1))
+    cols = a.reshape(n, r, r).transpose(2, 0, 1)[_tree_order(r)]
+    if n == 1 and r << (r + 1) <= _CUT_NORM_BUDGET:
+        v = cols.reshape(r, r) @ _signed_subset_block(r)
+        # np.maximum(x, 0.0) is +0.0 at either zero, so no sum and no max is -0.0
+        top = _pairwise_sum(np.maximum(v, 0.0, out=v)).max()
+        return np.full(a.shape[:-2], top / r**2)
     s = _subset_block(r)
     low = s.shape[1].bit_length() - 1
     if low < r:
@@ -454,9 +486,10 @@ def minimize_over_permutations(
                 best, best_p = float(vals[k]), ps[k].copy()
         return best, best_p
     draws = _draws.AnnealDraws(seed, r, _PERM_CHUNK)
-    cur = np.arange(r)
-    cur_val = float(objective(cur[None])[0])
-    best, best_p = cur_val, cur.copy()
+    # relabelings are lists, each handed over as a fresh (1, r) array
+    cur = list(range(r))
+    cur_val = float(objective(np.array([cur], dtype=np.intp))[0])
+    best, best_p = cur_val, cur
     temp = max(cur_val, 1e-3)
     decay = 0.01 ** (1.0 / max(anneal_evals, 1))
     for _ in range(anneal_evals):
@@ -465,17 +498,21 @@ def minimize_over_permutations(
             continue
         cand = cur.copy()
         cand[i], cand[j] = cand[j], cand[i]
-        val = float(objective(cand[None])[0])
+        val = float(objective(np.array([cand], dtype=np.intp))[0])
         if val < cur_val or draws.uniform() < math.exp(-(val - cur_val) / max(temp, 1e-12)):
             cur, cur_val = cand, val
             if val < best:
-                best, best_p = val, cand.copy()
+                best, best_p = val, cand
         temp *= decay
-    return best, best_p
+    return best, np.array(best_p, dtype=np.intp)
 
 
 def _relabeled(b: np.ndarray, perms: np.ndarray) -> np.ndarray:
-    """b[..., p, p] for every relabeling p in a (P, r) array: a (..., P, r, r) stack."""
+    """b[..., p, p] for every relabeling p in a (P, r) array: a (..., P, r, r) stack.
+    One relabeling, as every annealed step scores, is two takes: the same gather."""
+    if len(perms) == 1:
+        p = perms[0]
+        return b.take(p, axis=-2).take(p, axis=-1)[..., None, :, :]
     return b[..., perms[:, :, None], perms[:, None, :]]
 
 

@@ -300,6 +300,36 @@ def test_a_coarse_sde_run_warns_once(tmp_path):
     assert "UserWarning: dt * max|drift| = 1.25 at step 1 exceeds 0.1;" in proc.stderr
 
 
+@pytest.mark.parametrize("rule", [{"action": "default"}, {"action": "ignore"},
+                                  {"action": "ignore", "module": r"graphdyn\.sde$"}])
+def test_a_coarse_sde_run_keeps_its_warning_in_the_manifest(tmp_path, capsys, rule):
+    # before, the warning reached stderr only, and a filter that ignored it
+    # left no trace of a run 12.5 times too coarse
+    path = tmp_path / "run.ini"
+    path.write_text("[sde]\nr = 4\nbeta = 50\nsigma = 1\ndt = 0.05\nhorizon_t = 5\n"
+                    "drift = limit\nseed = 0\n\n[hamiltonian]\nterm.triangle = 1.0\n"
+                    "term.edge = -0.25\n")
+    with warnings.catch_warnings(record=True) as shown:
+        warnings.simplefilter("default")
+        warnings.filterwarnings(**rule)
+        assert main(["sde", "--config", str(path), "--out", str(tmp_path / "o")]) == 0
+    manifest = json.loads((tmp_path / "o" / "manifest.json").read_text())
+    assert manifest["step_size_warning"].startswith("dt * max|drift| = 1.25 at step 1 exceeds")
+    # shown where it was raised, as the filter outside says
+    assert [(str(w.message), Path(w.filename).name) for w in shown] == (
+        [(manifest["step_size_warning"], "sde.py")] if rule["action"] == "default" else [])
+
+
+@pytest.mark.parametrize("action, shown", [("default", 1), ("always", 3), ("ignore", 0)])
+def test_kept_warnings_are_shown_as_the_filters_outside_say(action, shown):
+    with warnings.catch_warnings(record=True) as outside:
+        warnings.simplefilter(action)
+        with cli._kept_warnings() as kept:
+            for _ in range(3):
+                warnings.warn("the same warning from one line")
+    assert len(kept) == 3 and len(outside) == shown
+
+
 @pytest.mark.parametrize("key, value", [
     ("beta", "inf"), ("beta", "nan"), ("sigma", "inf"), ("gamma_n", "inf"),
 ])
@@ -486,7 +516,7 @@ MANIFEST_RUNS = {
                    "iterations = 3\nseed = 5\nrecord_every = 3\ninit = 0.25\n",
                    {"beta_nr", "s_n", "l_nr", "milestones"}),
     "sde": ("[sde]\nr = 2\nbeta = 0.5\nsigma = 0.25\ndt = 0.05\nseed = 6\nhorizon_t = 0.1\n"
-            "drift = limit\nreplicas = 2\ninit = 0.25\nrecord_every = 2\n", set()),
+            "drift = limit\nreplicas = 2\ninit = 0.25\nrecord_every = 2\n", {"step_size_warning"}),
     "flow": ("[flow]\nr = 2\nbeta = 0.5\ndt = 0.05\nhorizon = 0.1\ninit = 0.25\n"
              "record_every = 2\n", {"fitted_rate"}),
 }
@@ -708,7 +738,8 @@ def _golden_hashes(name, tmp_path, monkeypatch, capsys):
 
 
 # taken before the config schema and the output writer were folded together;
-# sde's trajectory.csv re-recorded when the drift prefactor became erfcx
+# sde's trajectory.csv re-recorded when the drift prefactor became erfcx, its
+# manifest.json when it gained step_size_warning (null in this run)
 GOLDEN = {
     "metropolis": {
         "<stdout>": "0bf44c24adb07772e3c3450994614a6632c4b5a83f2ea247d0dc7e90feda7ef2",
@@ -721,7 +752,7 @@ GOLDEN = {
     },
     "sde": {
         "<stdout>": "74e3674ac96cbe2df4e17f886baf700c734a8c9278ea740dfdb74d1a57daecbe",
-        "manifest.json": "8a97adf3a7cb9d247df2ef98fa25014c318133d4b4d16ee3c09534d91426575c",
+        "manifest.json": "ba577fd4a5ccbb11f33c66f2e9fd134e9e27d6701a703970c1b3a9079679dc57",
         "q_0.pgm": "a08b860a9fbe8b148853bb499514567898892b6772c211734e16e6fbde3f6b2d",
         "q_1.pgm": "6c3822c0f34dd0378f054202947424f082bb6ca28350cd4d20325ee168260ad6",
         "q_2.pgm": "caa53e41f97b54e910929c3bac2d441d12cb9ef248e6a6ae4d75c56e6aaa7df6",

@@ -248,7 +248,7 @@ def test_pairwise_sum_of_slabs_adds_as_a_row_sum_adds():
     rng = np.random.default_rng(61)
     for n in range(1, 41):
         x = rng.choice([-1.0, 1.0], (50, n)) * 10.0 ** rng.uniform(-8, 8, (50, n))
-        got = stepkernel._pairwise_sum(np.ascontiguousarray(x.T))
+        got = stepkernel._pairwise_sum(x.T[stepkernel._tree_order(n)])
         assert got.tobytes() == x.sum(axis=-1).tobytes(), n
 
 
@@ -368,11 +368,20 @@ def test_cut_norm_exhaustive_gives_the_row_sum_kernels_bits(r):
     # the slab sums must add each row of s^T A as numpy's sum(axis=-1) did:
     # the annealer's path follows the last bits of every value.  Stacks of 3,
     # 37 and 256 split into chunks of several matrices up to r = 9; from
-    # r = 11 the subsets come in blocks whose high bits are refilled
+    # r = 11 the subsets come in blocks whose high bits are refilled.  Up to
+    # r = 9 a stack of one, as (1, 1, r, r) is on every annealed step, takes
+    # the one product with the signed subset block
     rng = np.random.default_rng(300 + r)
     singles = list(mixed_stack(rng, r, 6))
-    for a in singles + [mixed_stack(rng, r, n) for n in (3, 37, 256)]:
-        assert np.array_equal(_cut_norm_exhaustive(a), cut_norm_rowsum(a)), a.shape
+    ones = [a[None] for a in mixed_stack(rng, r, 3)] + [a[None, None] for a in
+                                                         mixed_stack(rng, r, 3)]
+    for a in singles + ones + [mixed_stack(rng, r, n) for n in (3, 37, 256)]:
+        got = _cut_norm_exhaustive(a)
+        assert got.shape == a.shape[:-2] and np.array_equal(got, cut_norm_rowsum(a)), a.shape
+    # a -0.0 would print as cut_metric_upper = -0.0 for a relabeled pair
+    for zero in (np.zeros((r, r)), np.zeros((1, 1, r, r)), -np.zeros((1, r, r))):
+        got = _cut_norm_exhaustive(zero)
+        assert np.array_equal(got, cut_norm_rowsum(zero)) and not np.signbit(got).any()
 
 
 def test_cut_norm_exhaustive_overflows_to_inf_not_nan():
@@ -727,13 +736,21 @@ SEARCH_GOLDEN = {
     # 2^14-entry difference stack of the cut-norm budget
     (8, 81): (0.08421861901645306, 0.2098333452758603),
     (9, 91): (0.06253302230343166, 0.23148417256070306),  # annealed, 4000 evaluations
+    # entries rounded to eighths: relabelings tie exactly, so the annealer
+    # draws its uniform at val == cur_val (2051 times in the cut search)
+    (9, 92): (0.09876543209876543, 0.21426734195196545),
+    # the first annealed size whose cut norm runs on the stacked path
+    (10, 101): (0.045014268299957284, 0.20012393626563613),
 }
+EIGHTHS = {(9, 92)}
 
 
 @pytest.mark.parametrize("r, seed", sorted(SEARCH_GOLDEN))
 def test_alignment_metrics_are_pinned(r, seed):
     rng = np.random.default_rng(seed)
     a, b = random_kernel(rng, r), random_kernel(rng, r)
+    if (r, seed) in EIGHTHS:
+        a, b = (StepKernel(np.round(w.values * 8) / 8) for w in (a, b))
     assert (cut_metric_upper(a, b, seed=3), delta2_upper(a, b, seed=3)) == SEARCH_GOLDEN[r, seed]
 
 
