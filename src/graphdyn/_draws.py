@@ -7,9 +7,10 @@ that the next half-word read takes first.  random() maps a word w to
 (w >> 11) 2^-53.  The chain, the drift trials and the annealer decode their
 draws by these rules; decoder_agrees checks them once per process, and after a
 failed check, or at a half-word that integers would reject, fallback's calls
-make the remaining draws.  A chain iteration draws s_n m proposal signs, one
-uniform, then l_nr m relaxation signs; tests/oracles.py draws them one
-Generator call per segment, as the reference the decoded draws must match.
+make the remaining draws; a chain state's generator on another bit generator
+makes its own draws by its calls.  A chain iteration draws s_n m proposal
+signs, one uniform, then l_nr m relaxation signs; tests/oracles.py draws them
+one Generator call per segment, as the reference the decoded draws must match.
 """
 from __future__ import annotations
 
@@ -35,8 +36,7 @@ def uniform(words: np.ndarray) -> np.ndarray:
 
 def fallback(seed, words: int = 0) -> np.random.Generator:
     """The Generator whose calls make every draw past the first `words` raw words
-    of default_rng(seed)'s stream.  seed may be a Generator, which stands where
-    its decoded words stop already."""
+    of default_rng(seed)'s stream."""
     rng = np.random.default_rng(seed)
     if words:
         rng.bit_generator.advance(words)
@@ -109,10 +109,11 @@ def call_draws(rng: np.random.Generator, iters: int, s: int, rl: int) -> tuple[n
 def chain_draws(rng: np.random.Generator, iters: int, s: int, rl: int) -> tuple[np.ndarray, ...]:
     """Signs (iters, s + rl) and uniforms (iters,) of `iters` chain iterations, as
     call_draws draws them and leaving rng where it does: decoded from one
-    random_raw call, or made by fallback's calls where decoder_agrees fails."""
-    if decoder_agrees():
+    random_raw call of a PCG64, the bit generator decoder_agrees checks, or made
+    by rng's calls for any other or where decoder_agrees fails."""
+    if type(rng.bit_generator) is np.random.PCG64 and decoder_agrees():
         return block_draws(rng.bit_generator, iters, s, rl)
-    return call_draws(fallback(rng), iters, s, rl)
+    return call_draws(rng, iters, s, rl)
 
 
 def trial_draws(seeds, s: int, rl: int, signs: np.ndarray, unif: np.ndarray, words: int) -> None:

@@ -2,8 +2,8 @@
 
 Subcommands mirror the run modes: metropolis, sde, flow, metrics, sample,
 and oracle.  Configs are flat INI-style sections of key = value pairs; every
-completed run gets a manifest with the derived scaling constants and a content
-hash of the config so outputs can be reproduced byte-for-byte.
+completed run gets a manifest with the derived scaling constants, its warnings
+and a content hash of the config so outputs can be reproduced byte-for-byte.
 """
 from __future__ import annotations
 
@@ -14,7 +14,6 @@ import dataclasses
 import hashlib
 import json
 import math
-import re
 import sys
 import time
 import warnings
@@ -274,13 +273,15 @@ def _kept_warnings():
             yield kept
     finally:
         # the module and its registry, as warnings.warn passes them, so that
-        # module filters match and "default" shows a repeat once
+        # module filters match and "default" shows a repeat once; a file of no
+        # loaded module passes neither, as warn_explicit drops a None module
         modules = {getattr(m, "__file__", None): m for m in list(sys.modules.values())}
         for w in kept:
             module = modules.get(w.filename)
-            warnings.warn_explicit(
-                w.message, w.category, w.filename, w.lineno, module and module.__name__,
-                module and vars(module).setdefault("__warningregistry__", {}), source=w.source)
+            where = () if module is None else (
+                module.__name__, vars(module).setdefault("__warningregistry__", {}))
+            warnings.warn_explicit(w.message, w.category, w.filename, w.lineno, *where,
+                                   source=w.source)
 
 
 def _write_csv(path: Path, header, rows) -> None:
@@ -319,9 +320,6 @@ def _run_metropolis(cfg: ExperimentConfig, out: Path) -> dict:
         n=o["n"], r=o["r"], beta=o["beta"], sigma=o["sigma"], gamma_n=o["gamma_n"],
         h=cfg.hamiltonian, seed=o["seed"], iterations=o["iterations"],
     )
-    regime = chain_cfg.validation_warnings()
-    for msg in regime:
-        print(f"warning: {msg}")
     print(
         f"derived: beta_nr={chain_cfg.beta_nr!r} s_n={chain_cfg.s_n} "
         f"l_nr={chain_cfg.l_nr} capacities=({chain_cfg.n ** 2}, "
@@ -330,10 +328,7 @@ def _run_metropolis(cfg: ExperimentConfig, out: Path) -> dict:
     init = _load_init(o["init"], o["r"])
     milestones = o.get("milestones", ())
     with _trajectory(cfg, out, "density", {"acc_prob": "acc_prob", "accepted": "accepted"},
-                     milestones) as observe, warnings.catch_warnings():
-        # run_chain warns again what is printed above; only that copy is dropped
-        for msg in regime:
-            warnings.filterwarnings("ignore", re.escape(msg) + "$", UserWarning)
+                     milestones) as observe:
         run_chain(chain_cfg, init, observers=[observe],
                   record_every=o["record_every"], milestones=milestones)
     return _repeated(cfg) | {
@@ -354,13 +349,10 @@ def _run_sde(cfg: ExperimentConfig, out: Path) -> dict:
     )
     print(f"derived: dt={o['dt']!r} steps={sde_cfg.steps}")
     init = _kernel_init(cfg)
-    with _trajectory(cfg, out, "x", {"L0_fro": "l0_norm", "L1_fro": "l1_norm"}) as observe, \
-            _kept_warnings() as kept:
+    with _trajectory(cfg, out, "x", {"L0_fro": "l0_norm", "L1_fro": "l1_norm"}) as observe:
         run_sde(sde_cfg, init, observers=[observe], replicas=o["replicas"],
                 record_every=o["record_every"])
-    # run_sde's only warning is its step-size warning, at most one per run
-    coarse = [str(w.message) for w in kept if w.filename == run_sde.__code__.co_filename]
-    return _repeated(cfg) | {"step_size_warning": coarse[0] if coarse else None}
+    return _repeated(cfg)
 
 
 @_mode("flow", r=(int, REQUIRED), beta=(float, REQUIRED), dt=(float, 1e-3),
@@ -518,8 +510,12 @@ def main(argv=None) -> int:
         cfg.output_dir.mkdir(parents=True, exist_ok=True)
         _, run, manifest = _MODES[args.mode]
         start = time.monotonic()
-        fields = run(cfg, cfg.output_dir)
-        _write_manifest(cfg, cfg.output_dir / manifest, start, fields)
+        with _kept_warnings() as kept:
+            fields = run(cfg, cfg.output_dir)
+        # graphdyn's own warnings, each text once: not a dependency's noise
+        own = [str(w.message) for w in kept if Path(w.filename).parent == Path(__file__).parent]
+        _write_manifest(cfg, cfg.output_dir / manifest, start,
+                        fields | {"warnings": list(dict.fromkeys(own))})
         return EXIT_OK
     except ConfigError as exc:
         for msg in exc.errors:

@@ -78,8 +78,6 @@ def run_flow(
     steps = horizon_steps(dt, horizon)
     if not math.isfinite(beta):
         raise ValueError(f"beta must be finite, got {beta}")
-    if init.r < 1:
-        raise ValueError(f"r must be at least 1, got {init.r}")
     init = StepKernel(init.values)  # a start outside [0, 1] is refused
 
     def states():

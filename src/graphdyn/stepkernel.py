@@ -95,12 +95,14 @@ class StepKernel:
         v = np.array(self.values, dtype=float, order="C")
         if v.ndim != 2 or v.shape[0] != v.shape[1]:
             raise ValueError("values must be a square matrix")
+        if not len(v):
+            raise ValueError("r must be at least 1, got 0")
         if not np.isfinite(v).all():
             raise ValueError("values must be finite")
         if not np.array_equal(v, v.T):
             raise ValueError("values must be exactly symmetric")
         lo, hi = self.range
-        if v.size and (v.min() < lo - 1e-12 or v.max() > hi + 1e-12):
+        if v.min() < lo - 1e-12 or v.max() > hi + 1e-12:
             raise ValueError(f"entries escape declared range [{lo}, {hi}]")
         v.setflags(write=False)
         object.__setattr__(self, "values", v)
@@ -443,8 +445,6 @@ def l2_distance(w1: StepKernel, w2: StepKernel) -> float:
 
 
 def _to_common_r(w1: StepKernel, w2: StepKernel) -> tuple[StepKernel, StepKernel]:
-    if not (w1.r and w2.r):
-        raise ValueError(f"distance needs at least one block, got r = {w1.r} and {w2.r}")
     if w1.r == w2.r:
         return w1, w2
     common = math.lcm(w1.r, w2.r)
@@ -598,28 +598,27 @@ def _block_count(path, field: str) -> int:
     return r
 
 
-def _read_kernel(fh, path, head: list) -> StepKernel:
-    """The kernel after a parsed 'r lo hi' header: at most r more lines are read."""
-    r = _block_count(path, head[0])
-    try:
-        rng = (float(head[1]), float(head[2]))
-        rows = [[float(x) for x in line.split()] for line in itertools.islice(fh, r)]
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
-    if len(rows) != r or any(len(row) != r for row in rows):
-        raise ValueError(f"{path}: expected {r} rows of {r} entries")
-    try:
-        return StepKernel(np.array(rows), rng)
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
-
-
 def load_kernel_text(path) -> StepKernel:
+    """The kernel of a save_kernel_text file: at most r lines are read after its
+    'r lo hi' header, and only blank lines may follow them."""
     with open(path) as fh:
         head = fh.readline().split()
         if len(head) != 3:
             raise ValueError(f"{path}: bad header, expected 'r lo hi'")
-        return _read_kernel(fh, path, head)
+        r = _block_count(path, head[0])
+        try:
+            rng = (float(head[1]), float(head[2]))
+            rows = [[float(x) for x in line.split()] for line in itertools.islice(fh, r)]
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
+        if len(rows) != r or any(len(row) != r for row in rows):
+            raise ValueError(f"{path}: expected {r} rows of {r} entries")
+        if any(line.strip() for line in fh):
+            raise ValueError(f"{path}: a line follows the {r} rows")
+    try:
+        return StepKernel(np.array(rows), rng)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def save_kernel_pgm(w: StepKernel, path) -> None:

@@ -276,15 +276,18 @@ def test_numeric_guards_name_the_step_and_the_quantity(tmp_path, mode, fields, g
 
 
 def test_a_regime_warning_is_shown_once(tmp_path):
-    # printed on stdout, where the golden stdout pins it; run_chain's own copy
-    # of the warning is not shown again on stderr
+    # run_chain alone raises it: shown once on stderr and kept in the manifest;
+    # before, the CLI printed its own copy on stdout and the manifest kept none
     path = tmp_path / "run.ini"
     path.write_text("[metropolis]\nn = 8\nr = 2\nbeta = 0.5\nsigma = 1\ngamma_n = 0.03125\n"
                     "iterations = 3\n\n[hamiltonian]\nterm.edge = 1.0\n")
     proc = run_cli("metropolis", path, tmp_path / "o")
-    assert proc.returncode == 0 and proc.stderr == ""
-    assert "warning: gamma_n n^2 / log n = 0.962 < 10" in proc.stdout
-    assert (proc.stdout + proc.stderr).count("far from the diffusive regime") == 1
+    assert proc.returncode == 0
+    assert not [line for line in proc.stdout.splitlines() if line.startswith("warning:")]
+    assert proc.stderr.count("gamma_n n^2 / log n = 0.962 < 10") == 1
+    manifest = json.loads((tmp_path / "o" / "manifest.json").read_text())
+    assert manifest["warnings"] == [
+        "gamma_n n^2 / log n = 0.962 < 10: chain is far from the diffusive regime"]
 
 
 def test_a_coarse_sde_run_warns_once(tmp_path):
@@ -313,11 +316,11 @@ def test_a_coarse_sde_run_keeps_its_warning_in_the_manifest(tmp_path, capsys, ru
         warnings.simplefilter("default")
         warnings.filterwarnings(**rule)
         assert main(["sde", "--config", str(path), "--out", str(tmp_path / "o")]) == 0
-    manifest = json.loads((tmp_path / "o" / "manifest.json").read_text())
-    assert manifest["step_size_warning"].startswith("dt * max|drift| = 1.25 at step 1 exceeds")
+    kept = json.loads((tmp_path / "o" / "manifest.json").read_text())["warnings"]
+    assert len(kept) == 1 and kept[0].startswith("dt * max|drift| = 1.25 at step 1 exceeds")
     # shown where it was raised, as the filter outside says
     assert [(str(w.message), Path(w.filename).name) for w in shown] == (
-        [(manifest["step_size_warning"], "sde.py")] if rule["action"] == "default" else [])
+        [(kept[0], "sde.py")] if rule["action"] == "default" else [])
 
 
 @pytest.mark.parametrize("action, shown", [("default", 1), ("always", 3), ("ignore", 0)])
@@ -328,6 +331,30 @@ def test_kept_warnings_are_shown_as_the_filters_outside_say(action, shown):
             for _ in range(3):
                 warnings.warn("the same warning from one line")
     assert len(kept) == 3 and len(outside) == shown
+
+
+def test_a_manifest_keeps_each_text_of_graphdyn_s_own_warnings_once(tmp_path, monkeypatch):
+    # a warning raised from a file outside the package, such as a dependency's
+    # DeprecationWarning, is shown but not kept
+    inside, outside = cli.__file__, str(tmp_path / "dependency.py")
+
+    def run(cfg, out):
+        for filename in (inside, outside, inside, inside):
+            warnings.warn_explicit(f"raised in {Path(filename).name}", UserWarning, filename, 1)
+        return {}
+
+    keys, _, manifest = cli._MODES["flow"]
+    monkeypatch.setitem(cli._MODES, "flow", (keys, run, manifest))
+    (tmp_path / "flow.ini").write_text(FLOW_INI)
+    with warnings.catch_warnings(record=True) as shown:
+        warnings.simplefilter("always")
+        assert main(["flow", "--config", str(tmp_path / "flow.ini"), "--out",
+                     str(tmp_path / "o")]) == 0
+    # all four are shown; before, one from a file of no loaded module was dropped
+    assert [Path(w.filename).name for w in shown] == ["cli.py", "dependency.py", "cli.py",
+                                                      "cli.py"]
+    assert json.loads((tmp_path / "o" / "manifest.json").read_text())["warnings"] == [
+        "raised in cli.py"]
 
 
 @pytest.mark.parametrize("key, value", [
@@ -514,11 +541,11 @@ def test_flow_runs_are_byte_deterministic(tmp_path):
 MANIFEST_RUNS = {
     "metropolis": ("[metropolis]\nn = 8\nr = 2\nbeta = 0.5\nsigma = 0.5\ngamma_n = 0.0625\n"
                    "iterations = 3\nseed = 5\nrecord_every = 3\ninit = 0.25\n",
-                   {"beta_nr", "s_n", "l_nr", "milestones"}),
+                   {"beta_nr", "s_n", "l_nr", "milestones", "warnings"}),
     "sde": ("[sde]\nr = 2\nbeta = 0.5\nsigma = 0.25\ndt = 0.05\nseed = 6\nhorizon_t = 0.1\n"
-            "drift = limit\nreplicas = 2\ninit = 0.25\nrecord_every = 2\n", {"step_size_warning"}),
+            "drift = limit\nreplicas = 2\ninit = 0.25\nrecord_every = 2\n", {"warnings"}),
     "flow": ("[flow]\nr = 2\nbeta = 0.5\ndt = 0.05\nhorizon = 0.1\ninit = 0.25\n"
-             "record_every = 2\n", {"fitted_rate"}),
+             "record_every = 2\n", {"fitted_rate", "warnings"}),
 }
 ENVELOPE = {"mode", "config", "config_sha256", "wall_time_s", "package_version"}
 
@@ -551,6 +578,7 @@ def test_main_writes_every_manifest_and_trajectory_writes_its_rows():
         return all(first <= k < first + len(body) for k in lines)
 
     for owner, pattern in ((cli.main, r"(?<!def )_write_manifest\("),
+                           (cli.main, r"(?<!def )_kept_warnings\("),
                            (cli.main, r"= time\.monotonic\(\)"),
                            (cli._trajectory, r'"trajectory\.csv"')):
         assert len(hits(pattern)) == 1 and inside(owner, hits(pattern)), pattern
@@ -738,12 +766,13 @@ def _golden_hashes(name, tmp_path, monkeypatch, capsys):
 
 
 # taken before the config schema and the output writer were folded together;
-# sde's trajectory.csv re-recorded when the drift prefactor became erfcx, its
-# manifest.json when it gained step_size_warning (null in this run)
+# sde's trajectory.csv re-recorded when the drift prefactor became erfcx; every
+# manifest.json and metrics.json re-recorded when it gained warnings, and the
+# metropolis stdout when its regime warning moved to stderr and the manifest
 GOLDEN = {
     "metropolis": {
-        "<stdout>": "0bf44c24adb07772e3c3450994614a6632c4b5a83f2ea247d0dc7e90feda7ef2",
-        "manifest.json": "0cc289e42dbb614a223c7a082f290c6737a6a07d0b30942a1a3321f189ac4e4a",
+        "<stdout>": "ab80fd9a5c836c5caa824442518a232f57ff025d1cef4d7b2a289a8296b376eb",
+        "manifest.json": "798032f5c4fae612e9fbcd808f3d561352888b096d446d5f220a483234b96fc1",
         "q_0.pgm": "a08b860a9fbe8b148853bb499514567898892b6772c211734e16e6fbde3f6b2d",
         "q_2.pgm": "e1e95814f5afa9e4fbc32e1818223c197c6af1b3edc1a0741d284a9ed056c215",
         "q_4.pgm": "1d74bd895a431563e5032f2240a25bfeb4952f10c19a5fe28dac8c6599a054ea",
@@ -752,7 +781,7 @@ GOLDEN = {
     },
     "sde": {
         "<stdout>": "74e3674ac96cbe2df4e17f886baf700c734a8c9278ea740dfdb74d1a57daecbe",
-        "manifest.json": "ba577fd4a5ccbb11f33c66f2e9fd134e9e27d6701a703970c1b3a9079679dc57",
+        "manifest.json": "dbfd0d840791801419532efe308c5fb03453d60205f8edd6c5f10bb09963c253",
         "q_0.pgm": "a08b860a9fbe8b148853bb499514567898892b6772c211734e16e6fbde3f6b2d",
         "q_1.pgm": "6c3822c0f34dd0378f054202947424f082bb6ca28350cd4d20325ee168260ad6",
         "q_2.pgm": "caa53e41f97b54e910929c3bac2d441d12cb9ef248e6a6ae4d75c56e6aaa7df6",
@@ -762,7 +791,7 @@ GOLDEN = {
     },
     "flow": {
         "<stdout>": "732235f4c4e43ae5837f5ed18aef8b5e5b2cb58ac95b3f2adcc9278ee44cda91",
-        "manifest.json": "d0bf84979a837cfa57793fd80a837b17764869c3a45284d4d5ecb4f404050cea",
+        "manifest.json": "16d352c63200615fc785abee09a6636145a3241cdf148284c07be099d2b0f39b",
         "q_0.pgm": "03422ff8279abe63b0147067f0faa14c9ec419c8f8449726be9dace8a215b4a5",
         "q_2.pgm": "069b57255837fac113cf3a115cf99fd171a56b21d5098db63375027869ee0699",
         "q_4.pgm": "78c7b427f38be9a05f7c9d6a7835572a50a69759641ac95d5a6d71c5a4835ebf",
@@ -773,7 +802,7 @@ GOLDEN = {
     # taken before the pinned densities of the named graphs took closed forms
     "flow-six-terms": {
         "<stdout>": "b30c672ef81ef687474f6170b9f52b28fdf4ebbb808c711fd596d0f303fcfcb6",
-        "manifest.json": "79f6eb3bba3b6013d09a92430a13531b9526b780661d78a732da19fd40714066",
+        "manifest.json": "44d13fd31dcab39a23c242e82e90b74c85dd2f946d7a3c558e1bfb4d0f71d416",
         "q_0.pgm": "11656fc6f7819981eb92e59ace4479cc7f90e3ccb6db5575964ad7d3aad8fde3",
         "q_10.pgm": "68dc3cbe8257ebfc65a4ead9d1e8032ef3304a4949b89b5cc4b775f379b55764",
         "q_2.pgm": "01a9544fc8b054c563317752d7aacdbabf2d248d7de2c36676bfe8c67acb12ec",
@@ -785,16 +814,16 @@ GOLDEN = {
     },
     "metrics-stepkernel": {
         "<stdout>": "d5c54c2ed95e9e4ab58f1b79e5b6963ca337a847ec5bc7c786cb30dbc9f6b2b2",
-        "metrics.json": "b24f7ef0e044376f1a6f1ba0f90a8985389faf7ce20045bd1155998c59b54129",
+        "metrics.json": "0ba3744379ad5f5b24dc52b9f8b104784b5f712d0218eaa905d806716fd8a09d",
     },
     "metrics-mvg": {
         "<stdout>": "2a9e8b6598ca263afa636600484993d4446102b60e22eb101258a8994ebd8383",
-        "metrics.json": "8722114690d01312936e50dc06d6fa1f81b26827f52736f0b5efa0d99608e3a4",
+        "metrics.json": "a719fe1ad76ad6d66a07771d647d3d9517f2d07ae705fda5a071d0cd1b6d9856",
     },
     "sample": {
         "<stdout>": "c1cfa2c812d5584ce8d9f6644b1eb099e9ee3c4b5440eb02277aa29fa754d795",
         "edges.csv": "b785935ea1b4ef395d6af40af8c80f516ddcdb8b292706434c6d7f407caef745",
-        "manifest.json": "f9ef863fb44e05d9ed21852026e413ea4bd9742ef94e5968b2aee8bc35385669",
+        "manifest.json": "f7feba5c4df4529e82108f717b33d0699b40406c13ced00338358fcc61b4d67e",
         "realized.txt": "7c56745a5b67c5f49cc19484486ef1431fc0653a6d15123594522fa066c7348a",
     },
 }

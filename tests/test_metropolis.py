@@ -1004,6 +1004,22 @@ def test_metropolis_step_equals_the_call_by_call_oracle(monkeypatch, agrees, sig
 
 
 @pytest.mark.filterwarnings("ignore:gamma_n")
+@pytest.mark.parametrize("bitgen", [np.random.MT19937, np.random.Philox, np.random.SFC64])
+def test_a_step_on_another_bit_generator_draws_call_by_call(bitgen):
+    # the decoder is checked on PCG64 only; before, a state on MT19937 raised
+    # KeyError: 'has_uint32', and another one was decoded unchecked
+    cfg = ChainConfig(n=5, r=2, beta=30.0, sigma=1.0, gamma_n=0.13, seed=9, h=TRIANGLE_EDGE)
+    got, want = (ChainState.from_density(cfg, np.full((2, 2), 0.5),
+                                         np.random.Generator(bitgen(1))) for _ in range(2))
+    _, accepted, diag = metropolis_step(got, cfg)
+    _, flag, ref = metropolis_step_call_by_call(want, cfg)
+    assert np.array_equal(got.counts, want.counts) and accepted == flag
+    assert struct.pack("<ddd", diag.delta_h, diag.acc_prob, diag.energy) == struct.pack(
+        "<ddd", ref.delta_h, ref.acc_prob, ref.energy)
+    assert got.rng.random() == want.rng.random()
+
+
+@pytest.mark.filterwarnings("ignore:gamma_n")
 def test_a_step_that_raises_keeps_its_counts_and_passes_its_draws():
     # beta < 0 overflows exp(-beta_nr dH) at the first uphill proposal, the
     # third step here: metropolis_step raises with the counts it started from,

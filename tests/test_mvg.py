@@ -14,12 +14,10 @@ from graphdyn import (
     SimpleGraph,
     StepKernel,
     build_net,
-    cut_metric_upper,
     cut_norm,
     d2_distance,
     decorated_density,
     delta2_mvg_upper,
-    delta2_upper,
     delta_black,
     edge_graph,
     gamma_kernel,
@@ -762,8 +760,13 @@ SAMPLE_DIGESTS = {
 def test_sampled_values_and_stream_are_pinned(r, n, max_atoms):
     w = random_mvg(np.random.default_rng([r, n, max_atoms]), r, max_atoms)
     rng = np.random.default_rng(n)
-    vals = sample_weighted_graph(w, n, rng).values
-    digest = hashlib.sha256(vals.tobytes() + rng.random(3).tobytes()).hexdigest()
+    if n:
+        vals = sample_weighted_graph(w, n, rng).values.tobytes()
+    else:  # an empty sample is refused, and its stream is left as it was
+        with pytest.raises(ValueError, match="r must be at least 1, got 0"):
+            sample_weighted_graph(w, n, rng)
+        vals = b""
+    digest = hashlib.sha256(vals + rng.random(3).tobytes()).hexdigest()
     assert digest == SAMPLE_DIGESTS[(r, n, max_atoms)]
 
 
@@ -791,18 +794,15 @@ def test_sampler_matches_one_choice_per_pair():
 
 def test_distances_refuse_the_empty_kernel_of_an_empty_sample():
     # before, cut norms and cut_metric_upper divided by zero, l2_distance took
-    # lcm(0, r) = 0 and divided by it, and delta2_upper returned inf
-    empty = sample_weighted_graph(random_mvg(np.random.default_rng(5), 2), 0,
-                                  np.random.default_rng(5))
-    assert empty.r == 0
-    other = StepKernel.constant(2, 0.5)
+    # lcm(0, r) = 0 and divided by it, and delta2_upper returned inf; now the
+    # empty sample is refused, and so no kernel reaches a distance empty
+    with pytest.raises(ValueError, match="r must be at least 1, got 0"):
+        sample_weighted_graph(random_mvg(np.random.default_rng(5), 2), 0,
+                              np.random.default_rng(5))
+    # cut_norm also takes raw arrays, which no kernel type guards
     for method in ("auto", "exhaustive", "heuristic"):
         with pytest.raises(ValueError, match="at least one block"):
-            cut_norm(empty, method=method)
-    for distance in (cut_metric_upper, l2_distance, delta2_upper):
-        for a, b in ((empty, other), (other, empty), (empty, empty)):
-            with pytest.raises(ValueError, match="at least one block"):
-                distance(a, b)
+            cut_norm(np.zeros((0, 0)), method=method)
 
 
 def test_sample_mvg_copies_located_cells():

@@ -82,6 +82,15 @@ def test_stepkernel_requires_exact_symmetry_and_range():
     assert w.r == 2
 
 
+def test_a_kernel_has_at_least_one_block():
+    # before, the empty kernel was accepted: its triangle density was nan with
+    # a RuntimeWarning, its energy nan, and its text file one the loader refused
+    for make in (lambda: StepKernel(np.zeros((0, 0))), lambda: StepKernel.constant(0, 0.5),
+                 lambda: kernel_from_values(np.zeros((0, 0)))):
+        with pytest.raises(ValueError, match="r must be at least 1, got 0"):
+            make()
+
+
 def test_stepkernel_values_are_frozen_copies():
     src = np.array([[0.1, 0.2], [0.2, 0.3]])
     w = StepKernel(src)
@@ -785,6 +794,9 @@ def test_text_round_trip_preserves_values_and_range(tmp_path):
     back = load_kernel_text(path)
     assert np.array_equal(back.values, w.values)
     assert back.range == w.range
+    # blank lines may follow the rows
+    path.write_text(path.read_text() + "\n  \n")
+    assert np.array_equal(load_kernel_text(path).values, w.values)
 
 
 def test_loaders_reject_malformed_headers(tmp_path):
@@ -801,6 +813,7 @@ def test_loaders_reject_malformed_headers(tmp_path):
     ("2 0", "", "bad header"),
     ("2 0 1", "0.5 x\n0.5 0.5\n", "could not convert"),
     ("2 0 1", "0.5 0.4\n0.5 0.5\n", "symmetric"),
+    ("2 0 1", "0.5 0.4\n0.4 0.5\n0.5 0.5\n", "a line follows the 2 rows"),
 ])
 def test_text_loader_is_bounded_by_the_file_and_names_it(tmp_path, head, rows, message):
     # a header's block count never drives reads past the end of the file
