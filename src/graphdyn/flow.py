@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._drive import drive, horizon_steps
-from .stepkernel import StepKernel, l2_distance
+from .stepkernel import StepKernel, _clip, l2_distance
 
 BOUNDARY_TOL = 1e-12
 # measure_rates fits log distances to the minimizer only above this floor
@@ -48,7 +48,8 @@ def flow_step(w: np.ndarray, h, beta: float, dt: float) -> np.ndarray:
     if not math.isfinite(rate):
         raise OverflowError(f"flow step beta * dt = {beta} * {dt} is not finite")
     # symmetric by construction: w and its gradient are symmetric
-    return np.clip(w - rate * h.frechet_derivative(w), 0.0, 1.0)
+    y = w - rate * h.frechet_derivative(w)
+    return _clip(y, 0.0, 1.0, out=y)
 
 
 @dataclass(frozen=True)

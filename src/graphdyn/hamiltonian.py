@@ -18,6 +18,7 @@ from .stepkernel import (
     SimpleGraph,
     StepKernel,
     _TERMS,
+    _clip,
     _density_stack,
     _finite_entries,
     _named_term,
@@ -50,6 +51,10 @@ class Hamiltonian:
             raise ValueError("term coefficients must be finite")
         if not (math.isfinite(self.entropy_weight) and self.entropy_weight >= 0):
             raise ValueError("entropy weight must be finite and nonnegative")
+        # each term's closed-form gradient, or None, looked up once here and
+        # not on every frechet_derivative call
+        object.__setattr__(self, "_gradients",
+                           tuple((c, g, _named_term(g)[1]) for c, g in self.terms))
 
     def evaluate(self, w: StepKernel) -> float:
         return float(self.evaluate_stack(w.values[None])[0])
@@ -78,10 +83,9 @@ class Hamiltonian:
         graph takes its closed form from a @ a and the row sums, made once per
         call; any other graph sums pinned einsums.  Non-finite entries raise."""
         r = len(a)
-        a2, d = a @ a, a.sum(1)
+        a2, d = a @ a, np.add.reduce(a, 1)  # a.sum(1) without its Python wrapper
         g_total = np.zeros((r, r))
-        for c, graph in self.terms:
-            term = _named_term(graph)[1]
+        for c, graph, term in self._gradients:
             if term is not None:
                 g_total += c * term.gradient(a, a2, d, r)
                 continue
@@ -89,7 +93,7 @@ class Hamiltonian:
                 g_total += c * _pinned_density(graph, a, e)
         g_total = (g_total + g_total.T) / 2  # pinned densities and a @ a may be asymmetric
         if self.entropy_weight:
-            p = np.clip(a, ENTROPY_CLIP, 1.0 - ENTROPY_CLIP)
+            p = _clip(a, ENTROPY_CLIP, 1.0 - ENTROPY_CLIP)
             g_total += self.entropy_weight * np.log(p / (1.0 - p))
         return _finite_entries(g_total)
 

@@ -20,11 +20,14 @@ import numpy as np
 # 0.3 s to load, and a run without the diffusion never needs it
 from ._drive import drive, horizon_steps
 from .hamiltonian import Hamiltonian
-from .stepkernel import StepKernel, _finite_entries, l2_norm
+from .stepkernel import StepKernel, _clip, _finite_entries, l2_norm
 
 # one-step clamp displacement above this fraction of the box suggests dt is
 # too coarse for the drift magnitude
 DT_STABILITY_FRACTION = 0.1
+# float64 entries of one block of noise, all replicas and steps: 128 KiB, so a
+# block stays in cache while each standard_normal call covers many steps
+_NOISE_BLOCK = 1 << 14
 
 
 def gaussian_tail(x: float) -> float:
@@ -72,8 +75,8 @@ def explicit_drift_formula(v: np.ndarray, t: float) -> np.ndarray:
     from scipy.special import erfcx
 
     v = np.asarray(v, dtype=float)
-    if t <= 0:
-        raise ValueError("t must be positive")
+    if not (math.isfinite(t) and t > 0):
+        raise ValueError(f"t must be positive and finite, got {t}")
     fro = math.sqrt(float((v * v).sum()))
     return -t * erfcx(t * fro) * v
 
@@ -89,6 +92,11 @@ def skorokhod_1d(path, lo: float, hi: float):
     path = np.asarray(path, dtype=float)
     if not lo < hi:
         raise ValueError("need lo < hi")
+    if not path.size:
+        raise ValueError("path must have at least one point")
+    if (bad := ~np.isfinite(path)).any():
+        at = int(np.argmax(bad))
+        raise ValueError(f"path must be finite, got {path.flat[at]} at index {at}")
     if not lo <= path[0] <= hi:
         raise ValueError("path must start inside [lo, hi]")
     p = path.tolist()
@@ -156,8 +164,13 @@ def _strict_lower(r: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _fill_symmetric_noise(streams, out: np.ndarray) -> np.ndarray:
-    """Fill each r x r slice of out from its own stream with one standard
-    normal per unordered pair, mirrored across the diagonal; return out."""
+    """Fill out[i] from streams[i] with one standard normal per unordered pair
+    of each of its r x r slices, mirrored across the diagonal; return out.
+
+    out[i] is one replica's (r, r) draw or its (steps, r, r) block of draws:
+    standard_normal fills its buffer in order, so a block takes from the
+    stream exactly what as many single draws, one after another, would take.
+    """
     for g, buf in zip(streams, out):
         g.standard_normal(out=buf)
     lo, hi = _strict_lower(out.shape[-1])
@@ -178,13 +191,17 @@ def em_step(state: SdeState, cfg: SdeConfig, drift: np.ndarray,
     if cfg.sigma and (shape := getattr(noise, "shape", None)) != state.x.shape:
         raise ValueError(f"sigma = {cfg.sigma} needs a noise of the state's shape "
                          f"{state.x.shape}, got {shape}")
+    # y, below and above are this step's own arrays, worked on in place
     y = state.x + drift * cfg.dt
     if cfg.sigma:
-        y = y + cfg.sigma * math.sqrt(cfg.dt) * noise
-    below = np.maximum(0.0, -y)
-    above = np.maximum(0.0, y - 1.0)
+        y += cfg.sigma * math.sqrt(cfg.dt) * noise
+    below = -y
+    np.maximum(0.0, below, out=below)
+    above = y - 1.0
+    np.maximum(0.0, above, out=above)
     # symmetric and in [0, 1] by construction: x, drift and noise are symmetric
-    return SdeState(np.clip(y, 0.0, 1.0), state.l0 + below, state.l1 + above, state.t + cfg.dt)
+    return SdeState(_clip(y, 0.0, 1.0, out=y), state.l0 + below, state.l1 + above,
+                    state.t + cfg.dt)
 
 
 @np.errstate(over="ignore", invalid="ignore")  # run_sde's guard names an overflow
@@ -231,24 +248,32 @@ def run_sde(
     shape = (replicas, cfg.r, cfg.r)
 
     def mean(stack: np.ndarray) -> np.ndarray:
-        return stack.sum(axis=0) / replicas
+        return np.add.reduce(stack, 0) / replicas  # stack.sum(axis=0), bit for bit
 
     def states():
         state = SdeState(np.broadcast_to(init.values, shape).copy(), np.zeros(shape),
                          np.zeros(shape))
-        noise = np.empty(shape) if cfg.sigma else None
+        block = max(1, _NOISE_BLOCK // (replicas * cfg.r**2))
+        buffer = np.empty((replicas, min(block, cfg.steps), cfg.r, cfg.r)) if cfg.sigma else None
         warned = False
         for k in itertools.count(1):  # the step being made
             x_mean = mean(state.x)
             yield state, x_mean
             drift = cfg.drift_kernel(x_mean)
-            if not warned and (reach := np.abs(drift).max() * cfg.dt) > DT_STABILITY_FRACTION:
+            # np.abs(drift).max() without the method's Python wrapper
+            reach = 0.0 if warned else np.maximum.reduce(np.abs(drift), None) * cfg.dt
+            if reach > DT_STABILITY_FRACTION:
                 warned = True
                 warnings.warn(f"dt * max|drift| = {reach:.3g} at step {k} exceeds "
                               f"{DT_STABILITY_FRACTION}; step size is coarse for this drift "
                               f"(warned once per run)")
-            state = em_step(state, cfg, drift,
-                            _fill_symmetric_noise(streams, noise) if cfg.sigma else None)
+            noise = None
+            if cfg.sigma:
+                # steps k .. k + block - 1 draw at step k, none past the last step
+                if (j := (k - 1) % block) == 0:
+                    _fill_symmetric_noise(streams, buffer[:, :cfg.steps - k + 1])
+                noise = buffer[:, j]
+            state = em_step(state, cfg, drift, noise)
 
     def record(k: int, run) -> SdeRecord:
         state, x_mean = run

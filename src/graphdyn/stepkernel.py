@@ -17,6 +17,11 @@ import numpy as np
 
 from . import _draws
 
+try:  # the ufunc np.clip ends in, without its Python wrappers
+    from numpy._core.umath import clip as _clip
+except ImportError:  # numpy < 2
+    from numpy.core.umath import clip as _clip
+
 UNIT = (0.0, 1.0)
 SIGNED = (-1.0, 1.0)
 
@@ -145,12 +150,14 @@ class StepKernel:
 def _finite_entries(values: np.ndarray) -> np.ndarray:
     """values, if every entry is finite; else FloatingPointError naming the first
     non-finite entry in C order, its coordinate and their count."""
+    # the common case in two ufunc calls; a sum would be one, but its overflow
+    # would have to be silenced, which costs more than the call it saves
+    if np.logical_and.reduce(np.isfinite(values), axis=None):
+        return values
     bad = ~np.isfinite(values)
-    if bad.any():
-        at = np.unravel_index(np.argmax(bad), bad.shape)
-        raise FloatingPointError(f"non-finite kernel entries: {float(values[at])} at "
-                                 f"{tuple(map(int, at))}, {np.count_nonzero(bad)} of {bad.size}")
-    return values
+    at = np.unravel_index(np.argmax(bad), bad.shape)
+    raise FloatingPointError(f"non-finite kernel entries: {float(values[at])} at "
+                             f"{tuple(map(int, at))}, {np.count_nonzero(bad)} of {bad.size}")
 
 
 def _bounds_range(values: np.ndarray) -> tuple[float, float]:
@@ -435,8 +442,9 @@ def cut_norm(
 
 
 def l2_norm(w: StepKernel | np.ndarray) -> float:
-    a = w.values if isinstance(w, StepKernel) else np.asarray(w)
-    return math.sqrt(float((a * a).mean())) if a.size else 0.0
+    a = w.values if isinstance(w, StepKernel) else np.asarray(w, dtype=float)
+    # (a * a).mean() bit for bit, without the method's Python wrapper
+    return math.sqrt(float(np.add.reduce(a * a, axis=None)) / a.size) if a.size else 0.0
 
 
 def l2_distance(w1: StepKernel, w2: StepKernel) -> float:

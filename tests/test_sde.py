@@ -20,6 +20,7 @@ from graphdyn import (
     triangle_graph,
 )
 from graphdyn.flow import flow_step, run_flow
+from graphdyn import sde
 from graphdyn.metropolis import ChainConfig, run_chain
 from graphdyn.sde import (
     SdeConfig,
@@ -182,6 +183,11 @@ def test_explicit_average_requires_positive_t():
         explicit_drift_formula(np.eye(2), 0.0)
     with pytest.raises(ValueError):
         explicit_drift_formula(np.eye(2), -1.0)
+    # nan passed the old t <= 0 guard and gave all nan; inf gave all nan with a
+    # RuntimeWarning
+    for t in (math.nan, math.inf):
+        with pytest.raises(ValueError, match=rf"^t must be positive and finite, got {t}$"):
+            explicit_drift_formula(np.eye(2), t)
 
 
 def test_explicit_average_matches_monte_carlo():
@@ -228,6 +234,14 @@ def test_reflection_input_validation():
         skorokhod_1d(np.zeros(3), 1.0, 0.0)
     with pytest.raises(ValueError):
         skorokhod_1d(np.array([2.0, 0.0]), 0.0, 1.0)
+    # an empty path raised IndexError; a nan reflected to nan, outside [lo, hi];
+    # an inf gave infinite local times
+    with pytest.raises(ValueError, match=r"^path must have at least one point$"):
+        skorokhod_1d([], 0.0, 1.0)
+    with pytest.raises(ValueError, match=r"^path must be finite, got nan at index 1$"):
+        skorokhod_1d([0.5, math.nan], 0.0, 1.0)
+    with pytest.raises(ValueError, match=r"^path must be finite, got inf at index 1$"):
+        skorokhod_1d([0.5, math.inf, 0.5], 0.0, 1.0)
 
 
 def walk_from_half(rng, steps, scale):
@@ -509,6 +523,47 @@ def test_replica_stack_equals_a_per_replica_loop_bit_for_bit(replicas, r, steps,
         assert np.array_equal(rec.x.values, mean.values)
         assert (rec.l0_norm, rec.l1_norm) == (l0, l1)
         assert rec.energy == TRIANGLE_EDGE.evaluate(mean)
+
+
+def test_a_block_of_draws_takes_what_its_single_draws_take():
+    block = _fill_symmetric_noise([np.random.default_rng(k) for k in range(3)],
+                                  np.empty((3, 7, 5, 5)))
+    singles = [np.stack([one_draw(g, 5) for _ in range(7)])
+               for g in (np.random.default_rng(k) for k in range(3))]
+    assert block.tobytes() == np.stack(singles).tobytes()
+    assert np.array_equal(block, block.swapaxes(-1, -2))
+
+
+@pytest.mark.filterwarnings("ignore:dt")
+# at r = 1, 7 replicas: from 8 on, the mean of (R, 1, 1) stacks is summed
+# pairwise, not in the per-replica loop's order
+@pytest.mark.parametrize("replicas, r, past", [(1, 16, 12), (3, 9, 0), (3, 9, 6), (7, 1, 5)])
+def test_noise_blocks_join_bit_for_bit_across_their_boundaries(replicas, r, past, monkeypatch):
+    # two full blocks of noise, then past steps of a third: each replica's
+    # stream gives the draws the per-replica loop takes one step at a time
+    block = sde._NOISE_BLOCK // (replicas * r * r)
+    steps = 2 * block + past
+    dt = 2.0**-6  # steps * dt is exact, so the horizon takes exactly steps
+    cfg = SdeConfig(r=r, beta=1.5, sigma=1.0, dt=dt, h=TRIANGLE_EDGE, seed=11,
+                    horizon_t=steps * dt, drift="limit")
+    assert cfg.steps == steps
+    drawn = []
+
+    def fill(streams, out):
+        drawn.append(out.shape[1])
+        return _fill_symmetric_noise(streams, out)
+
+    monkeypatch.setattr(sde, "_fill_symmetric_noise", fill)
+    init = random_kernel(np.random.default_rng(replicas * r), r)
+    records = run_sde(cfg, init, replicas=replicas)
+    # no draw past the last step
+    assert drawn == [block, block] + ([past] if past else [])
+    reference = _per_replica_run(cfg, init, replicas)
+    assert len(records) == len(reference) == steps + 1
+    for rec, (mean, l0, l1) in zip(records, reference):
+        assert np.array_equal(rec.x.values, mean.values)
+        assert (rec.l0_norm, rec.l1_norm) == (l0, l1)
+    assert records[-1].l0_norm > 0.0 and records[-1].l1_norm > 0.0  # the faces were hit
 
 
 def _sde_records_sha256(records):

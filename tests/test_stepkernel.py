@@ -134,6 +134,16 @@ def test_non_finite_entries_are_named_by_value_coordinate_and_count():
     with pytest.raises(FloatingPointError,
                        match=r"^non-finite kernel entries: -inf at \(0, 2\), 4 of 9$"):
         kernel_from_values(vals)
+    # finite entries whose sum overflows pass unchanged and without a warning
+    huge = np.full((2, 2), 1e308)
+    assert stepkernel._finite_entries(huge) is huge
+    # inf and -inf, whose sum is nan, are named by the first in C order
+    mixed = np.full((3, 3), 0.5)
+    mixed[0, 1] = mixed[1, 0] = math.inf
+    mixed[2, 2] = -math.inf
+    with pytest.raises(FloatingPointError,
+                       match=r"^non-finite kernel entries: inf at \(0, 1\), 3 of 9$"):
+        stepkernel._finite_entries(mixed)
     # the gradient's and the drift's checks give the same message
     big = Hamiltonian(((1e308, triangle_graph()), (1e308, path_graph(2)),
                        (1e308, cycle_graph(4))))
